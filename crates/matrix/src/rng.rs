@@ -122,14 +122,18 @@ impl MatrixRng {
         let grid_cols = cols.div_ceil(m);
         // Per block: an overall magnitude scale (blocks of a trained layer
         // differ strongly in importance, which is what lets per-block N
-        // selection beat a uniform ratio), an orientation
-        // (0 = row-heavy, 1 = col-heavy, 2 = flat) and per-lane scales.
-        let mut block_scale = vec![1.0f32; grid_rows * grid_cols];
-        let mut lane_scale = vec![vec![1.0f32; m]; grid_rows * grid_cols];
-        let mut orient = vec![2u8; grid_rows * grid_cols];
+        // selection beat a uniform ratio), an orientation and per-lane
+        // scales. `lane_gain[b·m + lane]` is the fused per-(block, lane)
+        // factor `sigma · (block_scale · lane_scale)`, multiplied in the
+        // same order as the element formula so every element is
+        // bit-identical to evaluating it per position.
+        let mut lane_gain = vec![0.0f32; grid_rows * grid_cols * m];
+        let mut col_heavy = vec![false; grid_rows * grid_cols];
+        let mut lane_scale = vec![1.0f32; m];
+        let mut lanes: Vec<usize> = Vec::with_capacity(m);
         for b in 0..grid_rows * grid_cols {
             // Log-uniform block magnitude over 2^±block_range.
-            block_scale[b] = f32::powf(2.0, self.rng.gen_range(-block_range..block_range));
+            let block_scale = f32::powf(2.0, self.rng.gen_range(-block_range..block_range));
             // Trained conv/attention layers concentrate importance in a few
             // *rows* (output channels / heads) of a block more often than in
             // columns — the TB-STC paper measures ~46 % column-direction vs
@@ -137,34 +141,49 @@ impl MatrixRng {
             // row-heavy blocks are the ones that need the column
             // (independent-dimension) constraint.
             let u = self.rng.gen_range(0.0f64..1.0);
-            let o = if u < 0.40 {
-                0 // row-heavy
-            } else if u < 0.62 {
-                1 // col-heavy
-            } else {
-                2 // flat
-            };
-            orient[b] = o;
-            if o != 2 {
-                // A few heavy lanes, the rest attenuated.
+            lane_scale.fill(1.0);
+            if u < 0.62 {
+                // Row-heavy (u < 0.40) scales by block row, col-heavy by
+                // block column; a few heavy lanes, the rest attenuated.
+                col_heavy[b] = u >= 0.40;
                 let heavy_lanes = self.rng.gen_range(1..=m.div_ceil(2));
-                let mut lanes: Vec<usize> = (0..m).collect();
+                lanes.clear();
+                lanes.extend(0..m);
                 self.shuffle(&mut lanes);
                 for (i, &lane) in lanes.iter().enumerate() {
-                    lane_scale[b][lane] = if i < heavy_lanes { heavy } else { light };
+                    lane_scale[lane] = if i < heavy_lanes { heavy } else { light };
+                }
+            }
+            // Flat blocks keep unit lane scales: `block_scale · 1.0` is
+            // exactly `block_scale`.
+            for (g, &l) in lane_gain[b * m..(b + 1) * m].iter_mut().zip(&lane_scale) {
+                *g = sigma * (block_scale * l);
+            }
+        }
+        let mut w = Matrix::zeros(rows, cols);
+        if cols == 0 {
+            return w;
+        }
+        // Row-major walk, one RNG draw per element in the order the
+        // positions are stored.
+        for (r, row) in w.as_mut_slice().chunks_exact_mut(cols).enumerate() {
+            let (br, lane) = (r / m, r % m);
+            for (bc, seg) in row.chunks_mut(m).enumerate() {
+                let b = br * grid_cols + bc;
+                let gains = &lane_gain[b * m..(b + 1) * m];
+                if col_heavy[b] {
+                    for (x, &g) in seg.iter_mut().zip(gains) {
+                        *x = g * self.standard_normal();
+                    }
+                } else {
+                    let g = gains[lane];
+                    for x in seg.iter_mut() {
+                        *x = g * self.standard_normal();
+                    }
                 }
             }
         }
-        Matrix::from_fn(rows, cols, |r, c| {
-            let b = (r / m) * grid_cols + (c / m);
-            let scale = block_scale[b]
-                * match orient[b] {
-                    0 => lane_scale[b][r % m], // row-heavy: scale by block row
-                    1 => lane_scale[b][c % m], // col-heavy: scale by block column
-                    _ => 1.0,
-                };
-            sigma * scale * self.standard_normal()
-        })
+        w
     }
 
     /// One uniform sample in `[0, 1)`.
@@ -248,6 +267,83 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         assert_ne!(v, (0..50).collect::<Vec<_>>());
+    }
+
+    /// The per-element closure formulation `block_structured_weights_with`
+    /// replaced: the oracle its row/lane loops must match bit for bit.
+    fn block_structured_oracle(
+        rng: &mut MatrixRng,
+        rows: usize,
+        cols: usize,
+        m: usize,
+        heavy: f32,
+        light: f32,
+        block_range: f32,
+    ) -> Matrix {
+        let sigma = (2.0 / cols as f32).sqrt();
+        let grid_rows = rows.div_ceil(m);
+        let grid_cols = cols.div_ceil(m);
+        let mut block_scale = vec![1.0f32; grid_rows * grid_cols];
+        let mut lane_scale = vec![vec![1.0f32; m]; grid_rows * grid_cols];
+        let mut orient = vec![2u8; grid_rows * grid_cols];
+        for b in 0..grid_rows * grid_cols {
+            block_scale[b] = f32::powf(2.0, rng.rng.gen_range(-block_range..block_range));
+            let u = rng.rng.gen_range(0.0f64..1.0);
+            let o = if u < 0.40 {
+                0
+            } else if u < 0.62 {
+                1
+            } else {
+                2
+            };
+            orient[b] = o;
+            if o != 2 {
+                let heavy_lanes = rng.rng.gen_range(1..=m.div_ceil(2));
+                let mut lanes: Vec<usize> = (0..m).collect();
+                rng.shuffle(&mut lanes);
+                for (i, &lane) in lanes.iter().enumerate() {
+                    lane_scale[b][lane] = if i < heavy_lanes { heavy } else { light };
+                }
+            }
+        }
+        Matrix::from_fn(rows, cols, |r, c| {
+            let b = (r / m) * grid_cols + (c / m);
+            let scale = block_scale[b]
+                * match orient[b] {
+                    0 => lane_scale[b][r % m],
+                    1 => lane_scale[b][c % m],
+                    _ => 1.0,
+                };
+            sigma * scale * rng.standard_normal()
+        })
+    }
+
+    fn same_bits(a: &Matrix, b: &Matrix) -> bool {
+        a.shape() == b.shape()
+            && a.as_slice()
+                .iter()
+                .zip(b.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn block_structured_matches_oracle(
+            seed in 0u64..1000,
+            rows in 0usize..41,
+            cols in 0usize..41,
+            m in 1usize..12,
+            contrast in 0usize..3,
+        ) {
+            let (heavy, light, range) = [(2.0, 0.15, 1.3), (1.4, 0.6, 0.5), (3.0, 0.0, 2.0)][contrast];
+            let mut a = MatrixRng::seed_from(seed);
+            let mut b = MatrixRng::seed_from(seed);
+            let fast = a.block_structured_weights_with(rows, cols, m, heavy, light, range);
+            let slow = block_structured_oracle(&mut b, rows, cols, m, heavy, light, range);
+            proptest::prop_assert!(same_bits(&fast, &slow), "{rows}x{cols} m={m}");
+            // The generators leave the RNG in the same state.
+            proptest::prop_assert_eq!(a.unit().to_bits(), b.unit().to_bits());
+        }
     }
 
     #[test]

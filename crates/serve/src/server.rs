@@ -598,8 +598,8 @@ fn lookup_cached(state: &State, key: &str) -> Response {
             .header("X-Job-Key", key.to_string())
             .json(body);
     }
-    match state.store.get(key) {
-        Some(body) => {
+    match probe_disk(|| state.store.get(key), || state.store.get_job_status(key)) {
+        DiskProbe::Result(body) => {
             state.metrics.disk_hits.fetch_add(1, Ordering::Relaxed);
             state.hot.put(key, &body);
             Response::new(200)
@@ -608,15 +608,45 @@ fn lookup_cached(state: &State, key: &str) -> Response {
                 .header("X-Job-Key", key.to_string())
                 .json(body)
         }
-        None => match state.store.get_job_status(key) {
-            Some(status) => {
-                let code = if status.state.is_terminal() { 200 } else { 202 };
-                Response::new(code)
-                    .header("X-Job-Key", key.to_string())
-                    .json(format!("{}\n", status.to_json()))
-            }
-            None => Response::new(404).json(error_body("no cached result for this key")),
-        },
+        DiskProbe::Status(status) => {
+            let code = if status.state.is_terminal() { 200 } else { 202 };
+            Response::new(code)
+                .header("X-Job-Key", key.to_string())
+                .json(format!("{}\n", status.to_json()))
+        }
+        DiskProbe::Missing => Response::new(404).json(error_body("no cached result for this key")),
+    }
+}
+
+/// What the disk tier holds for a job key.
+#[derive(Debug, PartialEq)]
+enum DiskProbe {
+    /// The result body.
+    Result(String),
+    /// No result; the job's lifecycle document.
+    Status(JobStatus),
+    /// Neither.
+    Missing,
+}
+
+/// Reads a job's result, falling back to its status document.
+///
+/// The job path writes the result before its `done` status, so a `done`
+/// status read after a result miss means the result landed in between:
+/// the result is read once more rather than answering `done` without it.
+fn probe_disk(
+    mut result: impl FnMut() -> Option<String>,
+    status: impl FnOnce() -> Option<JobStatus>,
+) -> DiskProbe {
+    if let Some(body) = result() {
+        return DiskProbe::Result(body);
+    }
+    match status() {
+        Some(status) if status.state == JobState::Done => {
+            result().map_or(DiskProbe::Status(status), DiskProbe::Result)
+        }
+        Some(status) => DiskProbe::Status(status),
+        None => DiskProbe::Missing,
     }
 }
 
@@ -1123,6 +1153,44 @@ mod tests {
             quiet: true,
             ..ServeConfig::default()
         }
+    }
+
+    #[test]
+    fn a_result_landing_between_the_two_disk_reads_is_served() {
+        // The job path writes the result, then its `done` status. A poll
+        // whose result read misses and whose status read then sees
+        // `done` must answer the result, not the status document.
+        let spec = JobSpec::from_json(r#"{"type":"simulate","arch":"tb-stc","model":{"kind":"gcn","nodes":16,"features":8},"sparsity":0.5}"#)
+            .expect("valid spec");
+        let status = JobStatus::queued(&spec);
+        let mut reads = 0;
+        let got = probe_disk(
+            || {
+                reads += 1;
+                (reads > 1).then(|| "result\n".to_string())
+            },
+            || Some(status.clone().with_state(JobState::Done)),
+        );
+        assert_eq!(got, DiskProbe::Result("result\n".into()));
+
+        // A `done` job whose result write failed still answers its status;
+        // other states never re-read the result.
+        let done = status.clone().with_state(JobState::Done);
+        assert_eq!(
+            probe_disk(|| None, || Some(done.clone())),
+            DiskProbe::Status(done)
+        );
+        let running = status.with_state(JobState::Running { done: 1, total: 2 });
+        let mut reads = 0;
+        let got = probe_disk(
+            || {
+                reads += 1;
+                (reads > 1).then(String::new)
+            },
+            || Some(running.clone()),
+        );
+        assert_eq!(got, DiskProbe::Status(running));
+        assert_eq!(probe_disk(|| None, || None), DiskProbe::Missing);
     }
 
     #[test]

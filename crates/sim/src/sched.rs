@@ -18,6 +18,14 @@
 //! repeats for every column group, and the hardware spreads those
 //! repetitions over PEs, so [`schedule_stream`] schedules the expanded
 //! task list.
+//!
+//! The sparsity-aware replay is exact and O(1) per task: PE loads live in
+//! a monotone bucket queue (a ring of per-load PE counts) that always
+//! serves the minimum load, as a heap would. A binary heap remains for
+//! add ranges too wide for the ring.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// How blocks are placed onto PEs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,64 +130,127 @@ pub fn schedule_stream(
             // Least-loaded dispatch with slot merging: a PE that drains
             // early takes the next (block, column) task from the queue, so
             // the scheduler balances across the whole expanded stream and
-            // each PE's time is ceil(sum of its slots / width).
-            //
-            // Implementation: a flat array min-heap over the fused key
-            // `load · P + pe`. Because `pe < P`, fused-key order is exactly
-            // lexicographic `(load, pe)` order — the same tie-break the
-            // historical `BinaryHeap<Reverse<(u64, usize)>>` used — and all
-            // keys are distinct, so the selected PE is identical at every
-            // step. Loads stay far below 2^56 for any simulated layer, so
-            // the fused product cannot overflow. Per-task add is
-            // column-invariant (precomputed once); a zero add re-inserts an
-            // unchanged key, so those tasks are skipped outright; each real
-            // task is one root replacement (single sift-down) instead of a
-            // pop + push pair.
-            let pes64 = pes as u64;
+            // each PE's time is ceil(sum of its slots / width). The
+            // per-task add is column-invariant, so it is computed once; a
+            // zero add leaves every load unchanged, so those tasks are
+            // skipped outright.
             let adds: Vec<u64> = blocks
                 .iter()
-                .map(|w| {
-                    let add = match intra {
-                        IntraBlockPolicy::Balanced => w.slots as u64,
-                        IntraBlockPolicy::Naive => {
-                            intra_block_cycles(w, intra, width) * width as u64
-                        }
-                    };
-                    add * pes64
+                .map(|w| match intra {
+                    IntraBlockPolicy::Balanced => w.slots as u64,
+                    IntraBlockPolicy::Naive => intra_block_cycles(w, intra, width) * width as u64,
                 })
                 .collect();
-            let mut heap: Vec<u64> = (0..pes64).collect();
-            for _ in 0..cols {
-                for &add in &adds {
-                    if add == 0 {
-                        continue;
-                    }
-                    let key = heap[0] + add;
-                    let mut i = 0usize;
-                    loop {
-                        let left = 2 * i + 1;
-                        if left >= pes {
-                            break;
+            let max_load = match LoadRing::new(pes, adds.iter().copied().max().unwrap_or(0)) {
+                Some(mut ring) => {
+                    for _ in 0..cols {
+                        for &add in &adds {
+                            if add != 0 {
+                                ring.add_to_least_loaded(add);
+                            }
                         }
-                        let right = left + 1;
-                        let child = if right < pes && heap[right] < heap[left] {
-                            right
-                        } else {
-                            left
-                        };
-                        if heap[child] >= key {
-                            break;
-                        }
-                        heap[i] = heap[child];
-                        i = child;
                     }
-                    heap[i] = key;
+                    ring.max_load()
                 }
-            }
-            let max_slots = heap.into_iter().map(|k| k / pes64).max().unwrap_or(0);
-            max_slots.div_ceil(width as u64)
+                None => least_loaded_heap(&adds, cols, pes),
+            };
+            max_load.div_ceil(width as u64)
         }
     }
+}
+
+/// Most ring buckets [`LoadRing`] allocates (256 KiB of counts); wider
+/// add ranges fall back to [`least_loaded_heap`].
+const MAX_RING: usize = 1 << 16;
+
+/// PE loads as a monotone bucket queue: a ring of `max_add + 1` buckets,
+/// each counting the PEs at one load.
+///
+/// Every step moves one least-loaded PE from `min` to `min + add` with
+/// `add ≤ max_add`, so the minimum load never decreases and every load
+/// stays within `[min, min + max_add]`: `max_add + 1` consecutive values,
+/// which map onto distinct ring buckets. The lowest non-empty bucket at or
+/// after `min` therefore holds the minimum load, found in O(1) amortised
+/// per task (`min` advances at most `Σ adds / pes` times in total, one
+/// bucket per advance). Which PE at the minimum takes the task (the
+/// heap's lowest index) cannot change any later load value, only which PE
+/// carries it, and the schedule length is the highest load: counts carry
+/// everything the result depends on.
+///
+/// `max_add` is at most one block's slot count rounded up to the
+/// intra-policy width (`ceil(slots / width) · width`, or `nonempty_rows ·
+/// width` under the naive policy): about a hundred buckets for the
+/// bundled architectures' 8 × 8 blocks.
+struct LoadRing {
+    /// PEs per load, `counts[(head + d) % len]` at load `min + d`.
+    counts: Vec<u32>,
+    /// The minimum load and its bucket.
+    min: u64,
+    head: usize,
+}
+
+impl LoadRing {
+    /// All `pes` PEs at load 0, for adds of at most `max_add`; `None` when
+    /// the ring would exceed [`MAX_RING`] buckets.
+    fn new(pes: usize, max_add: u64) -> Option<Self> {
+        let buckets = usize::try_from(max_add).ok()?.checked_add(1)?;
+        if buckets > MAX_RING {
+            return None;
+        }
+        let mut counts = vec![0u32; buckets];
+        counts[0] = u32::try_from(pes).ok()?;
+        Some(LoadRing {
+            counts,
+            min: 0,
+            head: 0,
+        })
+    }
+
+    /// Adds `add` (`1..=max_add`) to the load of a least-loaded PE.
+    fn add_to_least_loaded(&mut self, add: u64) {
+        let buckets = self.counts.len();
+        while self.counts[self.head] == 0 {
+            self.head += 1;
+            if self.head == buckets {
+                self.head = 0;
+            }
+            self.min += 1;
+        }
+        self.counts[self.head] -= 1;
+        // `add ≤ max_add < buckets`, so one wrap suffices.
+        let mut dst = self.head + add as usize;
+        if dst >= buckets {
+            dst -= buckets;
+        }
+        self.counts[dst] += 1;
+    }
+
+    /// The highest PE load.
+    fn max_load(&self) -> u64 {
+        let buckets = self.counts.len();
+        (0..buckets)
+            .rev()
+            .find(|&d| self.counts[(self.head + d) % buckets] != 0)
+            .map_or(self.min, |d| self.min + d as u64)
+    }
+}
+
+/// The least-loaded replay on a binary min-heap of PE loads: the exact
+/// path for add ranges too wide for a [`LoadRing`], only reachable
+/// through specs with extreme slot overheads. Returns the highest load.
+fn least_loaded_heap(adds: &[u64], cols: usize, pes: usize) -> u64 {
+    let mut heap = BinaryHeap::from(vec![Reverse(0u64); pes]);
+    for _ in 0..cols {
+        for &add in adds {
+            if let Some(mut least) = heap.peek_mut() {
+                least.0 = least.0.saturating_add(add);
+            }
+        }
+    }
+    heap.into_iter()
+        .map(|Reverse(load)| load)
+        .max()
+        .unwrap_or(0)
 }
 
 /// Compute utilization: useful slots over issued lane-cycles.
@@ -386,6 +457,82 @@ mod tests {
         assert_eq!(utilization(0, 0, 4, 8), 1.0);
         let u = utilization(32, 1, 4, 8);
         assert!((u - 1.0).abs() < 1e-12);
+    }
+
+    /// The literal least-loaded replay: pop the `(load, pe)` minimum and
+    /// push it back with the task's add, zero adds included.
+    fn literal_heap_replay(
+        blocks: &[BlockWork],
+        cols: usize,
+        pes: usize,
+        width: usize,
+        intra: IntraBlockPolicy,
+    ) -> u64 {
+        let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
+            (0..pes).map(|pe| Reverse((0, pe))).collect();
+        for _ in 0..cols {
+            for w in blocks {
+                let add = match intra {
+                    IntraBlockPolicy::Balanced => w.slots as u64,
+                    IntraBlockPolicy::Naive => intra_block_cycles(w, intra, width) * width as u64,
+                };
+                let Reverse((load, pe)) = heap.pop().expect("pes > 0");
+                heap.push(Reverse((load + add, pe)));
+            }
+        }
+        let max = heap.into_iter().map(|Reverse((l, _))| l).max();
+        max.expect("pes > 0").div_ceil(width as u64)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn bucket_queue_matches_literal_heap_replay(
+            raw in proptest::collection::vec((0usize..6, 0usize..80, 0usize..2), 0..160),
+            cols in 0usize..24,
+            pes in 1usize..=300,
+            width in 1usize..=16,
+            naive in 0usize..2,
+            huge in 0usize..8,
+        ) {
+            // Work lists mix zero adds (kind 0) with small and, in one case
+            // in eight, ring-overflowing slot counts; `nonempty_rows` is
+            // consistent with the slots (no row holds more than `width`).
+            let blocks: Vec<BlockWork> = raw
+                .iter()
+                .map(|&(kind, x, indep)| {
+                    let slots = match kind {
+                        0 => 0,
+                        _ if huge == 0 && kind == 5 => 1_000_000 + x,
+                        _ => x,
+                    };
+                    let min_rows = slots.div_ceil(width);
+                    BlockWork {
+                        slots,
+                        nonempty_rows: min_rows + x % 3 * usize::from(slots > 0),
+                        independent_dim: indep == 1,
+                    }
+                })
+                .collect();
+            let intra = if naive == 1 { IntraBlockPolicy::Naive } else { IntraBlockPolicy::Balanced };
+            let got = schedule_stream(&blocks, cols, pes, width, InterBlockPolicy::SparsityAware, intra);
+            let want = if blocks.is_empty() || cols == 0 {
+                0
+            } else {
+                literal_heap_replay(&blocks, cols, pes, width, intra)
+            };
+            proptest::prop_assert_eq!(got, want, "pes={} width={} cols={} {:?}", pes, width, cols, intra);
+
+            // Invariants of both inter-block policies: never faster than
+            // the work lower bound, utilization within [0, 1].
+            let useful: u64 = blocks.iter().map(|b| b.slots as u64).sum::<u64>() * cols as u64;
+            let bound = useful.div_ceil((pes * width) as u64);
+            for inter in [InterBlockPolicy::SparsityAware, InterBlockPolicy::Direct] {
+                let cycles = schedule_stream(&blocks, cols, pes, width, inter, intra);
+                proptest::prop_assert!(cycles >= bound, "{:?}: {} < bound {}", inter, cycles, bound);
+                let u = utilization(useful, cycles, pes, width);
+                proptest::prop_assert!((0.0..=1.0).contains(&u), "{:?}: utilization {}", inter, u);
+            }
+        }
     }
 
     #[test]

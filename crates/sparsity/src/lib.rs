@@ -40,6 +40,7 @@ pub mod criteria;
 pub mod mask;
 pub mod mask_space;
 pub mod pattern;
+mod select;
 pub mod similarity;
 pub mod stats;
 pub mod tbs;

@@ -9,6 +9,8 @@ use std::fmt;
 
 use tbstc_matrix::Matrix;
 
+use crate::select;
+
 /// A binary keep/prune mask with the same shape as the matrix it applies to.
 ///
 /// # Examples
@@ -70,9 +72,9 @@ impl Mask {
     ///
     /// Ties are broken by position (earlier row-major positions win), which
     /// keeps the procedure deterministic. The ordering `(score desc, index
-    /// asc)` is a strict total order, so the kept *set* is unique — which
-    /// is what lets the selection below replace the historical full sort
-    /// without changing any mask.
+    /// asc)` is a strict total order, so the kept *set* is unique; the
+    /// selection runs on integer keys that fuse each score with its
+    /// position.
     pub fn top_k(scores: &Matrix, k: usize) -> Self {
         let data = scores.as_slice();
         let k = k.min(data.len());
@@ -80,18 +82,7 @@ impl Mask {
         if k == data.len() {
             keep.iter_mut().for_each(|b| *b = true);
         } else if k > 0 {
-            let mut idx: Vec<usize> = (0..data.len()).collect();
-            // O(n) selection: after this call, idx[..k] holds exactly the
-            // top-k indices under (score desc, index asc).
-            idx.select_nth_unstable_by(k, |&a, &b| {
-                data[b]
-                    .partial_cmp(&data[a])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            });
-            for &i in &idx[..k] {
-                keep[i] = true;
-            }
+            select::top_k(data, k, &mut keep);
         }
         Mask {
             rows: scores.rows(),
@@ -162,13 +153,27 @@ impl Mask {
     }
 
     /// Number of kept positions in row `r`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `r` is out of bounds.
     pub fn row_kept(&self, r: usize) -> usize {
-        (0..self.cols).filter(|&c| self.get(r, c)).count()
+        self.row(r).iter().filter(|&&k| k).count()
     }
 
     /// Number of kept positions in column `c`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `c` is out of bounds.
     pub fn col_kept(&self, c: usize) -> usize {
-        (0..self.rows).filter(|&r| self.get(r, c)).count()
+        assert!(c < self.cols, "mask column out of bounds");
+        self.keep
+            .iter()
+            .skip(c)
+            .step_by(self.cols)
+            .filter(|&&k| k)
+            .count()
     }
 
     /// Borrows row `r` as a slice of keep flags (contiguous, `cols` long).
@@ -179,6 +184,11 @@ impl Mask {
     pub fn row(&self, r: usize) -> &[bool] {
         assert!(r < self.rows, "mask row out of bounds");
         &self.keep[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// Mutably borrows row `r` as a slice of keep flags.
+    pub(crate) fn row_mut(&mut self, r: usize) -> &mut [bool] {
+        &mut self.keep[r * self.cols..(r + 1) * self.cols]
     }
 
     /// The transposed mask.
@@ -514,6 +524,15 @@ mod tests {
         let m = Mask::from_fn(3, 3, |r, c| r == c);
         assert_eq!(m.row_kept(1), 1);
         assert_eq!(m.col_kept(2), 1);
+        // Slice and strided counts agree with element-wise `get` counts.
+        let s = MatrixRng::seed_from(9).uniform(7, 5, 0.0, 1.0);
+        let m = Mask::top_k(&s, 17);
+        for r in 0..7 {
+            assert_eq!(m.row_kept(r), (0..5).filter(|&c| m.get(r, c)).count());
+        }
+        for c in 0..5 {
+            assert_eq!(m.col_kept(c), (0..7).filter(|&r| m.get(r, c)).count());
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@ use std::fmt;
 use tbstc_matrix::Matrix;
 
 use crate::mask::Mask;
+use crate::select;
 use crate::tbs::{TbsConfig, TbsPattern};
 
 /// Identifies a sparsity pattern for reporting, using the paper's names.
@@ -177,19 +178,7 @@ impl Pattern for TileNm {
         let abs = scores.map(f32::abs);
         let mut mask = Mask::none(scores.rows(), scores.cols());
         for r in 0..scores.rows() {
-            for tile0 in (0..scores.cols()).step_by(self.m) {
-                let width = self.m.min(scores.cols() - tile0);
-                let mut idx: Vec<usize> = (0..width).collect();
-                idx.sort_by(|&a, &b| {
-                    abs[(r, tile0 + b)]
-                        .partial_cmp(&abs[(r, tile0 + a)])
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.cmp(&b))
-                });
-                for &i in idx.iter().take(n) {
-                    mask.set(r, tile0 + i, true);
-                }
-            }
+            keep_row_tiles(&abs, r, self.m, n, &mut mask);
         }
         mask
     }
@@ -261,19 +250,7 @@ impl Pattern for RowWiseVegeta {
 
         let mut mask = Mask::none(scores.rows(), scores.cols());
         for (r, &n) in row_n.iter().enumerate() {
-            for tile0 in (0..scores.cols()).step_by(self.m) {
-                let width = self.m.min(scores.cols() - tile0);
-                let mut idx: Vec<usize> = (0..width).collect();
-                idx.sort_by(|&a, &b| {
-                    abs[(r, tile0 + b)]
-                        .partial_cmp(&abs[(r, tile0 + a)])
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.cmp(&b))
-                });
-                for &i in idx.iter().take(n) {
-                    mask.set(r, tile0 + i, true);
-                }
-            }
+            keep_row_tiles(&abs, r, self.m, n, &mut mask);
         }
         mask
     }
@@ -316,6 +293,41 @@ impl RowWiseHighlight {
         }
         v
     }
+
+    /// Keeps, per group of `group` tiles in each row of `abs`, the
+    /// `tiles_kept` heaviest tiles and the top `n` elements inside each.
+    fn keep_ranked_tiles(&self, abs: &Matrix, tiles_kept: usize, n: usize) -> Mask {
+        let mut mask = Mask::none(abs.rows(), abs.cols());
+        // Per row, every tile's f64 mass is summed once (in column order,
+        // as ranking always summed it); each group then stable-sorts its
+        // tiles by mass, heaviest first, and keeps the first `tiles_kept`.
+        let mut masses: Vec<f64> = Vec::with_capacity(abs.cols().div_ceil(self.m));
+        let mut ranked: Vec<usize> = Vec::with_capacity(self.group);
+        for r in 0..abs.rows() {
+            let row = abs.row(r);
+            masses.clear();
+            masses.extend(
+                row.chunks(self.m)
+                    .map(|tile| tile.iter().map(|&x| f64::from(x)).sum::<f64>()),
+            );
+            let out = mask.row_mut(r);
+            for g0 in (0..masses.len()).step_by(self.group) {
+                ranked.clear();
+                ranked.extend(g0..(g0 + self.group).min(masses.len()));
+                ranked.sort_by(|&a, &b| {
+                    masses[b]
+                        .partial_cmp(&masses[a])
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                });
+                for &t in ranked.iter().take(tiles_kept) {
+                    let t0 = t * self.m;
+                    let tile = &row[t0..(t0 + self.m).min(row.len())];
+                    select::tile_top_n(tile, n, |i| out[t0 + i] = true);
+                }
+            }
+        }
+        mask
+    }
 }
 
 impl Pattern for RowWiseHighlight {
@@ -344,43 +356,7 @@ impl Pattern for RowWiseHighlight {
             })
             // tbstc-lint: allow(panic-surface) — configs is a non-empty builtin table, max_by cannot return None
             .expect("configs non-empty");
-
-        let mut mask = Mask::none(scores.rows(), scores.cols());
-        let group_span = self.group * self.m;
-        for r in 0..scores.rows() {
-            for g0 in (0..scores.cols()).step_by(group_span) {
-                // Rank the group's tiles by mass; keep the heaviest.
-                let tiles: Vec<usize> = (0..self.group)
-                    .map(|t| g0 + t * self.m)
-                    .filter(|&t0| t0 < scores.cols())
-                    .collect();
-                let mut ranked = tiles.clone();
-                ranked.sort_by(|&a, &b| {
-                    let mass = |t0: usize| -> f64 {
-                        (t0..(t0 + self.m).min(scores.cols()))
-                            .map(|c| f64::from(abs[(r, c)]))
-                            .sum()
-                    };
-                    mass(b)
-                        .partial_cmp(&mass(a))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
-                for &t0 in ranked.iter().take(tiles_kept) {
-                    let width = self.m.min(scores.cols() - t0);
-                    let mut idx: Vec<usize> = (0..width).collect();
-                    idx.sort_by(|&a, &b| {
-                        abs[(r, t0 + b)]
-                            .partial_cmp(&abs[(r, t0 + a)])
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(a.cmp(&b))
-                    });
-                    for &i in idx.iter().take(n) {
-                        mask.set(r, t0 + i, true);
-                    }
-                }
-            }
-        }
-        mask
+        self.keep_ranked_tiles(&abs, tiles_kept, n)
     }
 }
 
@@ -395,6 +371,15 @@ impl Pattern for Tbs {
 
     fn project(&self, scores: &Matrix, target: f64) -> Mask {
         TbsPattern::sparsify(scores, target, &self.0).into_mask()
+    }
+}
+
+/// Keeps the top `n` scores of every `m`-wide tile of row `r` of `abs`
+/// (the last tile may be narrower).
+fn keep_row_tiles(abs: &Matrix, r: usize, m: usize, n: usize, mask: &mut Mask) {
+    let out = mask.row_mut(r);
+    for (t, tile) in abs.row(r).chunks(m).enumerate() {
+        select::tile_top_n(tile, n, |i| out[t * m + i] = true);
     }
 }
 
@@ -622,6 +607,108 @@ mod tests {
             assert_eq!(p.kind(), kind);
             let mask = p.project(&weights(9), 0.5);
             assert_eq!(mask.shape(), (64, 64));
+        }
+    }
+
+    /// The per-tile `Vec` + comparator-sort projection of HighLight that
+    /// the precomputed-mass, key-selection version replaced.
+    fn highlight_oracle(
+        p: &RowWiseHighlight,
+        scores: &Matrix,
+        tiles_kept: usize,
+        n: usize,
+    ) -> Mask {
+        let abs = scores.map(f32::abs);
+        let mut mask = Mask::none(scores.rows(), scores.cols());
+        let group_span = p.group * p.m;
+        for r in 0..scores.rows() {
+            for g0 in (0..scores.cols()).step_by(group_span) {
+                let tiles: Vec<usize> = (0..p.group)
+                    .map(|t| g0 + t * p.m)
+                    .filter(|&t0| t0 < scores.cols())
+                    .collect();
+                let mut ranked = tiles.clone();
+                ranked.sort_by(|&a, &b| {
+                    let mass = |t0: usize| -> f64 {
+                        (t0..(t0 + p.m).min(scores.cols()))
+                            .map(|c| f64::from(abs[(r, c)]))
+                            .sum()
+                    };
+                    mass(b)
+                        .partial_cmp(&mass(a))
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                });
+                for &t0 in ranked.iter().take(tiles_kept) {
+                    let width = p.m.min(scores.cols() - t0);
+                    let mut idx: Vec<usize> = (0..width).collect();
+                    idx.sort_by(|&a, &b| {
+                        abs[(r, t0 + b)]
+                            .partial_cmp(&abs[(r, t0 + a)])
+                            .unwrap_or(std::cmp::Ordering::Equal)
+                            .then(a.cmp(&b))
+                    });
+                    for &i in idx.iter().take(n) {
+                        mask.set(r, t0 + i, true);
+                    }
+                }
+            }
+        }
+        mask
+    }
+
+    /// The per-tile comparator sort TS and RS-V used for `n` per tile.
+    fn tile_oracle(scores: &Matrix, m: usize, row_n: impl Fn(usize) -> usize) -> Mask {
+        let abs = scores.map(f32::abs);
+        let mut mask = Mask::none(scores.rows(), scores.cols());
+        for r in 0..scores.rows() {
+            for tile0 in (0..scores.cols()).step_by(m) {
+                let width = m.min(scores.cols() - tile0);
+                let mut idx: Vec<usize> = (0..width).collect();
+                idx.sort_by(|&a, &b| {
+                    abs[(r, tile0 + b)]
+                        .partial_cmp(&abs[(r, tile0 + a)])
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(a.cmp(&b))
+                });
+                for &i in idx.iter().take(row_n(r)) {
+                    mask.set(r, tile0 + i, true);
+                }
+            }
+        }
+        mask
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn tile_projections_match_oracles(
+            seed in 0u64..1000,
+            rows in 1usize..24,
+            cols in 1usize..40,
+            nan in 0usize..4,
+        ) {
+            // Ties, both zeros and negatives (plus NaN in a quarter of the
+            // cases) over ragged shapes.
+            const ALPHABET: [f32; 7] = [0.0, -0.0, 1.0, -1.0, 0.25, -4.0, f32::NAN];
+            let mut rng = MatrixRng::seed_from(seed);
+            let pick = if nan == 0 { 7 } else { 6 };
+            let w = Matrix::from_fn(rows, cols, |_, _| match rng.index(pick + 2) {
+                i if i < pick => ALPHABET[i],
+                _ => rng.standard_normal(),
+            });
+            for n in 0..=8 {
+                proptest::prop_assert_eq!(
+                    TileNm::new(n, 8).project(&w, 0.0),
+                    tile_oracle(&w, 8, |_| n)
+                );
+            }
+            let hl = RowWiseHighlight::paper_default();
+            let abs = w.map(f32::abs);
+            for (t, k, _) in hl.configs() {
+                proptest::prop_assert_eq!(
+                    hl.keep_ranked_tiles(&abs, t, k),
+                    highlight_oracle(&hl, &w, t, k)
+                );
+            }
         }
     }
 

@@ -27,6 +27,7 @@ use tbstc_matrix::tile::{blocks_along, BlockCoord};
 use tbstc_matrix::Matrix;
 
 use crate::mask::Mask;
+use crate::select;
 
 /// The sparsity dimension a block's N:M constraint runs along.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -194,64 +195,87 @@ impl TbsPattern {
         adjust_to_target(&mut chosen, &abs_scores, config, keep_total);
 
         // Step 3: per block, build both directional candidate sets and keep
-        // the one closer (L1/Hamming) to the unstructured mask. The winner
-        // is written straight into the full-size mask (out-of-bounds padded
-        // positions dropped). The current block's scores and unstructured
-        // flags are staged into zero-padded contiguous scratch buffers
-        // (refilled from row slices), so the lane sorts and overlap counts
-        // run on flat memory instead of bounds-checked views; one index
-        // buffer and two candidate lists are likewise reused across blocks.
+        // the one closer (L1/Hamming) to the unstructured mask. The current
+        // block's scores are staged into zero-padded row-major and
+        // column-major scratch blocks, so every lane is one contiguous
+        // slice, and each lane's top-n and the unstructured block become
+        // per-lane bitsets (`words` u64s per lane): the overlap counts are
+        // popcounts and the winner is written from its set bits
+        // (out-of-bounds padded positions dropped). All scratch is reused
+        // across blocks.
+        let words = m.div_ceil(64);
         let mut mask = Mask::none(scores.rows(), scores.cols());
         let mut blocks = Vec::with_capacity(chosen.len());
-        let mut idx = Vec::with_capacity(m);
-        let mut row_cand: Vec<(usize, usize)> = Vec::with_capacity(m * m);
-        let mut col_cand: Vec<(usize, usize)> = Vec::with_capacity(m * m);
-        let mut s_buf = vec![0.0f32; m * m];
-        let mut u_buf = vec![false; m * m];
+        let mut by_row = vec![0.0f32; m * m];
+        let mut by_col = vec![0.0f32; m * m];
+        let mut un_rows = vec![0u64; m * words];
+        let mut un_cols = vec![0u64; m * words];
+        let mut row_cand = vec![0u64; m * words];
+        let mut col_cand = vec![0u64; m * words];
         for (coord, n) in chosen {
             let (r0, c0) = coord.origin(m);
             let rmax = (r0 + m).min(scores.rows());
             let cmax = (c0 + m).min(scores.cols());
-            let w = cmax - c0;
-            s_buf.fill(0.0);
-            u_buf.fill(false);
+            by_row.fill(0.0);
+            by_col.fill(0.0);
+            un_rows.fill(0);
+            un_cols.fill(0);
             let mut un_kept = 0usize;
             for r in r0..rmax {
-                let dst = (r - r0) * m;
-                s_buf[dst..dst + w].copy_from_slice(&abs_scores.row(r)[c0..cmax]);
-                for (d, &k) in u_buf[dst..dst + w]
-                    .iter_mut()
-                    .zip(&unstructured.row(r)[c0..cmax])
-                {
-                    *d = k;
+                let dr = r - r0;
+                let flags = &unstructured.row(r)[c0..cmax];
+                for (dc, (&s, &k)) in abs_scores.row(r)[c0..cmax].iter().zip(flags).enumerate() {
+                    by_row[dr * m + dc] = s;
+                    by_col[dc * m + dr] = s;
+                    un_rows[dr * words + dc / 64] |= u64::from(k) << (dc % 64);
+                    un_cols[dc * words + dr / 64] |= u64::from(k) << (dr % 64);
                     un_kept += usize::from(k);
                 }
             }
 
-            row_cand.clear();
-            col_cand.clear();
+            row_cand.fill(0);
+            col_cand.fill(0);
             for lane in 0..m {
-                lane_top_n(&s_buf, m, lane, n, SparsityDim::Reduction, &mut idx);
-                row_cand.extend(idx.iter().map(|&i| (lane, i)));
-                lane_top_n(&s_buf, m, lane, n, SparsityDim::Independent, &mut idx);
-                col_cand.extend(idx.iter().map(|&i| (i, lane)));
+                let bits = &mut row_cand[lane * words..(lane + 1) * words];
+                select::tile_top_n(&by_row[lane * m..(lane + 1) * m], n, |i| set_bit(bits, i));
+                let bits = &mut col_cand[lane * words..(lane + 1) * words];
+                select::tile_top_n(&by_col[lane * m..(lane + 1) * m], n, |i| set_bit(bits, i));
             }
 
             // Hamming(A, U) = |A| + |U| − 2|A ∩ U|; every candidate set
             // keeps exactly n·m positions (padding included, matching
             // `nm_block_mask` on a zero-padded block copy).
-            let overlap =
-                |cand: &[(usize, usize)]| cand.iter().filter(|&&(r, c)| u_buf[r * m + c]).count();
-            let ham_row = n * m + un_kept - 2 * overlap(&row_cand);
-            let ham_col = n * m + un_kept - 2 * overlap(&col_cand);
-            let (dim, winner) = if ham_row <= ham_col {
-                (SparsityDim::Reduction, &row_cand)
-            } else {
-                (SparsityDim::Independent, &col_cand)
+            let overlap = |cand: &[u64], un: &[u64]| -> usize {
+                cand.iter()
+                    .zip(un)
+                    .map(|(a, b)| (a & b).count_ones() as usize)
+                    .sum()
             };
-            for &(r, c) in winner {
-                if r0 + r < scores.rows() && c0 + c < scores.cols() {
-                    mask.set(r0 + r, c0 + c, true);
+            let ham_row = n * m + un_kept - 2 * overlap(&row_cand, &un_rows);
+            let ham_col = n * m + un_kept - 2 * overlap(&col_cand, &un_cols);
+            let dim = if ham_row <= ham_col {
+                SparsityDim::Reduction
+            } else {
+                SparsityDim::Independent
+            };
+            let winner = match dim {
+                SparsityDim::Reduction => &row_cand,
+                SparsityDim::Independent => &col_cand,
+            };
+            for (lane, bits) in winner.chunks_exact(words).enumerate() {
+                for (w, &word) in bits.iter().enumerate() {
+                    let mut rest = word;
+                    while rest != 0 {
+                        let i = w * 64 + rest.trailing_zeros() as usize;
+                        rest &= rest - 1;
+                        let (r, c) = match dim {
+                            SparsityDim::Reduction => (r0 + lane, c0 + i),
+                            SparsityDim::Independent => (r0 + i, c0 + lane),
+                        };
+                        if r < rmax && c < cmax {
+                            mask.set(r, c, true);
+                        }
+                    }
                 }
             }
             blocks.push(BlockInfo { coord, n, dim });
@@ -382,46 +406,24 @@ impl TbsPattern {
 pub fn nm_block_mask(block_scores: &Matrix, n: usize, dim: SparsityDim) -> Mask {
     let m = block_scores.rows();
     debug_assert_eq!(block_scores.cols(), m, "blocks are square");
+    // Column lanes are the rows of the transpose.
+    let lanes = match dim {
+        SparsityDim::Reduction => block_scores.clone(),
+        SparsityDim::Independent => block_scores.transpose(),
+    };
     let mut mask = Mask::none(m, m);
-    let mut idx = Vec::with_capacity(m);
     for lane in 0..m {
-        lane_top_n(block_scores.as_slice(), m, lane, n, dim, &mut idx);
-        for &i in &idx {
-            match dim {
-                SparsityDim::Reduction => mask.set(lane, i, true),
-                SparsityDim::Independent => mask.set(i, lane, true),
-            }
-        }
+        select::tile_top_n(lanes.row(lane), n, |i| match dim {
+            SparsityDim::Reduction => mask.set(lane, i, true),
+            SparsityDim::Independent => mask.set(i, lane, true),
+        });
     }
     mask
 }
 
-/// Fills `idx` with the top-`n` in-lane indices of the row-major `m × m`
-/// score block `s` (ties broken by lower index, exactly the
-/// `nm_block_mask` ordering), reusing `idx`'s allocation.
-///
-/// The degenerate lanes skip the sort: `n = 0` keeps nothing and `n ≥ m`
-/// keeps every in-lane index, and in both cases the kept *set* — the only
-/// thing callers consume — matches the sorted-then-truncated result.
-fn lane_top_n(s: &[f32], m: usize, lane: usize, n: usize, dim: SparsityDim, idx: &mut Vec<usize>) {
-    idx.clear();
-    if n == 0 {
-        return;
-    }
-    idx.extend(0..m);
-    if n >= m {
-        return;
-    }
-    idx.sort_by(|&a, &b| {
-        let (sa, sb) = match dim {
-            SparsityDim::Reduction => (s[lane * m + a], s[lane * m + b]),
-            SparsityDim::Independent => (s[a * m + lane], s[b * m + lane]),
-        };
-        sb.partial_cmp(&sa)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    idx.truncate(n);
+/// Sets bit `i` of a little-endian multi-word bitset.
+fn set_bit(bits: &mut [u64], i: usize) {
+    bits[i / 64] |= 1 << (i % 64);
 }
 
 /// Picks the candidate `N` whose density `N/M` is nearest `density`
@@ -651,40 +653,126 @@ mod tests {
         assert_eq!(p.grid(), (3, 4));
     }
 
-    #[test]
-    fn sparsify_matches_blockwise_reference() {
-        // The view-based step 3 must reproduce the allocate-per-block
-        // reference exactly: same dimension choice, same kept positions.
-        let w = MatrixRng::seed_from(77).weights(20, 28); // non-multiple shape
-        let config = cfg();
-        let m = config.m;
-        let target = 0.6;
-        let p = TbsPattern::sparsify(&w, target, &config);
-
-        let abs_scores = w.map(f32::abs);
-        let keep_total = ((1.0 - target) * w.len() as f64).round() as usize;
-        let unstructured = Mask::top_k(&abs_scores, keep_total);
-        for info in p.blocks() {
-            let (r0, c0) = info.coord.origin(m);
-            let block_scores = abs_scores.block(r0, c0, m, m);
-            let block_un = unstructured.block(r0, c0, m, m);
-            let row_mask = nm_block_mask(&block_scores, info.n, SparsityDim::Reduction);
-            let col_mask = nm_block_mask(&block_scores, info.n, SparsityDim::Independent);
-            let (dim, best) = if row_mask.hamming(&block_un) <= col_mask.hamming(&block_un) {
-                (SparsityDim::Reduction, row_mask)
-            } else {
-                (SparsityDim::Independent, col_mask)
+    /// The sort-based lane selection the bitset step 3 replaced: fills
+    /// `idx` with the top-`n` in-lane indices of the row-major `m × m`
+    /// score block `s` (ties broken by lower index).
+    fn lane_top_n_oracle(
+        s: &[f32],
+        m: usize,
+        lane: usize,
+        n: usize,
+        dim: SparsityDim,
+        idx: &mut Vec<usize>,
+    ) {
+        idx.clear();
+        if n == 0 {
+            return;
+        }
+        idx.extend(0..m);
+        if n >= m {
+            return;
+        }
+        idx.sort_by(|&a, &b| {
+            let (sa, sb) = match dim {
+                SparsityDim::Reduction => (s[lane * m + a], s[lane * m + b]),
+                SparsityDim::Independent => (s[a * m + lane], s[b * m + lane]),
             };
-            assert_eq!(info.dim, dim, "block {:?}", info.coord);
-            for r in 0..m {
-                for c in 0..m {
-                    if r0 + r < w.rows() && c0 + c < w.cols() {
-                        assert_eq!(
-                            p.mask().get(r0 + r, c0 + c),
-                            best.get(r, c),
-                            "block {:?} at ({r},{c})",
-                            info.coord
-                        );
+            sb.partial_cmp(&sa)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(&b))
+        });
+        idx.truncate(n);
+    }
+
+    fn nm_block_mask_oracle(block_scores: &Matrix, n: usize, dim: SparsityDim) -> Mask {
+        let m = block_scores.rows();
+        let mut mask = Mask::none(m, m);
+        let mut idx = Vec::new();
+        for lane in 0..m {
+            lane_top_n_oracle(block_scores.as_slice(), m, lane, n, dim, &mut idx);
+            for &i in &idx {
+                match dim {
+                    SparsityDim::Reduction => mask.set(lane, i, true),
+                    SparsityDim::Independent => mask.set(i, lane, true),
+                }
+            }
+        }
+        mask
+    }
+
+    /// Scores drawn from an alphabet with ties, both zeros and negatives
+    /// (and NaN when `nan`), mixed with Gaussian values.
+    fn special_scores(seed: u64, rows: usize, cols: usize, nan: bool) -> Matrix {
+        const ALPHABET: [f32; 8] = [0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 1e-3, f32::NAN];
+        let mut rng = MatrixRng::seed_from(seed);
+        let pick = if nan { 8 } else { 7 };
+        Matrix::from_fn(rows, cols, |_, _| match rng.index(pick + 3) {
+            i if i < pick => ALPHABET[i],
+            _ => rng.standard_normal(),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn nm_block_mask_matches_oracle(
+            seed in 0u64..1000,
+            m in 1usize..12,
+            n in 0usize..12,
+            nan in 0usize..3,
+        ) {
+            let s = special_scores(seed, m, m, nan == 0);
+            for dim in [SparsityDim::Reduction, SparsityDim::Independent] {
+                prop_assert_eq!(
+                    nm_block_mask(&s, n, dim),
+                    nm_block_mask_oracle(&s, n, dim),
+                    "m={} n={} {:?}", m, n, dim
+                );
+            }
+        }
+
+        #[test]
+        fn sparsify_matches_blockwise_reference(
+            seed in 0u64..1000,
+            rows in 1usize..30,
+            cols in 1usize..30,
+            target_pct in 0u32..=100,
+            nan in 0usize..4,
+            wide in 0usize..4,
+        ) {
+            // Step 3 must reproduce the allocate-per-block sort reference
+            // exactly: same dimension choice, same kept positions.
+            let w = special_scores(seed, rows, cols, nan == 0);
+            let config = if wide == 0 { TbsConfig::with_block_size(4) } else { cfg() };
+            let m = config.m;
+            let target = f64::from(target_pct) / 100.0;
+            let p = TbsPattern::sparsify(&w, target, &config);
+
+            let abs_scores = w.map(f32::abs);
+            let keep_total = ((1.0 - target) * w.len() as f64).round() as usize;
+            let unstructured = Mask::top_k(&abs_scores, keep_total);
+            for info in p.blocks() {
+                let (r0, c0) = info.coord.origin(m);
+                let block_scores = abs_scores.block(r0, c0, m, m);
+                let block_un = unstructured.block(r0, c0, m, m);
+                let row_mask = nm_block_mask_oracle(&block_scores, info.n, SparsityDim::Reduction);
+                let col_mask = nm_block_mask_oracle(&block_scores, info.n, SparsityDim::Independent);
+                let (dim, best) = if row_mask.hamming(&block_un) <= col_mask.hamming(&block_un) {
+                    (SparsityDim::Reduction, row_mask)
+                } else {
+                    (SparsityDim::Independent, col_mask)
+                };
+                prop_assert_eq!(info.dim, dim, "block {:?}", info.coord);
+                for r in 0..m {
+                    for c in 0..m {
+                        if r0 + r < w.rows() && c0 + c < w.cols() {
+                            prop_assert_eq!(
+                                p.mask().get(r0 + r, c0 + c),
+                                best.get(r, c),
+                                "block {:?} at ({},{})", info.coord, r, c
+                            );
+                        }
                     }
                 }
             }

@@ -11,7 +11,9 @@
 //!   fleet-wide (the job flock arbitrates);
 //! * cancellation stops a running job at a chunk boundary and a re-submit
 //!   finishes it from the memo;
-//! * corrupt memo lines are skipped, counted, and exported in /metrics.
+//! * corrupt memo lines are skipped, counted, and exported in /metrics;
+//! * a poll racing a job's end answers 202 or the result, never the
+//!   terminal `done` status document without the result.
 
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -325,6 +327,46 @@ fn cancel_stops_between_chunks_and_a_resubmit_finishes_from_the_memo() {
         code == 200 && body.contains("\"results\"")
     });
 
+    running.shutdown_and_join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_finished_job_is_never_answered_by_its_done_status_document() {
+    // The job path writes the result before its `done` status, so a poll
+    // racing the end of a job must see 202 (running) or the result, never
+    // a 200 `done` status without the result (`tbstc-cli submit --follow`
+    // fails on one). The server's unit tests force the interleaving; this
+    // drives the whole path with back-to-back polls from two clients.
+    let dir = tmp_dir("done-race");
+    let running = Server::bind(durable_cfg(&dir, 0)).unwrap().spawn().unwrap();
+    let addr = running.addr.to_string();
+    for job in 0..8 {
+        let spec = LONG_SWEEP.replace("0.75", &format!("0.{}", 70 + job));
+        let accepted = request(&addr, "POST", "/v1/jobs", Some(&spec)).unwrap();
+        assert_eq!(accepted.status, 202, "{}", accepted.body);
+        let key = accepted.header("x-job-key").unwrap().to_string();
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    let deadline = Instant::now() + Duration::from_secs(20);
+                    loop {
+                        let resp = request(&addr, "GET", &format!("/v1/jobs/{key}"), None).unwrap();
+                        if resp.status == 200 {
+                            assert!(
+                                resp.body.contains("\"results\""),
+                                "job {key}: {}",
+                                resp.body
+                            );
+                            return;
+                        }
+                        assert_eq!(resp.status, 202, "{}", resp.body);
+                        assert!(Instant::now() < deadline, "timed out polling job {key}");
+                    }
+                });
+            }
+        });
+    }
     running.shutdown_and_join();
     let _ = std::fs::remove_dir_all(&dir);
 }
