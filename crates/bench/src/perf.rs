@@ -23,11 +23,7 @@
 //! name-compatible with earlier reports) plus a standing high-
 //! concurrency zipfian run (the `loadgen_*` keys — 1k keep-alive
 //! connections by default) that exercises the event loop, coalescing,
-//! and both cache tiers at once. A spec-interpretation measurement runs
-//! the same layer simulation through [`tbstc::sim::CustomArch`] built
-//! from the bundled TB-STC `tbstc.v1` document, and reports its ratio
-//! against the native module — the declarative path must stay within
-//! 1.25× of native. The report is written as JSON (hand-rolled; the
+//! and both cache tiers at once. The report is written as JSON (hand-rolled; the
 //! workspace is offline and carries no serde) to `BENCH_PR10.json`.
 
 use std::time::Instant;
@@ -119,13 +115,6 @@ pub struct PerfReport {
     /// The same per-layer simulation, once per registered architecture
     /// (canonical name, timing) in registry order.
     pub simulate_layer_by_arch: Vec<(&'static str, Timing)>,
-    /// The `simulate_layer` measurement repeated through a
-    /// [`tbstc::sim::CustomArch`] interpreting the bundled TB-STC spec
-    /// document (same pre-built layer).
-    pub custom_arch_simulate: Timing,
-    /// `custom_arch_simulate.best_us / simulate_layer.best_us` — how much
-    /// the declarative path costs over the native module.
-    pub custom_arch_vs_native: f64,
     /// Whether the parallel GEMM reproduced the serial result bit for bit.
     pub parallel_gemm_bit_identical: bool,
     /// Full `tbstc-lint` run over every workspace source file with the
@@ -166,7 +155,7 @@ impl PerfReport {
             .collect::<Vec<_>>()
             .join(",\n");
         format!(
-            "{{\n  \"bench\": \"PR10 structural lint + incremental cache perf\",\n  \"iters\": {},\n  \"workers\": {},\n  \"train_step_old_us\": {},\n  \"train_step_new_us\": {},\n  \"train_speedup\": {:.3},\n  \"sparsify_128x128_us\": {},\n  \"plan_build_us\": {},\n  \"simulate_layer_us\": {},\n  \"simulate_layer_by_arch_us\": {{\n{by_arch}\n  }},\n  \"custom_arch_simulate_us\": {},\n  \"custom_arch_vs_native\": {:.3},\n  \"parallel_gemm_bit_identical\": {},\n  \"lint_workspace_us\": {},\n  \"lint_warm_us\": {},\n  \"lint_cache_speedup\": {:.3},\n  \"sweep_resume_overhead\": {:.3},\n  \"memo_subspec_hit_rate\": {:.3},\n  \"serve_requests\": {},\n  \"serve_throughput_rps\": {:.2},\n  \"serve_cache_hit_rate\": {:.3},\n  \"serve_p50_us\": {:.1},\n  \"serve_p99_us\": {:.1},\n  \"serve_p999_us\": {:.1},\n  \"loadgen_connections\": {},\n  \"loadgen_requests\": {},\n  \"loadgen_failed\": {},\n  \"loadgen_rps\": {:.2},\n  \"loadgen_p50_us\": {:.1},\n  \"loadgen_p99_us\": {:.1},\n  \"loadgen_p999_us\": {:.1},\n  \"loadgen_hit_rate\": {:.4}\n}}\n",
+            "{{\n  \"bench\": \"PR10 structural lint + incremental cache perf\",\n  \"iters\": {},\n  \"workers\": {},\n  \"train_step_old_us\": {},\n  \"train_step_new_us\": {},\n  \"train_speedup\": {:.3},\n  \"sparsify_128x128_us\": {},\n  \"plan_build_us\": {},\n  \"simulate_layer_us\": {},\n  \"simulate_layer_by_arch_us\": {{\n{by_arch}\n  }},\n  \"parallel_gemm_bit_identical\": {},\n  \"lint_workspace_us\": {},\n  \"lint_warm_us\": {},\n  \"lint_cache_speedup\": {:.3},\n  \"sweep_resume_overhead\": {:.3},\n  \"memo_subspec_hit_rate\": {:.3},\n  \"serve_requests\": {},\n  \"serve_throughput_rps\": {:.2},\n  \"serve_cache_hit_rate\": {:.3},\n  \"serve_p50_us\": {:.1},\n  \"serve_p99_us\": {:.1},\n  \"serve_p999_us\": {:.1},\n  \"loadgen_connections\": {},\n  \"loadgen_requests\": {},\n  \"loadgen_failed\": {},\n  \"loadgen_rps\": {:.2},\n  \"loadgen_p50_us\": {:.1},\n  \"loadgen_p99_us\": {:.1},\n  \"loadgen_p999_us\": {:.1},\n  \"loadgen_hit_rate\": {:.4}\n}}\n",
             self.iters,
             self.workers,
             timing(&self.train_step_old),
@@ -175,8 +164,6 @@ impl PerfReport {
             timing(&self.sparsify),
             timing(&self.plan_build),
             timing(&self.simulate_layer),
-            timing(&self.custom_arch_simulate),
-            self.custom_arch_vs_native,
             self.parallel_gemm_bit_identical,
             timing(&self.lint),
             timing(&self.lint_warm),
@@ -552,32 +539,13 @@ pub fn run(cfg: &PerfConfig) -> PerfReport {
     let plan_build = time_us(cfg.iters, || {
         std::hint::black_box(tbstc::sim::BlockPlan::build(&layer));
     });
-    // The same pre-built layer through the spec-interpreted TB-STC too:
-    // the declarative path shares the batched pipeline, so its overhead
-    // is bounded (the harness test asserts the ratio stays under 1.25x).
-    let doc = tbstc::archspec::bundled_text("tb-stc").expect("tb-stc ships a bundled spec"); // tbstc-lint: allow(panic-surface) — bundled docs are parity-tested
-    let spec = tbstc::archspec::spec_from_json(doc).expect("bundled document parses"); // tbstc-lint: allow(panic-surface) — bundled docs are parity-tested
-    let custom = tbstc::sim::CustomArch::new(spec).expect("bundled spec validates"); // tbstc-lint: allow(panic-surface) — bundled docs are parity-tested
-    let native_opts = tbstc::sim::SimOptions::native();
-    let (simulate_layer, custom_arch_simulate) = time_pair_us(
-        cfg.iters,
-        || {
-            std::hint::black_box(tbstc::sim::simulate_layer(Arch::TbStc, &layer, &hw));
-        },
-        || {
-            std::hint::black_box(tbstc::sim::simulate_layer_on(
-                &custom,
-                &layer,
-                &hw,
-                &native_opts,
-            ));
-        },
-    );
-    let custom_arch_vs_native = custom_arch_simulate.best_us / simulate_layer.best_us.max(1e-9);
+    let simulate_layer = time_us(cfg.iters, || {
+        std::hint::black_box(tbstc::sim::simulate_layer(Arch::TbStc, &layer, &hw));
+    });
 
     // The same layer once per registered architecture (each pruned with
     // its native pattern, pre-built): per-baseline simulation cost
-    // through the ArchModel registry.
+    // through the registry.
     let simulate_layer_by_arch = Arch::ALL
         .iter()
         .map(|&arch| {
@@ -706,8 +674,6 @@ pub fn run(cfg: &PerfConfig) -> PerfReport {
         plan_build,
         simulate_layer,
         simulate_layer_by_arch,
-        custom_arch_simulate,
-        custom_arch_vs_native,
         parallel_gemm_bit_identical,
         lint,
         lint_warm,
@@ -739,8 +705,6 @@ mod tests {
             plan_build: t,
             simulate_layer: t,
             simulate_layer_by_arch: vec![("tc", t), ("tb-stc", t)],
-            custom_arch_simulate: t,
-            custom_arch_vs_native: 1.02,
             parallel_gemm_bit_identical: true,
             lint: t,
             lint_warm: t,
@@ -772,8 +736,6 @@ mod tests {
         assert!(json.contains("\"plan_build_us\""));
         assert!(json.contains("\"simulate_layer_by_arch_us\""));
         assert!(json.contains("\"tb-stc\":"));
-        assert!(json.contains("\"custom_arch_simulate_us\""));
-        assert!(json.contains("\"custom_arch_vs_native\": 1.020"));
         assert!(json.contains("\"parallel_gemm_bit_identical\": true"));
         assert!(json.contains("\"lint_workspace_us\""));
         assert!(json.contains("\"lint_warm_us\""));
@@ -809,11 +771,6 @@ mod tests {
             .simulate_layer_by_arch
             .iter()
             .all(|(_, t)| t.best_us > 0.0));
-        assert!(
-            r.custom_arch_simulate.best_us > 0.0 && r.custom_arch_vs_native < 1.25,
-            "spec-interpreted TB-STC within 1.25x of native, got {:.3}",
-            r.custom_arch_vs_native
-        );
         assert!(r.parallel_gemm_bit_identical);
         assert!(
             r.sweep_resume_overhead > 0.0 && r.sweep_resume_overhead < 1.5,

@@ -97,13 +97,13 @@ and the workspace lint pass, and writes a JSON report to --out.
 --jobs caps the GEMM worker pool (sets TBSTC_JOBS).
 
 `lint` runs the workspace's own static analyzer (tbstc-lint) over
-crates/*/src: ten per-file rules (panic-surface, determinism,
-lock-discipline, arch-dispatch, crate-hygiene, unsafe-audit,
-hot-path-alloc, blocking-in-event-loop, spec-coverage,
-store-lock-discipline) plus two workspace-wide structural rules
-(lock-order deadlock-cycle detection over the lock-acquisition
-graph, panic-reachability escalation along the call graph from the
-serve request path) with file:line:col output.
+crates/*/src: eight per-file rules (panic-surface, determinism,
+lock-discipline, crate-hygiene, unsafe-audit, hot-path-alloc,
+blocking-in-event-loop, store-lock-discipline) plus two
+workspace-wide structural rules (lock-order deadlock-cycle detection
+over the lock-acquisition graph, panic-reachability escalation along
+the call graph from the serve request path) with file:line:col
+output.
 Errors always fail; warnings fail only with --deny-warnings (CI's
 mode). Silence a finding in place with a
 `// tbstc-lint: allow(<rule>) — reason` comment, or grandfather it
@@ -354,7 +354,7 @@ fn simulate(args: &ParsedArgs) -> Result<String, ArgError> {
     let res = match &choice {
         ArchChoice::Builtin(a) => simulate_model(*a, &model, sparsity, seed, &cfg),
         ArchChoice::Custom(spec) => {
-            let custom = tbstc::sim::CustomArch::new((**spec).clone())
+            let custom = tbstc::sim::ArchModel::new((**spec).clone())
                 .map_err(|e| ArgError(format!("invalid arch spec: {e}")))?;
             tbstc::sim::simulate_model_on(&custom, &model, sparsity, seed, &cfg)
         }
@@ -432,7 +432,7 @@ fn archs(args: &ParsedArgs) -> String {
         "name", "display", "aliases"
     )
     .ok();
-    for m in tbstc::sim::REGISTRY {
+    for m in tbstc::sim::REGISTRY.iter() {
         writeln!(
             out,
             "{:<10} {:<10} {:<22} {}",
@@ -467,7 +467,7 @@ fn arch_cmd(args: &ParsedArgs) -> Result<String, ArgError> {
             })?;
             Ok(format!(
                 "{}\n",
-                tbstc::archspec::spec_to_value(&model.spec())
+                tbstc::archspec::spec_to_value(model.spec())
             ))
         }
         _ => Err(ArgError("usage: tbstc-cli arch show <name>".into())),
@@ -1049,12 +1049,6 @@ fn perf(args: &ParsedArgs) -> Result<String, ArgError> {
     .ok();
     writeln!(
         out,
-        "  custom arch     : {:>9.1} us ({:.3}x native, spec-interpreted TB-STC)",
-        report.custom_arch_simulate.best_us, report.custom_arch_vs_native
-    )
-    .ok();
-    writeln!(
-        out,
         "  parallel GEMM bit-identical to serial: {}",
         report.parallel_gemm_bit_identical
     )
@@ -1337,7 +1331,7 @@ mod tests {
         let v = tbstc::json::Json::parse(json.trim_end()).unwrap();
         let entries = v.get("archs").and_then(tbstc::json::Json::as_arr).unwrap();
         assert_eq!(entries.len(), tbstc::sim::REGISTRY.len());
-        for (entry, m) in entries.iter().zip(tbstc::sim::REGISTRY) {
+        for (entry, m) in entries.iter().zip(tbstc::sim::REGISTRY.iter()) {
             assert_eq!(
                 entry.get("name").and_then(tbstc::json::Json::as_str),
                 Some(m.canonical_name())

@@ -6,9 +6,10 @@
 //! (rejecting unknown fields with the offending field path);
 //! [`spec_to_value`] renders the canonical document back. Round-trips
 //! are byte-identical: `spec_to_value(spec).to_string()` is a fixed
-//! point of parse→render. Every registry builtin ships as a bundled
-//! document (see [`bundled`]) pinned by the `spec_parity` tests to
-//! interpret bit-identically to its native module.
+//! point of parse→render. Every registry builtin is itself a spec, so
+//! rendering it (`tbstc-cli arch show`, `GET /v1/archs`) yields a
+//! document that runs bit-identically to the builtin when submitted
+//! back — the `spec_parity` tests pin this.
 
 use std::collections::BTreeMap;
 
@@ -429,33 +430,6 @@ pub fn spec_from_json(text: &str) -> Result<ArchSpec, Error> {
     spec_from_value(&Json::parse(text)?)
 }
 
-/// The bundled spec documents for the eight registry builtins, as
-/// `(canonical name, canonical JSON text)` pairs in registry order.
-///
-/// The `spec_parity` suite pins each text to byte-equal the rendering of
-/// the builtin's [`tbstc_sim::ArchModel::spec`] and to interpret
-/// bit-identically to the native module.
-pub fn bundled() -> [(&'static str, &'static str); 8] {
-    [
-        ("tc", include_str!("../specs/tc.json")),
-        ("stc", include_str!("../specs/stc.json")),
-        ("vegeta", include_str!("../specs/vegeta.json")),
-        ("highlight", include_str!("../specs/highlight.json")),
-        ("rm-stc", include_str!("../specs/rm-stc.json")),
-        ("tb-stc", include_str!("../specs/tb-stc.json")),
-        ("dvpe-fan", include_str!("../specs/dvpe-fan.json")),
-        ("sgcn", include_str!("../specs/sgcn.json")),
-    ]
-}
-
-/// Looks up a bundled builtin spec document by canonical name.
-pub fn bundled_text(name: &str) -> Option<&'static str> {
-    bundled()
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|&(_, text)| text)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,12 +437,12 @@ mod tests {
 
     #[test]
     fn builtin_specs_roundtrip_byte_identically() {
-        for model in REGISTRY {
+        for model in REGISTRY.iter() {
             let spec = model.spec();
-            let text = spec_to_value(&spec).to_string();
+            let text = spec_to_value(spec).to_string();
             let back =
                 spec_from_json(&text).unwrap_or_else(|e| panic!("{}: {e}", model.canonical_name()));
-            assert_eq!(back, spec, "{}", model.canonical_name());
+            assert_eq!(&back, spec, "{}", model.canonical_name());
             assert_eq!(
                 spec_to_value(&back).to_string(),
                 text,
@@ -480,14 +454,14 @@ mod tests {
 
     #[test]
     fn unknown_fields_are_named() {
-        let mut v = spec_to_value(&Arch::TbStc.model().spec());
+        let mut v = spec_to_value(Arch::TbStc.model().spec());
         if let Json::Obj(m) = &mut v {
             m.insert("warp_size".into(), Json::Int(32));
         }
         let e = spec_from_value(&v).unwrap_err().to_string();
         assert!(e.contains("arch_spec.warp_size"), "{e}");
 
-        let mut v = spec_to_value(&Arch::TbStc.model().spec());
+        let mut v = spec_to_value(Arch::TbStc.model().spec());
         if let Json::Obj(m) = &mut v {
             if let Some(Json::Obj(df)) = m.get_mut("dataflow") {
                 df.insert("depth".into(), Json::Int(3));
@@ -499,7 +473,7 @@ mod tests {
 
     #[test]
     fn missing_and_mistyped_fields_are_named() {
-        let base = spec_to_value(&Arch::Vegeta.model().spec());
+        let base = spec_to_value(Arch::Vegeta.model().spec());
         let mut v = base.clone();
         if let Json::Obj(m) = &mut v {
             m.remove("pattern");
@@ -524,7 +498,7 @@ mod tests {
 
     #[test]
     fn semantic_violations_carry_the_prefix() {
-        let mut spec = Arch::TbStc.model().spec();
+        let mut spec = Arch::TbStc.model().spec().clone();
         spec.name = "Bad Name".into();
         let v = spec_to_value(&spec);
         let e = spec_from_value(&v).unwrap_err().to_string();
@@ -533,7 +507,7 @@ mod tests {
 
     #[test]
     fn codec_group_rules() {
-        let mut v = spec_to_value(&Arch::TbStc.model().spec());
+        let mut v = spec_to_value(Arch::TbStc.model().spec());
         if let Json::Obj(m) = &mut v {
             m.insert(
                 "codec".into(),
@@ -551,14 +525,5 @@ mod tests {
         }
         let e = spec_from_value(&v).unwrap_err().to_string();
         assert!(e.contains("arch_spec.codec.group"), "{e}");
-    }
-
-    #[test]
-    fn bundled_covers_the_registry_in_order() {
-        let names: Vec<&str> = bundled().iter().map(|&(n, _)| n).collect();
-        let registry: Vec<&str> = REGISTRY.iter().map(|m| m.canonical_name()).collect();
-        assert_eq!(names, registry);
-        assert_eq!(bundled_text("tb-stc"), Some(bundled()[5].1));
-        assert_eq!(bundled_text("nope"), None);
     }
 }

@@ -24,7 +24,7 @@ use crate::error::Error;
 use crate::json::{fnv1a_64, Json};
 
 use tbstc_runner::{ModelSpec, SimJob, Sweep, SweepRunner};
-use tbstc_sim::{Arch, ArchId, ArchSpec, CustomArch, CycleBreakdown, LayerResult, ModelResult};
+use tbstc_sim::{Arch, ArchId, ArchModel, ArchSpec, CycleBreakdown, LayerResult, ModelResult};
 
 /// Schema tag stamped into every response body.
 pub const SCHEMA: &str = "tbstc.v1";
@@ -177,7 +177,7 @@ fn parse_sparsity(v: &Json) -> Result<f64, Error> {
 
 /// The architecture a simulate job runs on: a registry builtin by name,
 /// or an inline `tbstc.v1` arch-spec document interpreted by
-/// [`CustomArch`]. Custom specs canonicalize as their full document, so
+/// [`ArchModel`]. Custom specs canonicalize as their full document, so
 /// the content-addressed cache key (and with it serve's coalescing and
 /// disk/LRU tiers) distinguishes them by content, not by name.
 #[derive(Debug, Clone, PartialEq)]
@@ -532,7 +532,7 @@ impl JobSpec {
                     // Spec-driven archs run through the interpreter; they
                     // bypass the builtin-keyed memo but are still served
                     // by the content-addressed response caches upstream.
-                    ArchChoice::Custom(spec) => match CustomArch::new((**spec).clone()) {
+                    ArchChoice::Custom(spec) => match ArchModel::new((**spec).clone()) {
                         Ok(custom) => tbstc_sim::simulate_model_on(
                             &custom,
                             &s.model.build(),
@@ -840,7 +840,7 @@ mod tests {
     }
 
     fn inline_spec_body() -> String {
-        let doc = archspec::spec_to_value(&Arch::TbStc.model().spec());
+        let doc = archspec::spec_to_value(Arch::TbStc.model().spec());
         format!(
             r#"{{"type":"simulate","arch_spec":{doc},
                 "model":{{"kind":"gcn","nodes":64,"features":16}},
@@ -881,12 +881,12 @@ mod tests {
         assert_ne!(spec.cache_key(), builtin.cache_key());
 
         // Both arch forms at once is ambiguous.
-        let doc = archspec::spec_to_value(&Arch::TbStc.model().spec());
+        let doc = archspec::spec_to_value(Arch::TbStc.model().spec());
         let both = format!(r#"{{"type":"simulate","arch":"tc","arch_spec":{doc},"model":"bert"}}"#);
         assert!(JobSpec::from_json(&both).is_err());
 
         // Malformed inline documents name the offending field.
-        let mut doc = archspec::spec_to_value(&Arch::TbStc.model().spec());
+        let mut doc = archspec::spec_to_value(Arch::TbStc.model().spec());
         if let Json::Obj(m) = &mut doc {
             m.insert("wave_size".into(), Json::Int(32));
         }

@@ -1,25 +1,27 @@
 //! Spec-driven architecture parity.
 //!
-//! Three guarantees, in increasing strength:
+//! Two guarantees:
 //!
-//! 1. Every bundled `tbstc.v1` document is byte-canonical and decodes to
-//!    exactly the spec its registry architecture reports.
-//! 2. Interpreting a bundled document with [`CustomArch`] reproduces the
-//!    native architecture's [`LayerResult`]s **bit-identically** over the
-//!    same grid the sim crate's golden fixture pins (8 archs ×
-//!    sparsities {0.5, 0.75, 0.9375} × two model layers, seed 1234).
-//! 3. Any *valid* spec — not just the bundled eight — round-trips
+//! 1. Every registry builtin renders to a byte-canonical `tbstc.v1`
+//!    document that parses back to its spec, and a fresh model built
+//!    from that document reproduces the registry model's
+//!    [`LayerResult`]s **bit-identically** over the grid the sim crate's
+//!    golden fixture pins (8 archs × sparsities {0.5, 0.75, 0.9375} ×
+//!    two model layers, seed 1234). This is what lets a user fetch a
+//!    builtin from `GET /v1/archs` (or `tbstc-cli arch show`), tweak it,
+//!    and resubmit it as an inline spec.
+//! 2. Any *valid* spec — not just the builtin eight — round-trips
 //!    through canonical JSON byte-identically (property test).
 
 use proptest::prelude::*;
-use tbstc::archspec::{bundled, spec_from_json, spec_to_value};
+use tbstc::archspec::{spec_from_json, spec_to_value};
 use tbstc::models::LayerShape;
 use tbstc::prelude::*;
 use tbstc::sim::compute::SchedulePolicy;
 use tbstc::sim::sched::{InterBlockPolicy, IntraBlockPolicy};
 use tbstc::sim::{
-    archs, simulate_layer_on, ArchSpec, CodecSpec, CustomArch, Dataflow, DatapathKind,
-    DenseInfoPolicy, LayerResult, SimOptions, SlotTerm,
+    simulate_layer_on, ArchModel, ArchSpec, CodecSpec, Dataflow, DatapathKind, DenseInfoPolicy,
+    LayerResult, SimOptions, SlotTerm, REGISTRY,
 };
 
 const SEED: u64 = 1234;
@@ -32,27 +34,9 @@ fn fixture_layers() -> Vec<LayerShape> {
     ]
 }
 
-#[test]
-fn bundled_documents_match_the_registry() {
-    for (name, text) in bundled() {
-        let model = archs::by_name(name).unwrap_or_else(|| panic!("no registry arch `{name}`"));
-        let spec = spec_from_json(text).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(
-            spec,
-            model.spec(),
-            "{name}: bundled spec drifted from the registry"
-        );
-        assert_eq!(
-            text.trim_end(),
-            spec_to_value(&model.spec()).to_string(),
-            "{name}: bundled document is not the canonical rendering"
-        );
-    }
-}
-
 /// Bit-exact comparison of every `LayerResult` field except the arch id
-/// (which is `Builtin` natively and `Custom` under interpretation, but
-/// must agree on the canonical name).
+/// (which is `Builtin` in the registry and `Custom` for a resubmitted
+/// document, but must agree on the canonical name).
 fn assert_bit_identical(native: &LayerResult, custom: &LayerResult, ctx: &str) {
     assert_eq!(
         native.arch.canonical_name(),
@@ -101,11 +85,19 @@ fn assert_bit_identical(native: &LayerResult, custom: &LayerResult, ctx: &str) {
 fn interpreted_specs_are_bit_identical_to_native() {
     let cfg = HwConfig::paper_default();
     let opts = SimOptions::native();
-    for (name, text) in bundled() {
-        let native = archs::by_name(name).unwrap();
-        let arch: Arch = name.parse().unwrap();
-        let custom = CustomArch::new(spec_from_json(text).unwrap())
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+    for native in REGISTRY.iter() {
+        let name = native.canonical_name();
+        let arch = native.id().builtin().expect("registry entries are builtin");
+        let text = spec_to_value(native.spec()).to_string();
+        let spec = spec_from_json(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(&spec, native.spec(), "{name}: rendering lost information");
+        assert_eq!(
+            spec_to_value(&spec).to_string(),
+            text,
+            "{name}: rendering is not canonical"
+        );
+        let custom = ArchModel::new(spec).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(custom.id().builtin(), None, "{name}: resubmitted as custom");
         for shape in fixture_layers() {
             for sparsity in SPARSITIES {
                 let layer = LayerSim::new(&shape)

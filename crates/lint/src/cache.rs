@@ -12,10 +12,10 @@
 //!
 //! The store is one text file (default `target/tbstc-lint.cache`), one
 //! record per line, tab-separated with `\\`/`\t`/`\n` escapes. Line 1
-//! carries a version and a run **fingerprint** (rule filter + the spec
-//! inventory spec-coverage consults); any mismatch, truncation, or
-//! unparseable record invalidates exactly the entries it touches — a
-//! corrupt cache is a cold cache, never a wrong one.
+//! carries a version and a run **fingerprint** (the rule filter); any
+//! mismatch, truncation, or unparseable record invalidates exactly the
+//! entries it touches — a corrupt cache is a cold cache, never a wrong
+//! one.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -28,7 +28,7 @@ use crate::syntax::{CallSite, FnFacts, HeldCall, LockSite, OrderedPair, PanicSit
 
 /// Bump when the record format or the meaning of a cached analysis
 /// changes (new per-file rule, changed fact extraction, …).
-pub const CACHE_VERSION: u32 = 1;
+pub const CACHE_VERSION: u32 = 2;
 
 /// FNV-1a, 128-bit, as 32 lowercase hex digits. Not cryptographic —
 /// it keys a local cache, where accidental collision resistance at
@@ -550,7 +550,7 @@ fn handler(&self, x: Option<u32>) {
 }
 fn helper(_x: Option<u32>) { other.lock(); }
 ";
-        let a = analyze_source("crates/serve/src/demo.rs", src, None, None);
+        let a = analyze_source("crates/serve/src/demo.rs", src, None);
         let hash = fnv1a_128(src.as_bytes());
         let dir =
             std::env::temp_dir().join(format!("tbstc-lint-cache-test-{}", std::process::id()));
@@ -614,7 +614,7 @@ fn helper(_x: Option<u32>) { other.lock(); }
         let dir =
             std::env::temp_dir().join(format!("tbstc-lint-cache-wscorrupt-{}", std::process::id()));
         let path = dir.join("cache.txt");
-        let a = analyze_source("crates/a/src/lib.rs", "fn ok() {}\n", None, None);
+        let a = analyze_source("crates/a/src/lib.rs", "fn ok() {}\n", None);
         let mut cache = LintCache::load(&path, "fp");
         cache.put("crates/a/src/lib.rs".into(), "h1".into(), a);
         cache.put_workspace("cmb".into(), Vec::new(), 0);
@@ -632,8 +632,8 @@ fn helper(_x: Option<u32>) { other.lock(); }
         let dir =
             std::env::temp_dir().join(format!("tbstc-lint-cache-corrupt-{}", std::process::id()));
         let path = dir.join("cache.txt");
-        let a = analyze_source("crates/a/src/lib.rs", "fn ok() {}\n", None, None);
-        let b = analyze_source("crates/b/src/lib.rs", "fn also_ok() {}\n", None, None);
+        let a = analyze_source("crates/a/src/lib.rs", "fn ok() {}\n", None);
+        let b = analyze_source("crates/b/src/lib.rs", "fn also_ok() {}\n", None);
         let mut cache = LintCache::load(&path, "fp");
         cache.put("crates/a/src/lib.rs".into(), "h1".into(), a);
         cache.put("crates/b/src/lib.rs".into(), "h2".into(), b);

@@ -149,10 +149,6 @@ pub struct FileCtx<'a> {
     pub code: &'a [Token],
     /// Whether this file is a crate root (`src/lib.rs` / `src/main.rs`).
     pub is_crate_root: bool,
-    /// Workspace root, when the lint runs against a real checkout.
-    /// `None` in fixture mode; rules that consult the filesystem
-    /// (spec-coverage) skip themselves without it.
-    pub root: Option<&'a Path>,
 }
 
 impl FileCtx<'_> {
@@ -199,31 +195,24 @@ pub struct FileAnalysis {
 /// fixture tests drive. Workspace rules need more than one file; see
 /// [`lint_texts`].
 pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
-    lint_source_rules(rel_path, src, None, None).0
+    lint_source_rules(rel_path, src, None).0
 }
 
 /// [`lint_source`] restricted to a subset of rules; also returns how many
-/// findings inline suppressions silenced. `root` enables the
-/// filesystem-consulting rules (spec-coverage) against a real checkout.
+/// findings inline suppressions silenced.
 pub fn lint_source_rules(
     rel_path: &str,
     src: &str,
     only: Option<&[String]>,
-    root: Option<&Path>,
 ) -> (Vec<Finding>, usize) {
-    let a = analyze_source(rel_path, src, only, root);
+    let a = analyze_source(rel_path, src, only);
     (a.findings, a.suppressed)
 }
 
 /// Runs the per-file rules and the syntax layer over one source text,
 /// applying test exclusion and suppressions. This is the unit of work
 /// the incremental cache stores.
-pub fn analyze_source(
-    rel_path: &str,
-    src: &str,
-    only: Option<&[String]>,
-    root: Option<&Path>,
-) -> FileAnalysis {
+pub fn analyze_source(rel_path: &str, src: &str, only: Option<&[String]>) -> FileAnalysis {
     let tokens = lex(src);
     let code: Vec<Token> = tokens.iter().filter(|t| !t.is_comment()).cloned().collect();
     let crate_name = rel_path
@@ -237,7 +226,6 @@ pub fn analyze_source(
         tokens: &tokens,
         code: &code,
         is_crate_root: rel_path.ends_with("src/lib.rs") || rel_path.ends_with("src/main.rs"),
-        root,
     };
 
     let mut raw = Vec::with_capacity(16);
@@ -334,7 +322,7 @@ fn workspace_findings(
 pub fn lint_texts(files: &[(&str, &str)], only: Option<&[String]>) -> Vec<Finding> {
     let mut analyses: Vec<FileAnalysis> = files
         .iter()
-        .map(|(path, src)| analyze_source(path, src, only, None))
+        .map(|(path, src)| analyze_source(path, src, only))
         .collect();
     let (ws_findings, _) = workspace_findings(&mut analyses, only);
     let mut out: Vec<Finding> = analyses.into_iter().flat_map(|a| a.findings).collect();
@@ -508,9 +496,8 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
 /// Default baseline file name at the workspace root.
 pub const BASELINE_FILE: &str = "lint-baseline.txt";
 
-/// The cache fingerprint for a run: engine shape plus the rule filter
-/// plus anything a cached per-file result consulted outside the file
-/// itself (today: the spec documents spec-coverage checks for).
+/// The cache fingerprint for a run: the rule filter (a per-file result
+/// depends on nothing outside the file but which rules ran).
 fn cache_fingerprint(opts: &LintOptions) -> String {
     let mut fp = String::with_capacity(256);
     fp.push_str("rules=");
@@ -521,15 +508,6 @@ fn cache_fingerprint(opts: &LintOptions) -> String {
             rs.sort();
             fp.push_str(&rs.join(","));
         }
-    }
-    fp.push_str(";specs=");
-    if let Ok(entries) = fs::read_dir(opts.root.join("crates/core/specs")) {
-        let mut names: Vec<String> = entries
-            .flatten()
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .collect();
-        names.sort();
-        fp.push_str(&names.join(","));
     }
     fp
 }
@@ -622,7 +600,7 @@ pub fn lint_workspace(opts: &LintOptions) -> Result<LintReport, String> {
             }
             None => {
                 report.cache_misses += 1;
-                let a = analyze_source(&rel, &src, opts.rules.as_deref(), Some(&opts.root));
+                let a = analyze_source(&rel, &src, opts.rules.as_deref());
                 if let Some(c) = cache.as_mut() {
                     c.put(rel.clone(), hash, a.clone());
                 }

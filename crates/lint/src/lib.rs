@@ -8,8 +8,8 @@
 //! literals; a brace-aware [`syntax`] layer that extracts an item tree
 //! and per-function facts (calls, lock acquisitions, panic sites); a
 //! [`graph`] module building the workspace call graph and the
-//! lock-acquisition-order graph; and an [`engine`] that runs twelve
-//! [`rules`] — ten per-file, two workspace-wide (`lock-order` deadlock
+//! lock-acquisition-order graph; and an [`engine`] that runs ten
+//! [`rules`] — eight per-file, two workspace-wide (`lock-order` deadlock
 //! cycles, `panic-reachability` escalation) — over every
 //! `crates/*/src/**/*.rs` file, producing `file:line:col` diagnostics
 //! with severities, inline `// tbstc-lint: allow(<rule>)` suppressions,

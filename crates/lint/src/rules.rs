@@ -1,4 +1,4 @@
-//! The twelve workspace rules: ten per-file checks (pure functions over
+//! The ten workspace rules: eight per-file checks (pure functions over
 //! a [`FileCtx`] pushing [`Finding`]s) and two workspace-level checks
 //! (`lock-order`, `panic-reachability`) that run over the
 //! [`crate::graph::Workspace`] built from every file's
@@ -55,11 +55,6 @@ pub const ALL_RULES: &[Rule] = &[
         check: lock_discipline,
     },
     Rule {
-        name: "arch-dispatch",
-        desc: "Arch variant dispatch outside the sim registry modules",
-        check: arch_dispatch,
-    },
-    Rule {
         name: "crate-hygiene",
         desc: "crate roots must carry #![forbid(unsafe_code)] or \
                #![deny(unsafe_code)]",
@@ -81,11 +76,6 @@ pub const ALL_RULES: &[Rule] = &[
         name: "blocking-in-event-loop",
         desc: "calls that park the serve event-loop thread",
         check: blocking_in_event_loop,
-    },
-    Rule {
-        name: "spec-coverage",
-        desc: "registry archs must bundle a tbstc.v1 spec document",
-        check: spec_coverage,
     },
     Rule {
         name: "store-lock-discipline",
@@ -391,52 +381,6 @@ fn lock_discipline(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-// --- arch-dispatch ------------------------------------------------------
-
-/// The `Arch` enum's variants, mirrored from `crates/core`.
-const ARCH_VARIANTS: &[&str] = &[
-    "Tc",
-    "Stc",
-    "Vegeta",
-    "Highlight",
-    "RmStc",
-    "TbStc",
-    "DvpeFan",
-    "Sgcn",
-];
-
-/// Variant-level dispatch on `Arch` (a match arm or or-pattern naming a
-/// variant) outside `crates/sim/src/archs/` — everything else must go
-/// through the `ArchModel` registry so adding a baseline stays a
-/// one-module change. Error severity: this is the PR 4 CI grep, upgraded.
-fn arch_dispatch(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    if ctx.rel_path.starts_with("crates/sim/src/archs/") {
-        return;
-    }
-    for (i, t) in ctx.code.iter().enumerate() {
-        if t.kind != TokKind::Ident || ctx.text(t) != "Arch" || ctx.code_text(i + 1) != "::" {
-            continue;
-        }
-        let variant = ctx.code_text(i + 2);
-        if !ARCH_VARIANTS.contains(&variant) {
-            continue;
-        }
-        let next = ctx.code_text(i + 3);
-        if next == "=>" || next == "|" {
-            out.push(finding(
-                "arch-dispatch",
-                Severity::Error,
-                ctx,
-                t,
-                format!(
-                    "dispatch on Arch::{variant} outside crates/sim/src/archs/; \
-                     route through the ArchModel registry"
-                ),
-            ));
-        }
-    }
-}
-
 // --- crate-hygiene ------------------------------------------------------
 
 /// Crate roots must pin down `unsafe`: `#![forbid(unsafe_code)]` or
@@ -714,55 +658,6 @@ fn blocking_in_event_loop(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
             }
         }
         i += 1;
-    }
-}
-
-// --- spec-coverage ------------------------------------------------------
-
-/// Every registry architecture module under `crates/sim/src/archs/` must
-/// ship its bundled `tbstc.v1` document at `crates/core/specs/<name>.json`
-/// — `GET /v1/archs`, `tbstc-cli arch show`, and the golden spec-parity
-/// suite all read from there. The canonical name is lifted from the
-/// module's `fn canonical_name` body (a single string literal). Skipped
-/// in fixture mode (no workspace root to consult).
-fn spec_coverage(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    let Some(root) = ctx.root else {
-        return;
-    };
-    if !ctx.rel_path.starts_with("crates/sim/src/archs/") || ctx.rel_path.ends_with("/mod.rs") {
-        return;
-    }
-    for (i, t) in ctx.code.iter().enumerate() {
-        if t.kind != TokKind::Ident
-            || ctx.text(t) != "canonical_name"
-            || !ctx.code_is_ident(i.wrapping_sub(1), "fn")
-        {
-            continue;
-        }
-        // The literal the function returns: first string token after the
-        // signature (`fn canonical_name(&self) -> &'static str { "..." }`).
-        let Some(lit) = ctx.code[i..]
-            .iter()
-            .take(16)
-            .find(|t| t.kind == TokKind::StrLit)
-        else {
-            continue;
-        };
-        let name = ctx.text(lit).trim_matches('"');
-        let spec = root.join("crates/core/specs").join(format!("{name}.json"));
-        if !spec.is_file() {
-            out.push(finding(
-                "spec-coverage",
-                Severity::Error,
-                ctx,
-                lit,
-                format!(
-                    "registry arch `{name}` has no bundled spec document at \
-                     crates/core/specs/{name}.json; generate one with \
-                     `tbstc-cli arch show {name}`"
-                ),
-            ));
-        }
     }
 }
 

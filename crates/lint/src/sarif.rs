@@ -1,6 +1,6 @@
 //! SARIF 2.1.0 output (`lint --sarif`), for CI annotation surfaces.
 //!
-//! One run, one driver (`tbstc-lint`), the full twelve-rule table as
+//! One run, one driver (`tbstc-lint`), the full ten-rule table as
 //! `tool.driver.rules`, and one `result` per finding. Failing findings
 //! carry no `suppressions`; baselined findings carry one suppression of
 //! `kind: "external"` (the baseline file is exactly that), so viewers

@@ -142,43 +142,6 @@ fn f(m: &std::sync::Mutex<u32>, out: &mut dyn std::io::Write) {
     .is_empty());
 }
 
-// --- arch-dispatch ------------------------------------------------------
-
-#[test]
-fn arch_dispatch_catches_dispatch_shapes() {
-    let flagged = [
-        "fn f(a: Arch) { match a { Arch::Tc => {} _ => {} } }",
-        "fn f(a: Arch) -> bool { matches!(a, Arch::TbStc | Arch::DvpeFan) }",
-    ];
-    for src in flagged {
-        let fs = lint_source("crates/runner/src/f.rs", src);
-        assert!(
-            fs.iter()
-                .any(|f| f.rule == "arch-dispatch" && f.severity == Severity::Error),
-            "expected a finding in {src:?}"
-        );
-    }
-    let legal = [
-        "fn f() { let a = Arch::TbStc; }",
-        "fn f() -> [Arch; 2] { [Arch::Tc, Arch::Stc] }",
-        "fn f(arch: Arch) -> bool { arch == Arch::Sgcn }",
-        "fn f(a: X) { match a { Arch::TbStcLike => {} } }",
-    ];
-    for src in legal {
-        let fs = lint_source("crates/runner/src/f.rs", src);
-        assert!(
-            rules_at(&fs, "arch-dispatch").is_empty(),
-            "false positive in {src:?}: {fs:?}"
-        );
-    }
-    // The archs/ directory itself is exempt.
-    let fs = lint_source(
-        "crates/sim/src/archs/tc.rs",
-        "fn f(a: Arch) { match a { Arch::Tc => {} _ => {} } }",
-    );
-    assert!(rules_at(&fs, "arch-dispatch").is_empty());
-}
-
 // --- crate-hygiene ------------------------------------------------------
 
 #[test]
@@ -431,7 +394,7 @@ fn f(m: &HashMap<u32, u32>) -> u32 {
     *m.get(&0).unwrap()
 }
 ";
-    let (fs, suppressed) = lint_source_rules("crates/core/src/f.rs", src, None, None);
+    let (fs, suppressed) = lint_source_rules("crates/core/src/f.rs", src, None);
     // The HashMap mentions on lines 1–2 are still flagged; line 4's
     // unwrap is suppressed.
     assert_eq!(rules_at(&fs, "determinism"), [(1, 23), (2, 10)]);
@@ -446,65 +409,9 @@ use std::collections::HashMap;
 fn f(x: Option<u32>) -> u32 { x.unwrap() }
 ";
     let only = vec!["determinism".to_string()];
-    let (fs, _) = lint_source_rules("crates/core/src/f.rs", src, Some(&only), None);
+    let (fs, _) = lint_source_rules("crates/core/src/f.rs", src, Some(&only));
     assert!(fs.iter().all(|f| f.rule == "determinism"));
     assert_eq!(fs.len(), 1);
-}
-
-// --- spec-coverage -------------------------------------------------------
-
-#[test]
-fn spec_coverage_requires_a_bundled_document_per_registry_arch() {
-    // Run against the real checkout: every shipped arch has its document.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .unwrap()
-        .parent()
-        .unwrap()
-        .to_path_buf();
-    let only = vec!["spec-coverage".to_string()];
-    let covered = r#"impl ArchModel for TbStc {
-    fn canonical_name(&self) -> &'static str {
-        "tb-stc"
-    }
-}
-"#;
-    let (fs, _) = lint_source_rules(
-        "crates/sim/src/archs/tb_stc.rs",
-        covered,
-        Some(&only),
-        Some(&root),
-    );
-    assert!(fs.is_empty(), "{fs:?}");
-
-    // An arch module whose name has no crates/core/specs/<name>.json.
-    let uncovered = covered.replace("tb-stc", "warp-arch");
-    let (fs, _) = lint_source_rules(
-        "crates/sim/src/archs/warp_arch.rs",
-        &uncovered,
-        Some(&only),
-        Some(&root),
-    );
-    assert_eq!(fs.len(), 1, "{fs:?}");
-    assert_eq!(fs[0].rule, "spec-coverage");
-    assert_eq!(fs[0].severity, Severity::Error);
-    assert!(fs[0].message.contains("crates/core/specs/warp-arch.json"));
-
-    // Fixture mode (no root) and non-arch files stay silent.
-    let (fs, _) = lint_source_rules(
-        "crates/sim/src/archs/warp_arch.rs",
-        &uncovered,
-        Some(&only),
-        None,
-    );
-    assert!(fs.is_empty());
-    let (fs, _) = lint_source_rules(
-        "crates/sim/src/other.rs",
-        &uncovered,
-        Some(&only),
-        Some(&root),
-    );
-    assert!(fs.is_empty());
 }
 
 // --- workspace driver & baseline ----------------------------------------

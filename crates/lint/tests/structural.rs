@@ -285,17 +285,15 @@ fn sarif_shape_is_2_1_0() {
     assert!(s.contains("\"version\":\"2.1.0\""));
     assert!(s.contains("sarif-schema-2.1.0.json"));
     assert!(s.contains("\"tool\":{\"driver\":{\"name\":\"tbstc-lint\""));
-    // All twelve rules are declared in the driver metadata.
+    // All ten rules are declared in the driver metadata.
     for rule in [
         "panic-surface",
         "determinism",
         "lock-discipline",
-        "arch-dispatch",
         "crate-hygiene",
         "unsafe-audit",
         "hot-path-alloc",
         "blocking-in-event-loop",
-        "spec-coverage",
         "store-lock-discipline",
         "lock-order",
         "panic-reachability",

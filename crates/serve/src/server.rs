@@ -725,7 +725,7 @@ fn archs_body() -> String {
                 ("lanes", Json::Int(model.lanes(cfg.pe) as i64)),
                 ("inter_block", Json::str(format!("{:?}", policy.inter))),
                 ("intra_block", Json::str(format!("{:?}", policy.intra))),
-                ("spec", tbstc::archspec::spec_to_value(&model.spec())),
+                ("spec", tbstc::archspec::spec_to_value(model.spec())),
             ])
         })
         .collect();
@@ -1228,7 +1228,7 @@ mod tests {
         let parsed = Json::parse(resp.body.trim()).unwrap();
         let archs = parsed.get("archs").and_then(Json::as_arr).unwrap();
         assert_eq!(archs.len(), tbstc::sim::REGISTRY.len());
-        for (entry, model) in archs.iter().zip(tbstc::sim::REGISTRY) {
+        for (entry, model) in archs.iter().zip(tbstc::sim::REGISTRY.iter()) {
             assert_eq!(
                 entry.get("name").and_then(Json::as_str),
                 Some(model.canonical_name())
@@ -1236,11 +1236,11 @@ mod tests {
             assert!(entry.get("lanes").and_then(Json::as_u64).unwrap() > 0);
             assert!(entry.get("inter_block").and_then(Json::as_str).is_some());
             assert!(entry.get("intra_block").and_then(Json::as_str).is_some());
-            // Each entry embeds the bundled `tbstc.v1` document verbatim —
-            // a client can POST it back as an inline `arch_spec`.
+            // Each entry embeds the builtin's `tbstc.v1` document — a
+            // client can POST it back as an inline `arch_spec`.
             let spec = entry.get("spec").expect("catalog entry carries a spec");
-            let bundled = tbstc::archspec::bundled_text(model.canonical_name()).unwrap();
-            assert_eq!(spec.to_string(), bundled.trim_end());
+            let doc = tbstc::archspec::spec_to_value(model.spec()).to_string();
+            assert_eq!(spec.to_string(), doc);
         }
 
         let cache_dir = running.handle().state().store.dir().to_path_buf();

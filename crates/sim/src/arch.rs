@@ -1,7 +1,7 @@
 //! The `Arch` enum: a cheap copyable tag for the architectures in the
-//! registry. All behaviour lives in [`crate::archs`] — one module per
-//! baseline implementing [`ArchModel`] — and every method here delegates
-//! to the registered model.
+//! registry. All behaviour lives in the builtin's spec in
+//! [`crate::archs::REGISTRY`], and every method here reads the
+//! registered [`ArchModel`].
 
 use std::str::FromStr;
 use std::sync::Arc;
@@ -62,7 +62,7 @@ impl Arch {
     ];
 
     /// The registered model implementing this architecture.
-    pub fn model(self) -> &'static dyn ArchModel {
+    pub fn model(self) -> &'static ArchModel {
         archs::model(self)
     }
 
@@ -95,18 +95,18 @@ impl Arch {
 
     /// Off-chip bandwidth override in GB/s; `None` = platform default.
     pub fn bandwidth_override_gbps(self) -> Option<f64> {
-        self.model().bandwidth_override_gbps()
+        self.model().spec().bandwidth_gbps
     }
 
     /// Whether this architecture has the inter/intra-block sparsity-aware
     /// scheduling of §VI (used by the Fig. 16(b) ablation).
     pub fn has_hierarchical_scheduling(self) -> bool {
-        self.model().has_hierarchical_scheduling()
+        self.model().spec().hierarchical_scheduling
     }
 
     /// Per-MAC dynamic-energy multiplier over the plain FP16 MAC.
     pub fn mac_energy_multiplier(self) -> f64 {
-        self.model().mac_energy_multiplier()
+        self.model().spec().mac_energy_multiplier
     }
 }
 

@@ -1,22 +1,22 @@
-//! The compute-cycle model: block walking, scheduling, utilization.
+//! The compute-cycle model: block pricing, scheduling, utilization.
 //!
 //! Each architecture turns the sampled pruned weights into a list of
-//! per-block [`BlockWork`] items reflecting its dataflow's structural
-//! constraints, then runs them through the scheduler model. The
-//! constraints live with the architectures — a [`BlockPlan`] gathers the
-//! per-block occupancy columns in one pass over the sampled weights and
-//! each [`crate::archs::ArchModel`] prices them in batch: TC densely, STC
-//! at its 4:8 floor, VEGETA/HighLight with their one-dimensional
-//! lockstep/ratio-grouping penalties, RM-STC/SGCN nnz-proportionally with
-//! their efficiency factors, and TB-STC (plus the FAN ablation)
-//! nnz-proportionally with hierarchical scheduling.
+//! per-block [`sched::BlockWork`] items reflecting its dataflow's structural
+//! constraints, then runs them through the scheduler model. A
+//! [`BlockPlan`] gathers the per-block occupancy columns in one pass over
+//! the sampled weights, and the architecture's spec prices them
+//! ([`ArchModel::block_works_batch`]): TC densely, STC at its 4:8 floor,
+//! VEGETA/HighLight with their one-dimensional lockstep/ratio-grouping
+//! penalties, RM-STC/SGCN nnz-proportionally with their efficiency
+//! factors, and TB-STC (plus the FAN ablation) nnz-proportionally with
+//! hierarchical scheduling.
 
 use crate::arch::Arch;
-use crate::archs::{self, ArchModel};
+use crate::archs::ArchModel;
 use crate::config::HwConfig;
 use crate::layer::SparseLayer;
 use crate::plan::BlockPlan;
-use crate::sched::{self, BlockWork, InterBlockPolicy, IntraBlockPolicy};
+use crate::sched::{self, InterBlockPolicy, IntraBlockPolicy};
 
 /// The compute-side result for one layer (already scaled to real size).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,7 +43,7 @@ pub struct SchedulePolicy {
 impl SchedulePolicy {
     /// The policy an architecture ships with.
     pub fn native(arch: Arch) -> Self {
-        archs::model(arch).native_schedule()
+        arch.model().native_schedule()
     }
 
     /// The non-scheduled ablation point (Fig. 16(b) "w/o scheduling").
@@ -55,44 +55,21 @@ impl SchedulePolicy {
     }
 }
 
-/// Extracts the per-block work list the architecture's dataflow sees.
-///
-/// Convenience wrapper: builds a [`BlockPlan`] and prices it through the
-/// architecture's batched pricing. Callers that already hold a plan (the
-/// [`crate::pipeline`] layer) should call
-/// [`crate::archs::ArchModel::block_works_batch`] directly.
-pub fn block_works(arch: Arch, layer: &SparseLayer) -> Vec<BlockWork> {
-    archs::model(arch).block_works_batch(&BlockPlan::build(layer))
-}
-
-/// Runs the compute model for a layer on an architecture.
-///
-/// Builds a fresh [`BlockPlan`]; use [`simulate_compute_with_plan`] to
-/// share one plan across the compute and memory models.
+/// Runs the compute model for a layer on a registry architecture,
+/// building a fresh [`BlockPlan`].
 pub fn simulate_compute(
     arch: Arch,
     layer: &SparseLayer,
     cfg: &HwConfig,
     policy: SchedulePolicy,
 ) -> ComputeResult {
-    simulate_compute_with_plan(arch, layer, &BlockPlan::build(layer), cfg, policy)
-}
-
-/// Runs the compute model for a layer using a pre-built [`BlockPlan`].
-pub fn simulate_compute_with_plan(
-    arch: Arch,
-    layer: &SparseLayer,
-    plan: &BlockPlan,
-    cfg: &HwConfig,
-    policy: SchedulePolicy,
-) -> ComputeResult {
-    simulate_compute_on(archs::model(arch), layer, plan, cfg, policy)
+    simulate_compute_on(arch.model(), layer, &BlockPlan::build(layer), cfg, policy)
 }
 
 /// Runs the compute model against any [`ArchModel`] — registry builtin or
-/// spec-interpreted [`crate::spec::CustomArch`].
+/// user-submitted spec — using a pre-built [`BlockPlan`].
 pub fn simulate_compute_on(
-    model: &dyn ArchModel,
+    model: &ArchModel,
     layer: &SparseLayer,
     plan: &BlockPlan,
     cfg: &HwConfig,
@@ -105,7 +82,12 @@ pub fn simulate_compute_on(
 
     let mut sampled_cycles =
         sched::schedule_stream(&works, layer.sn, pes, width, policy.inter, policy.intra);
-    sampled_cycles += model.extra_compute_cycles(&works, pes);
+    if model.spec().row_frontend {
+        // A per-row frontend setup (SGCN's CSR row decode), amortized
+        // over the PEs: one slot-cycle per non-empty row.
+        let rows: u64 = works.iter().map(|w| w.nonempty_rows as u64).sum();
+        sampled_cycles += rows.div_ceil(pes as u64);
+    }
 
     let scale = layer.weight_scale() * layer.col_scale();
     let cycles = (sampled_cycles as f64 * scale).ceil() as u64;

@@ -18,6 +18,10 @@
 //! | `DvpeFan` | TBS | SIGMA's element-level FAN instead (ablation) |
 //! | `Sgcn` | unstructured | few lanes, 256 GB/s, per-row overhead |
 //!
+//! Each of them is a declarative [`spec::ArchSpec`] in the
+//! [`archs::REGISTRY`], interpreted by [`archs::ArchModel`] — the same
+//! code that runs a user-submitted spec.
+//!
 //! The flow: describe a single-layer simulation with [`builder::LayerSim`]
 //! (shape + architecture + sparsity + seed; large layers are sampled and
 //! results scaled — see `SparseLayer::scale`), then
@@ -67,6 +71,4 @@ pub use pipeline::{
 };
 pub use plan::BlockPlan;
 pub use result::{CycleBreakdown, LayerResult, ModelResult};
-pub use spec::{
-    ArchSpec, CodecSpec, CustomArch, Dataflow, DatapathKind, DenseInfoPolicy, SlotTerm,
-};
+pub use spec::{ArchSpec, CodecSpec, Dataflow, DatapathKind, DenseInfoPolicy, SlotTerm};

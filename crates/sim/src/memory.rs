@@ -3,13 +3,11 @@
 //!
 //! Weight (A-matrix) traffic depends on the storage format each
 //! architecture uses — this is where the paper's challenge 2 lives. The
-//! format behaviour itself is owned by the architectures: the native
-//! branch of [`a_trace`] asks the registered
-//! [`crate::archs::ArchModel::weight_trace`] for the sampled stream
-//! (dense rows for TC, 4:8 metadata for STC, grouped/whole-matrix SDC for
-//! VEGETA/HighLight, bitmap for RM-STC, DDC for TB-STC, CSR for SGCN),
-//! while the explicit [`FormatOverride`]s (codec ablation, quantization
-//! study) are applied here, uniformly.
+//! native branch of [`a_trace`] emits the stream of the codec the
+//! architecture's spec names (dense rows for TC, 4:8 metadata for STC,
+//! grouped/whole-matrix SDC for VEGETA/HighLight, bitmap for RM-STC, DDC
+//! for TB-STC, CSR for SGCN), while the explicit [`FormatOverride`]s
+//! (codec ablation, quantization study) are applied here, uniformly.
 //!
 //! Activation (B) and output (D) traffic are identical across
 //! architectures (dense streams), so format differences show up purely in
@@ -17,13 +15,14 @@
 //! layer size.
 
 use tbstc_dram::{DramConfig, DramModel};
-use tbstc_formats::{Csr, Sdc};
+use tbstc_formats::Csr;
 
 use crate::arch::Arch;
-use crate::archs::{self, ArchModel, WeightTrace};
+use crate::archs::{codec_trace, ArchModel, WeightTrace};
 use crate::config::HwConfig;
 use crate::layer::SparseLayer;
 use crate::plan::BlockPlan;
+use crate::spec::{CodecSpec, DenseInfoPolicy};
 
 /// Storage-format override for the Fig. 16(a) codec ablation and the
 /// Fig. 15(b) quantization study.
@@ -69,40 +68,27 @@ impl MemoryResult {
 /// refresh).
 const STREAM_EFFICIENCY: f64 = 0.95;
 
-/// Simulates the memory side of a layer.
-///
-/// Builds a fresh [`BlockPlan`]; use [`simulate_memory_with_plan`] to
-/// share one plan across the compute and memory models.
+/// Simulates the memory side of a layer on a registry architecture,
+/// building a fresh [`BlockPlan`].
 pub fn simulate_memory(
     arch: Arch,
     layer: &SparseLayer,
     cfg: &HwConfig,
     fmt: FormatOverride,
 ) -> MemoryResult {
-    simulate_memory_with_plan(arch, layer, &BlockPlan::build(layer), cfg, fmt)
-}
-
-/// Simulates the memory side of a layer using a pre-built [`BlockPlan`].
-pub fn simulate_memory_with_plan(
-    arch: Arch,
-    layer: &SparseLayer,
-    plan: &BlockPlan,
-    cfg: &HwConfig,
-    fmt: FormatOverride,
-) -> MemoryResult {
-    simulate_memory_on(archs::model(arch), layer, plan, cfg, fmt)
+    simulate_memory_on(arch.model(), layer, &BlockPlan::build(layer), cfg, fmt)
 }
 
 /// Simulates the memory side against any [`ArchModel`] — registry builtin
-/// or spec-interpreted [`crate::spec::CustomArch`].
+/// or user-submitted spec — using a pre-built [`BlockPlan`].
 pub fn simulate_memory_on(
-    model: &dyn ArchModel,
+    model: &ArchModel,
     layer: &SparseLayer,
     plan: &BlockPlan,
     cfg: &HwConfig,
     fmt: FormatOverride,
 ) -> MemoryResult {
-    let dram_cfg = match model.bandwidth_override_gbps() {
+    let dram_cfg = match model.spec().bandwidth_gbps {
         Some(gbps) => DramConfig {
             bytes_per_cycle: gbps,
             ..cfg.dram
@@ -159,12 +145,17 @@ pub fn simulate_memory_on(
 /// format must move at minimum (values + one index per non-zero; the full
 /// matrix when the architecture streams dense rows for this layer/format).
 fn info_bytes(
-    model: &dyn ArchModel,
+    model: &ArchModel,
     layer: &SparseLayer,
     plan: &BlockPlan,
     fmt: FormatOverride,
 ) -> f64 {
-    if model.dense_info_stream(layer, fmt) {
+    let dense_stream = match model.spec().dense_info {
+        DenseInfoPolicy::Never => false,
+        DenseInfoPolicy::Always => true,
+        DenseInfoPolicy::NonTbsNative => layer.tbs().is_none() && fmt == FormatOverride::Native,
+    };
+    if dense_stream {
         let (rows, cols) = plan.sampled_shape();
         return (rows * cols) as f64 * 2.0;
     }
@@ -175,17 +166,15 @@ fn info_bytes(
 }
 
 /// Builds the sampled weight-stream trace for an architecture: the
-/// override formats here, the native format from the registered model.
+/// override formats here, the native format from the spec's codec.
 fn a_trace(
-    model: &dyn ArchModel,
+    model: &ArchModel,
     layer: &SparseLayer,
     plan: &BlockPlan,
     fmt: FormatOverride,
 ) -> WeightTrace {
     match fmt {
-        FormatOverride::Sdc => {
-            WeightTrace::from_access_trace(Sdc::encode(layer.sampled()).access_trace())
-        }
+        FormatOverride::Sdc => codec_trace(CodecSpec::Sdc, layer, plan),
         FormatOverride::Csr => {
             WeightTrace::from_access_trace(Csr::encode(layer.sampled()).block_access_trace(8, 8))
         }
@@ -196,7 +185,7 @@ fn a_trace(
             let bytes = blocks * 2 + (plan.total_nnz() as u64 * 3).div_ceil(2);
             WeightTrace::sequential(bytes)
         }
-        FormatOverride::Native => model.weight_trace(layer, plan),
+        FormatOverride::Native => codec_trace(model.spec().codec, layer, plan),
     }
 }
 

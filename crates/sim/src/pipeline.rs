@@ -28,7 +28,7 @@ const CODEC_ELEMS_PER_CYCLE: u64 = 64;
 /// Pipeline-fill latency of the codec at each layer start, cycles.
 const CODEC_FILL_CYCLES: u64 = 8;
 
-/// Simulation knobs for [`simulate_layer_with`].
+/// Simulation knobs for [`simulate_layer_on`].
 ///
 /// `Default` (and [`SimOptions::native`]) leaves every knob on the
 /// architecture's native behaviour; the ablation entry points override
@@ -66,9 +66,9 @@ impl SimOptions {
     }
 }
 
-/// Simulates one layer with explicit scheduling and format knobs (the
-/// ablation entry point). Builds the layer's [`BlockPlan`] once and
-/// shares it across the compute and memory models.
+/// Simulates one layer of a registry architecture with explicit
+/// scheduling and format knobs (the ablation shorthand for
+/// [`simulate_layer_on`]).
 pub fn simulate_layer_with(
     arch: Arch,
     layer: &SparseLayer,
@@ -79,11 +79,11 @@ pub fn simulate_layer_with(
 }
 
 /// Simulates one layer against any [`ArchModel`] — a registry builtin or
-/// a spec-interpreted [`crate::spec::CustomArch`]. The builtin entry
-/// points all funnel here, so spec-driven architectures run the exact
-/// same pipeline (and at the same batched speed).
+/// a user-submitted spec; the builtin shorthands all funnel here. Builds
+/// the layer's [`BlockPlan`] once and shares it across the compute and
+/// memory models.
 pub fn simulate_layer_on(
-    model: &dyn ArchModel,
+    model: &ArchModel,
     layer: &SparseLayer,
     cfg: &HwConfig,
     opts: &SimOptions,
@@ -123,7 +123,7 @@ pub fn simulate_layer_on(
         datapath_power_mw: model.datapath(cfg.pe).total_power_mw(),
         active_fraction: comp.utilization,
         dram_energy_pj: mem.energy_pj,
-        mac_energy_scale: model.mac_energy_multiplier(),
+        mac_energy_scale: model.spec().mac_energy_multiplier,
     };
 
     LayerResult {
@@ -159,7 +159,7 @@ pub fn simulate_model(
 
 /// Simulates a whole model against any [`ArchModel`].
 pub fn simulate_model_on(
-    arch_model: &dyn ArchModel,
+    arch_model: &ArchModel,
     model: &Model,
     target: f64,
     seed: u64,
@@ -183,20 +183,10 @@ pub fn simulate_model_on(
     }
 }
 
-/// Simulates a single model layer, respecting `prunable`.
-pub fn simulate_model_layer(
-    arch: Arch,
-    shape: &LayerShape,
-    target: f64,
-    seed: u64,
-    cfg: &HwConfig,
-) -> LayerResult {
-    simulate_model_layer_on(arch.model(), shape, target, seed, cfg)
-}
-
-/// Simulates a single model layer against any [`ArchModel`].
+/// Simulates a single model layer against any [`ArchModel`], respecting
+/// `prunable`.
 pub fn simulate_model_layer_on(
-    arch_model: &dyn ArchModel,
+    arch_model: &ArchModel,
     shape: &LayerShape,
     target: f64,
     seed: u64,
@@ -215,8 +205,8 @@ pub fn simulate_model_layer_on(
 /// Conversion cycles the codec needs for the layer's weight stream
 /// (scaled to real size). Only DDC-consuming architectures convert, and
 /// only independent-dimension blocks need it (Fig. 9(a) vs 9(b)).
-fn codec_cycles(model: &dyn ArchModel, layer: &SparseLayer, fmt: FormatOverride) -> u64 {
-    if !model.consumes_ddc() || !matches!(fmt, FormatOverride::Native | FormatOverride::Int8) {
+fn codec_cycles(model: &ArchModel, layer: &SparseLayer, fmt: FormatOverride) -> u64 {
+    if !model.spec().consumes_ddc || !matches!(fmt, FormatOverride::Native | FormatOverride::Int8) {
         return 0;
     }
     let Some(tbs) = layer.tbs() else { return 0 };

@@ -17,13 +17,12 @@
 //!
 //! The plan is the public currency between the sparsify, compute,
 //! schedule and memory layers: [`crate::archs::ArchModel::block_works_batch`]
-//! prices a whole plan in one array pass, `sched::schedule_stream`
+//! prices a whole plan in array passes, `sched::schedule_stream`
 //! consumes the resulting flat work list, and the memory model reads
 //! `total_nnz` / `matrix_row_nnz` instead of re-counting the matrix.
 
 use tbstc_sparsity::SparsityDim;
 
-use crate::archs::BlockStats;
 use crate::layer::SparseLayer;
 
 /// Blocks are walked at the simulator's fixed 8×8 granularity.
@@ -32,8 +31,7 @@ const BLOCK: usize = 8;
 /// Structure-of-arrays per-block statistics of one sampled layer.
 ///
 /// All per-block columns are indexed by the row-major block index
-/// `br * grid_cols + bc`; [`BlockPlan::stats`] reassembles the historical
-/// [`BlockStats`] for one block when scalar pricing is needed.
+/// `br * grid_cols + bc`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockPlan {
     grid_rows: usize,
@@ -206,24 +204,6 @@ impl BlockPlan {
     pub fn occupancy_histogram(&self) -> &[usize; BLOCK + 1] {
         &self.occupancy_hist
     }
-
-    /// Reassembles the historical per-block [`BlockStats`] for block `i`
-    /// — the scalar-pricing view used by `ArchModel::block_work` and the
-    /// batch-vs-scalar parity tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is out of range.
-    pub fn stats(&self, i: usize) -> BlockStats {
-        BlockStats {
-            row_nnz: *self.row_nnz(i),
-            nnz: self.nnz[i],
-            nonempty_rows: self.nonempty_rows[i],
-            independent_dim: self.independent_dim[i],
-            dense_slots: self.dense_slots[i],
-            block_rows: self.block_rows[i],
-        }
-    }
 }
 
 #[cfg(test)]
@@ -259,7 +239,6 @@ mod tests {
             assert_eq!(plan.grid(), (rows.div_ceil(8), cols.div_ceil(8)));
             for i in 0..plan.len() {
                 let (br, bc) = (i / plan.grid().1, i % plan.grid().1);
-                let s = plan.stats(i);
                 let mut expect = [0usize; 8];
                 for (dr, cnt) in expect.iter_mut().enumerate() {
                     for dc in 0..8 {
@@ -270,9 +249,12 @@ mod tests {
                         }
                     }
                 }
-                assert_eq!(s.row_nnz, expect, "block {i} of {m}x{k}");
-                assert_eq!(s.nnz, expect.iter().sum::<usize>());
-                assert_eq!(s.nonempty_rows, expect.iter().filter(|&&c| c > 0).count());
+                assert_eq!(plan.row_nnz(i), &expect, "block {i} of {m}x{k}");
+                assert_eq!(plan.nnz()[i], expect.iter().sum::<usize>());
+                assert_eq!(
+                    plan.nonempty_rows()[i],
+                    expect.iter().filter(|&&c| c > 0).count()
+                );
             }
         }
     }

@@ -180,7 +180,7 @@ const MAX_RING: usize = 1 << 16;
 /// `max_add` is at most one block's slot count rounded up to the
 /// intra-policy width (`ceil(slots / width) · width`, or `nonempty_rows ·
 /// width` under the naive policy): about a hundred buckets for the
-/// bundled architectures' 8 × 8 blocks.
+/// builtin architectures' 8 × 8 blocks.
 struct LoadRing {
     /// PEs per load, `counts[(head + d) % len]` at load `min + d`.
     counts: Vec<u32>,

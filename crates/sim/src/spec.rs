@@ -1,28 +1,17 @@
 //! The declarative architecture layer: accelerators as data.
 //!
 //! An [`ArchSpec`] is a small document — pattern constraint, dataflow
-//! slot terms, codec choice, lanes, bandwidth and energy multipliers —
-//! that [`CustomArch`] interprets as a full [`ArchModel`], batched
-//! `block_works_batch` path included. Every registry builtin renders
-//! itself as a spec via [`ArchModel::spec`], and the `spec_parity` tests
-//! pin that interpreting the rendered spec reproduces the native module's
-//! `LayerResult`s bit-for-bit. Serialization to/from canonical JSON lives
-//! in the core crate (`tbstc::archspec`), which depends on this one.
+//! slot terms, codec choice, lanes, bandwidth and energy multipliers.
+//! It is the only description of an architecture: the eight registry
+//! builtins are specs too, and [`crate::archs::ArchModel`] interprets
+//! every spec through the same code. Serialization to/from canonical
+//! JSON lives in the core crate (`tbstc::archspec`), which depends on
+//! this one.
 
 use tbstc_energy::components::{self, DatapathCosts, PeArrayShape};
-use tbstc_formats::{Csr, Sdc};
 use tbstc_sparsity::PatternKind;
 
-use crate::arch::ArchId;
-use crate::archs::{
-    ddc_or_dense_trace, grouped_sdc_trace, lockstep_slots, nnz_proportional_batch,
-    ratio_grouped_slots, ArchModel, BlockStats, WeightTrace,
-};
 use crate::compute::SchedulePolicy;
-use crate::layer::SparseLayer;
-use crate::memory::FormatOverride;
-use crate::plan::BlockPlan;
-use crate::sched::BlockWork;
 
 /// One term of a dataflow's slot expression. A block's base slot count is
 /// the **max** over the spec's terms — structural constraints bind, they
@@ -47,22 +36,10 @@ pub enum SlotTerm {
     },
 }
 
-impl SlotTerm {
-    /// The term's slot count for one block.
-    fn slots(self, b: &BlockStats) -> usize {
-        match self {
-            SlotTerm::Dense => b.dense_slots,
-            SlotTerm::Nnz => b.nnz,
-            SlotTerm::Lockstep { group } => lockstep_slots(&b.row_nnz, group),
-            SlotTerm::RatioGrouped { width } => ratio_grouped_slots(&b.row_nnz, width),
-        }
-    }
-}
-
 /// A dataflow's slot cost: `ceil(max(terms) × multiplier / efficiency)`.
 /// When both factors are exactly 1.0 the base count passes through
-/// untouched — the bit-exactness contract the builtin specs rely on
-/// (each native module applies at most one non-unit factor).
+/// untouched, so a spec without overhead factors prices exactly its
+/// base count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dataflow {
     /// Slot terms, combined by max. Must be non-empty.
@@ -91,7 +68,7 @@ impl Dataflow {
     }
 
     /// Applies the overhead factors to a base slot count.
-    fn scale(&self, base: usize) -> usize {
+    pub(crate) fn scale(&self, base: usize) -> usize {
         if self.is_unit() {
             base
         } else {
@@ -99,20 +76,9 @@ impl Dataflow {
         }
     }
 
-    /// The slot count for one block: scaled max over terms.
-    fn slots(&self, b: &BlockStats) -> usize {
-        let base = self
-            .terms
-            .iter()
-            .map(|t| t.slots(b))
-            .max()
-            .unwrap_or_default();
-        self.scale(base)
-    }
-
     /// Whether a [`SlotTerm::Dense`] term is present — dense dataflows
     /// occupy every (clipped) block row, not just non-empty ones.
-    fn has_dense_term(&self) -> bool {
+    pub(crate) fn has_dense_term(&self) -> bool {
         self.terms.contains(&SlotTerm::Dense)
     }
 }
@@ -138,42 +104,6 @@ pub enum CodecSpec {
     DdcOrDense,
     /// CSR stream with per-element indices (SGCN).
     Csr,
-}
-
-impl CodecSpec {
-    /// The sampled weight-stream trace this codec emits.
-    fn weight_trace(self, layer: &SparseLayer, plan: &BlockPlan) -> WeightTrace {
-        match self {
-            CodecSpec::DenseRows => {
-                let w = layer.sampled();
-                let row_bytes = w.cols() as u64 * 2;
-                WeightTrace {
-                    requests: (0..w.rows() as u64)
-                        .map(|r| (r * row_bytes, row_bytes))
-                        .collect(),
-                    stored_bytes: row_bytes * w.rows() as u64,
-                }
-            }
-            CodecSpec::AlignedNm => {
-                let nnz = plan.total_nnz() as u64;
-                WeightTrace::sequential(nnz * 2 + nnz / 4)
-            }
-            CodecSpec::GroupedSdc { group } => grouped_sdc_trace(plan.matrix_row_nnz(), group),
-            CodecSpec::Sdc => {
-                WeightTrace::from_access_trace(Sdc::encode(layer.sampled()).access_trace())
-            }
-            CodecSpec::Bitmap => {
-                let (rows, cols) = plan.sampled_shape();
-                let nnz = plan.total_nnz() as u64;
-                let bitmap = ((rows * cols) as u64).div_ceil(8);
-                WeightTrace::sequential(nnz * 2 + bitmap)
-            }
-            CodecSpec::DdcOrDense => ddc_or_dense_trace(layer),
-            CodecSpec::Csr => {
-                WeightTrace::from_access_trace(Csr::encode(layer.sampled()).streaming_trace())
-            }
-        }
-    }
 }
 
 /// When the weight stream degenerates to a dense row stream, making the
@@ -233,7 +163,7 @@ impl DatapathKind {
 }
 
 /// A complete declarative architecture description — everything
-/// [`CustomArch`] needs to simulate it, nothing more.
+/// [`crate::archs::ArchModel`] needs to simulate it, nothing more.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArchSpec {
     /// Canonical lowercase kebab-case name (job specs, CLI, cache keys).
@@ -271,6 +201,10 @@ pub struct ArchSpec {
 
 /// Largest lockstep group / ratio width / SDC window: one 8×8 block.
 pub const MAX_GROUP: usize = 8;
+
+/// Multiplier lanes of one DVPE (§VI): the scheduler issues whole PEs,
+/// so a lane override must fill them.
+const DVPE_LANES: usize = 8;
 
 impl ArchSpec {
     /// Semantic validation beyond shape: value ranges, name discipline,
@@ -340,8 +274,11 @@ impl ArchSpec {
             }
         }
         if let Some(lanes) = self.lanes {
-            if lanes == 0 {
-                return Err("lanes: must be ≥ 1".into());
+            if lanes == 0 || lanes % DVPE_LANES != 0 {
+                return Err(format!(
+                    "lanes: {lanes} must be a positive multiple of the \
+                     {DVPE_LANES}-lane DVPE width"
+                ));
             }
         }
         if !self.mac_energy_multiplier.is_finite() || self.mac_energy_multiplier < 1.0 {
@@ -354,150 +291,14 @@ impl ArchSpec {
     }
 }
 
-/// A spec-driven architecture: interprets an [`ArchSpec`] as a full
-/// [`ArchModel`]. Construction validates the spec, so every live
-/// `CustomArch` is well-formed.
-pub struct CustomArch {
-    spec: ArchSpec,
-    id: ArchId,
-}
-
-impl CustomArch {
-    /// Interprets a validated spec. Returns the validation message on a
-    /// malformed one.
-    pub fn new(spec: ArchSpec) -> Result<CustomArch, String> {
-        spec.validate()?;
-        let id = ArchId::custom(&spec.name);
-        Ok(CustomArch { spec, id })
-    }
-
-    /// The interpreted spec.
-    pub fn spec_ref(&self) -> &ArchSpec {
-        &self.spec
-    }
-}
-
-impl ArchModel for CustomArch {
-    fn id(&self) -> ArchId {
-        self.id.clone()
-    }
-
-    fn display_name(&self) -> &str {
-        &self.spec.display
-    }
-
-    fn canonical_name(&self) -> &str {
-        &self.spec.name
-    }
-
-    fn summary(&self) -> &str {
-        &self.spec.summary
-    }
-
-    fn spec(&self) -> ArchSpec {
-        self.spec.clone()
-    }
-
-    fn native_pattern(&self) -> PatternKind {
-        self.spec.pattern
-    }
-
-    fn native_schedule(&self) -> SchedulePolicy {
-        self.spec.schedule
-    }
-
-    fn block_work(&self, b: &BlockStats) -> BlockWork {
-        BlockWork {
-            slots: self.spec.dataflow.slots(b),
-            nonempty_rows: if self.spec.dataflow.has_dense_term() {
-                b.block_rows
-            } else {
-                b.nonempty_rows
-            },
-            independent_dim: b.independent_dim,
-        }
-    }
-
-    /// Batched pricing at builtin speeds: nnz-only dataflows zip the
-    /// plan's occupancy columns, dense-only ones its geometry columns;
-    /// only mixed row-shape terms fall back to per-block stats.
-    fn block_works_batch(&self, plan: &BlockPlan) -> Vec<BlockWork> {
-        let df = &self.spec.dataflow;
-        match df.terms.as_slice() {
-            [SlotTerm::Nnz] => nnz_proportional_batch(plan, |nnz| df.scale(nnz)),
-            [SlotTerm::Dense] => plan
-                .dense_slots()
-                .iter()
-                .zip(plan.block_rows())
-                .zip(plan.independent_dim())
-                .map(|((&slots, &rows), &indep)| BlockWork {
-                    slots: df.scale(slots),
-                    nonempty_rows: rows,
-                    independent_dim: indep,
-                })
-                .collect(),
-            _ => {
-                let mut works = Vec::with_capacity(plan.len());
-                for i in 0..plan.len() {
-                    works.push(self.block_work(&plan.stats(i)));
-                }
-                works
-            }
-        }
-    }
-
-    fn extra_compute_cycles(&self, works: &[BlockWork], pes: usize) -> u64 {
-        if !self.spec.row_frontend {
-            return 0;
-        }
-        let rows: u64 = works.iter().map(|w| w.nonempty_rows as u64).sum();
-        rows.div_ceil(pes as u64)
-    }
-
-    fn weight_trace(&self, layer: &SparseLayer, plan: &BlockPlan) -> WeightTrace {
-        self.spec.codec.weight_trace(layer, plan)
-    }
-
-    fn dense_info_stream(&self, layer: &SparseLayer, fmt: FormatOverride) -> bool {
-        match self.spec.dense_info {
-            DenseInfoPolicy::Never => false,
-            DenseInfoPolicy::Always => true,
-            DenseInfoPolicy::NonTbsNative => layer.tbs().is_none() && fmt == FormatOverride::Native,
-        }
-    }
-
-    fn consumes_ddc(&self) -> bool {
-        self.spec.consumes_ddc
-    }
-
-    fn datapath(&self, shape: PeArrayShape) -> DatapathCosts {
-        self.spec.datapath.build(shape)
-    }
-
-    fn lanes(&self, shape: PeArrayShape) -> usize {
-        self.spec.lanes.unwrap_or_else(|| shape.mults())
-    }
-
-    fn bandwidth_override_gbps(&self) -> Option<f64> {
-        self.spec.bandwidth_gbps
-    }
-
-    fn has_hierarchical_scheduling(&self) -> bool {
-        self.spec.hierarchical_scheduling
-    }
-
-    fn mac_energy_multiplier(&self) -> f64 {
-        self.spec.mac_energy_multiplier
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arch::Arch;
+    use crate::arch::{Arch, ArchId};
+    use crate::archs::ArchModel;
 
     fn tb_spec() -> ArchSpec {
-        Arch::TbStc.model().spec()
+        Arch::TbStc.model().spec().clone()
     }
 
     #[test]
@@ -515,7 +316,7 @@ mod tests {
     fn custom_arch_identity_is_custom() {
         let mut spec = tb_spec();
         spec.name = "my-tbs".into();
-        let arch = CustomArch::new(spec).unwrap();
+        let arch = ArchModel::new(spec).unwrap();
         assert_eq!(arch.id(), ArchId::custom("my-tbs"));
         assert_eq!(arch.id().builtin(), None);
         assert_eq!(arch.canonical_name(), "my-tbs");
@@ -524,7 +325,7 @@ mod tests {
     #[test]
     fn validation_names_the_field_path() {
         type Mutation = Box<dyn Fn(&mut ArchSpec)>;
-        let cases: [(&str, Mutation); 6] = [
+        let cases: [(&str, Mutation); 7] = [
             ("name:", Box::new(|s| s.name = "Bad Name".into())),
             ("dataflow.terms:", Box::new(|s| s.dataflow.terms.clear())),
             (
@@ -540,13 +341,14 @@ mod tests {
                 Box::new(|s| s.bandwidth_gbps = Some(-1.0)),
             ),
             ("lanes:", Box::new(|s| s.lanes = Some(0))),
+            ("lanes:", Box::new(|s| s.lanes = Some(4))),
         ];
         for (needle, mutate) in cases {
             let mut spec = tb_spec();
             mutate(&mut spec);
             let err = spec.validate().unwrap_err();
             assert!(err.starts_with(needle), "{needle} !~ {err}");
-            assert!(CustomArch::new(spec).is_err());
+            assert!(ArchModel::new(spec).is_err());
         }
     }
 

@@ -196,8 +196,26 @@ fn inline_arch_specs_compute_cache_and_reject_cleanly() {
     let running = Server::bind(cfg(&dir)).unwrap().spawn().unwrap();
     let addr = running.addr.to_string();
 
-    // The bundled TB-STC document, exactly as `GET /v1/archs` serves it.
-    let doc = tbstc::archspec::bundled_text("tb-stc").unwrap().trim_end();
+    // The TB-STC document as `GET /v1/archs` serves it: the rendering of
+    // the registry's spec.
+    let catalog = request(&addr, "GET", "/v1/archs", None).unwrap();
+    assert_eq!(catalog.status, 200);
+    let catalog = tbstc::json::Json::parse(catalog.body.trim()).unwrap();
+    let served = catalog
+        .get("archs")
+        .and_then(tbstc::json::Json::as_arr)
+        .and_then(|archs| {
+            archs
+                .iter()
+                .find(|a| a.get("name").and_then(tbstc::json::Json::as_str) == Some("tb-stc"))
+        })
+        .and_then(|a| a.get("spec"))
+        .expect("catalog lists tb-stc with its spec")
+        .to_string();
+    let rendered =
+        tbstc::archspec::spec_to_value(tbstc::sim::Arch::TbStc.model().spec()).to_string();
+    assert_eq!(served, rendered);
+    let doc = served.as_str();
     let inline_job = format!(
         r#"{{"type":"simulate","arch_spec":{doc},
             "model":{{"kind":"gcn","nodes":64,"features":16}},"sparsity":0.5}}"#
@@ -245,6 +263,10 @@ fn inline_arch_specs_compute_cache_and_reject_cleanly() {
             df.insert("efficiency".into(), tbstc::json::Json::Num(0.0));
         }
     }
+    let mut few_lanes = tbstc::json::Json::parse(doc).unwrap();
+    if let tbstc::json::Json::Obj(m) = &mut few_lanes {
+        m.insert("lanes".into(), tbstc::json::Json::Int(4));
+    }
     let wrap = |spec_doc: String| {
         format!(
             r#"{{"type":"simulate","arch_spec":{spec_doc},
@@ -257,6 +279,7 @@ fn inline_arch_specs_compute_cache_and_reject_cleanly() {
             wrap(zero_efficiency.to_string()),
             "arch_spec.dataflow.efficiency",
         ),
+        (wrap(few_lanes.to_string()), "arch_spec.lanes"),
         (
             format!(
                 r#"{{"type":"simulate","arch":"tb-stc","arch_spec":{doc},
