@@ -19,7 +19,7 @@
 //! The report carries throughput (requests per second), the p50/p99/
 //! p999 latency percentiles, the failure count, and the observed cache
 //! hit rate. `tbstc-cli loadgen` wraps this as a subcommand; the perf
-//! harness uses it for the `serve_*` and `loadgen_*` numbers in
+//! harness uses it for the `loadgen_*` numbers in
 //! `BENCH_PR7.json`.
 
 use std::io::{ErrorKind, Read, Write};

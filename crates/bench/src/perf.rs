@@ -14,17 +14,15 @@
 //! so they isolate the simulation core from weight generation and
 //! pruning; sparsification has its own measurement, and the
 //! `BlockPlan` build cost is reported separately as `plan_build_us`. A
-//! full `tbstc-lint` workspace run is timed twice — cold (no cache) and
-//! against a pre-warmed incremental cache (`lint_warm_us`) — so both the
-//! analysis pass and the cache's payoff stay visible to CI.
+//! full `tbstc-lint` workspace run (`lint_workspace_us`) keeps the
+//! analysis pass's cost visible.
 //!
-//! The serve numbers come from the event-driven load generator
-//! ([`crate::loadgen`]): a small fixed load (the `serve_*` keys, kept
-//! name-compatible with earlier reports) plus a standing high-
-//! concurrency zipfian run (the `loadgen_*` keys — 1k keep-alive
-//! connections by default) that exercises the event loop, coalescing,
-//! and both cache tiers at once. The report is written as JSON (hand-rolled; the
-//! workspace is offline and carries no serde) to `BENCH_PR10.json`.
+//! The serve numbers come from one high-concurrency zipfian run of the
+//! event-driven load generator ([`crate::loadgen`]; the `loadgen_*`
+//! keys — 1k keep-alive connections by default) that exercises the
+//! event loop, coalescing, and both cache tiers at once. The report is
+//! written as JSON (hand-rolled; the workspace is offline and carries no
+//! serde) to `BENCH_PR10.json`.
 
 use std::time::Instant;
 
@@ -71,25 +69,6 @@ pub struct Timing {
     pub mean_us: f64,
 }
 
-/// Loopback measurements against a live `tbstc-serve` instance, driven
-/// by the load generator at a small fixed load.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServeStats {
-    /// Job submissions completed over HTTP.
-    pub requests: usize,
-    /// End-to-end submissions per second (parse → cache/execute →
-    /// respond over keep-alive connections), whole mixed cold/warm run.
-    pub throughput_rps: f64,
-    /// Fraction of submissions answered from a cache tier.
-    pub cache_hit_rate: f64,
-    /// Median end-to-end latency, µs.
-    pub p50_us: f64,
-    /// 99th-percentile latency, µs.
-    pub p99_us: f64,
-    /// 99.9th-percentile latency, µs.
-    pub p999_us: f64,
-}
-
 /// The harness output, serialized to `BENCH_PR10.json`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfReport {
@@ -117,15 +96,8 @@ pub struct PerfReport {
     pub simulate_layer_by_arch: Vec<(&'static str, Timing)>,
     /// Whether the parallel GEMM reproduced the serial result bit for bit.
     pub parallel_gemm_bit_identical: bool,
-    /// Full `tbstc-lint` run over every workspace source file with the
-    /// incremental cache disabled (cold analysis every iteration).
+    /// Full `tbstc-lint` run over every workspace source file.
     pub lint: Timing,
-    /// The same run against a pre-warmed per-file result cache: sources
-    /// are re-hashed but analyses replay from `tbstc-lint.cache`.
-    pub lint_warm: Timing,
-    /// `lint.best_us / lint_warm.best_us` — what the incremental cache
-    /// buys on an unchanged tree (CI asserts a floor on this).
-    pub lint_cache_speedup: f64,
     /// Chunked checkpointed sweep time over the monolithic sweep on the
     /// same fresh grid — the price of durable execution (observer calls,
     /// chunk bookkeeping). Must stay near 1.0.
@@ -133,8 +105,6 @@ pub struct PerfReport {
     /// Fraction of a second, overlapping sweep's grid points answered by
     /// the sub-spec memo (grid-point granularity) instead of recomputed.
     pub memo_subspec_hit_rate: f64,
-    /// Loopback server throughput and cache behaviour (small fixed load).
-    pub serve: ServeStats,
     /// The standing high-concurrency zipfian loadgen run.
     pub loadgen: LoadReport,
 }
@@ -155,7 +125,7 @@ impl PerfReport {
             .collect::<Vec<_>>()
             .join(",\n");
         format!(
-            "{{\n  \"bench\": \"PR10 structural lint + incremental cache perf\",\n  \"iters\": {},\n  \"workers\": {},\n  \"train_step_old_us\": {},\n  \"train_step_new_us\": {},\n  \"train_speedup\": {:.3},\n  \"sparsify_128x128_us\": {},\n  \"plan_build_us\": {},\n  \"simulate_layer_us\": {},\n  \"simulate_layer_by_arch_us\": {{\n{by_arch}\n  }},\n  \"parallel_gemm_bit_identical\": {},\n  \"lint_workspace_us\": {},\n  \"lint_warm_us\": {},\n  \"lint_cache_speedup\": {:.3},\n  \"sweep_resume_overhead\": {:.3},\n  \"memo_subspec_hit_rate\": {:.3},\n  \"serve_requests\": {},\n  \"serve_throughput_rps\": {:.2},\n  \"serve_cache_hit_rate\": {:.3},\n  \"serve_p50_us\": {:.1},\n  \"serve_p99_us\": {:.1},\n  \"serve_p999_us\": {:.1},\n  \"loadgen_connections\": {},\n  \"loadgen_requests\": {},\n  \"loadgen_failed\": {},\n  \"loadgen_rps\": {:.2},\n  \"loadgen_p50_us\": {:.1},\n  \"loadgen_p99_us\": {:.1},\n  \"loadgen_p999_us\": {:.1},\n  \"loadgen_hit_rate\": {:.4}\n}}\n",
+            "{{\n  \"bench\": \"hot paths, lint pass and loopback serve perf\",\n  \"iters\": {},\n  \"workers\": {},\n  \"train_step_old_us\": {},\n  \"train_step_new_us\": {},\n  \"train_speedup\": {:.3},\n  \"sparsify_128x128_us\": {},\n  \"plan_build_us\": {},\n  \"simulate_layer_us\": {},\n  \"simulate_layer_by_arch_us\": {{\n{by_arch}\n  }},\n  \"parallel_gemm_bit_identical\": {},\n  \"lint_workspace_us\": {},\n  \"sweep_resume_overhead\": {:.3},\n  \"memo_subspec_hit_rate\": {:.3},\n  \"loadgen_connections\": {},\n  \"loadgen_requests\": {},\n  \"loadgen_failed\": {},\n  \"loadgen_rps\": {:.2},\n  \"loadgen_p50_us\": {:.1},\n  \"loadgen_p99_us\": {:.1},\n  \"loadgen_p999_us\": {:.1},\n  \"loadgen_hit_rate\": {:.4}\n}}\n",
             self.iters,
             self.workers,
             timing(&self.train_step_old),
@@ -166,16 +136,8 @@ impl PerfReport {
             timing(&self.simulate_layer),
             self.parallel_gemm_bit_identical,
             timing(&self.lint),
-            timing(&self.lint_warm),
-            self.lint_cache_speedup,
             self.sweep_resume_overhead,
             self.memo_subspec_hit_rate,
-            self.serve.requests,
-            self.serve.throughput_rps,
-            self.serve.cache_hit_rate,
-            self.serve.p50_us,
-            self.serve.p99_us,
-            self.serve.p999_us,
             self.loadgen.connections,
             self.loadgen.completed + self.loadgen.failed,
             self.loadgen.failed,
@@ -422,31 +384,6 @@ fn run_loadgen_against_fresh_server(tag: &str, load: &LoadgenConfig) -> LoadRepo
     report
 }
 
-/// The small-fixed-load serve measurement: 16 keep-alive connections,
-/// 384 requests over 4 distinct specs — a mixed cold/warm run whose
-/// hit rate is dominated by the in-memory hot tier.
-fn measure_serve(seed: u64) -> ServeStats {
-    let report = run_loadgen_against_fresh_server(
-        "fixed",
-        &LoadgenConfig {
-            connections: 16,
-            requests: 384,
-            distinct_specs: 4,
-            zipf_exponent: 1.1,
-            seed,
-            ..LoadgenConfig::default()
-        },
-    );
-    ServeStats {
-        requests: report.completed,
-        throughput_rps: report.rps,
-        cache_hit_rate: report.hit_rate,
-        p50_us: report.p50_us,
-        p99_us: report.p99_us,
-        p999_us: report.p999_us,
-    }
-}
-
 /// The standing high-concurrency run: zipfian popularity over 64
 /// distinct specs, `loadgen_connections` keep-alive connections.
 fn measure_loadgen(cfg: &PerfConfig) -> LoadReport {
@@ -591,26 +528,9 @@ pub fn run(cfg: &PerfConfig) -> PerfReport {
             root: lint_root.clone(),
             rules: None,
             baseline: None,
-            cache: None,
         }))
         .ok();
     });
-    // The same pass with the incremental cache: `time_us` warm-up
-    // populates the cache file, so every timed iteration re-hashes the
-    // sources but replays per-file analyses from the cache.
-    let warm_cache = lint_root.join("target").join("tbstc-lint-bench.cache");
-    let _ = std::fs::remove_file(&warm_cache);
-    let lint_warm = time_us(cfg.iters, || {
-        std::hint::black_box(tbstc_lint::lint_workspace(&tbstc_lint::LintOptions {
-            root: lint_root.clone(),
-            rules: None,
-            baseline: None,
-            cache: Some(warm_cache.clone()),
-        }))
-        .ok();
-    });
-    let _ = std::fs::remove_file(&warm_cache);
-    let lint_cache_speedup = lint.best_us / lint_warm.best_us.max(1e-9);
 
     // Durable-execution costs on the runner itself. Monolithic vs
     // chunked (chunk size 2, a counting observer) over identical fresh
@@ -661,7 +581,6 @@ pub fn run(cfg: &PerfConfig) -> PerfReport {
     let (hits_after, _) = memo_engine.cache_stats();
     let memo_subspec_hit_rate = (hits_after - hits_before) as f64 / overlapping.len().max(1) as f64;
 
-    let serve = measure_serve(cfg.seed);
     let loadgen = measure_loadgen(cfg);
 
     PerfReport {
@@ -676,11 +595,8 @@ pub fn run(cfg: &PerfConfig) -> PerfReport {
         simulate_layer_by_arch,
         parallel_gemm_bit_identical,
         lint,
-        lint_warm,
-        lint_cache_speedup,
         sweep_resume_overhead,
         memo_subspec_hit_rate,
-        serve,
         loadgen,
     }
 }
@@ -707,18 +623,8 @@ mod tests {
             simulate_layer_by_arch: vec![("tc", t), ("tb-stc", t)],
             parallel_gemm_bit_identical: true,
             lint: t,
-            lint_warm: t,
-            lint_cache_speedup: 8.0,
             sweep_resume_overhead: 1.02,
             memo_subspec_hit_rate: 0.5,
-            serve: ServeStats {
-                requests: 384,
-                throughput_rps: 800.0,
-                cache_hit_rate: 0.95,
-                p50_us: 100.0,
-                p99_us: 900.0,
-                p999_us: 2500.0,
-            },
             loadgen: LoadReport {
                 connections: 1000,
                 completed: 7990,
@@ -738,14 +644,8 @@ mod tests {
         assert!(json.contains("\"tb-stc\":"));
         assert!(json.contains("\"parallel_gemm_bit_identical\": true"));
         assert!(json.contains("\"lint_workspace_us\""));
-        assert!(json.contains("\"lint_warm_us\""));
-        assert!(json.contains("\"lint_cache_speedup\": 8.000"));
         assert!(json.contains("\"sweep_resume_overhead\": 1.020"));
         assert!(json.contains("\"memo_subspec_hit_rate\": 0.500"));
-        assert!(json.contains("\"serve_requests\": 384"));
-        assert!(json.contains("\"serve_cache_hit_rate\": 0.950"));
-        assert!(json.contains("\"serve_p99_us\": 900.0"));
-        assert!(json.contains("\"serve_p999_us\": 2500.0"));
         assert!(json.contains("\"loadgen_connections\": 1000"));
         assert!(json.contains("\"loadgen_requests\": 8000"));
         assert!(json.contains("\"loadgen_failed\": 10"));
@@ -787,21 +687,6 @@ mod tests {
             "full lint run must stay under 2 s, got {} us",
             r.lint.best_us
         );
-        assert!(
-            r.lint_warm.best_us > 0.0 && r.lint_warm.best_us <= r.lint.best_us,
-            "warm lint ({} us) must not exceed the cold run ({} us)",
-            r.lint_warm.best_us,
-            r.lint.best_us
-        );
-        assert_eq!(r.serve.requests, 384, "every fixed-load request completes");
-        assert!(r.serve.throughput_rps > 0.0);
-        assert!(
-            r.serve.cache_hit_rate > 0.8,
-            "4 distinct specs over 384 requests mostly hit: {}",
-            r.serve.cache_hit_rate
-        );
-        assert!(r.serve.p50_us > 0.0 && r.serve.p50_us <= r.serve.p99_us);
-        assert!(r.serve.p99_us <= r.serve.p999_us);
         assert_eq!(r.loadgen.failed, 0, "zipfian run is clean: {:?}", r.loadgen);
         assert_eq!(r.loadgen.completed, 192);
         assert!(r.loadgen.rps > 0.0 && r.loadgen.p999_us >= r.loadgen.p99_us);

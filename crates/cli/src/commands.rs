@@ -37,9 +37,8 @@ USAGE:
                      [--specs 16] [--zipf 1.1] [--seed 1] [--min-rps 0] [--json]
   tbstc-cli perf     [--iters 20] [--seed 42] [--jobs N] [--out BENCH_PR10.json]
                      [--loadgen-connections 1000] [--loadgen-requests 8000]
-  tbstc-cli lint     [--deny-warnings] [--json] [--sarif] [--fix]
-                     [--update-baseline] [--rules a,b] [--root DIR]
-                     [--no-cache] [--cache-bench [--min-speedup N]]
+  tbstc-cli lint     [--deny-warnings] [--json] [--update-baseline]
+                     [--rules a,b] [--root DIR]
   tbstc-cli table3
   tbstc-cli models
   tbstc-cli help
@@ -108,11 +107,9 @@ Errors always fail; warnings fail only with --deny-warnings (CI's
 mode). Silence a finding in place with a
 `// tbstc-lint: allow(<rule>) — reason` comment, or grandfather it
 with --update-baseline (rewrites the count-aware lint-baseline.txt
-at the root). --sarif emits SARIF 2.1.0 for CI annotation; --fix
-inserts TODO-tagged suppressions for fixable warnings and burns
-down stale baseline entries. Per-file results are cached in
-target/tbstc-lint.cache (skip with --no-cache); --cache-bench
-times a cold vs warm run and fails below --min-speedup.
+at the root and drops its stale entries). --rules runs only the
+named rules; an unknown name is an error, and --update-baseline
+refuses a --rules filter.
 ";
 
 /// Dispatches a parsed command line.
@@ -1061,16 +1058,6 @@ fn perf(args: &ParsedArgs) -> Result<String, ArgError> {
     .ok();
     writeln!(
         out,
-        "  serve loopback  : {:>9.1} req/s over {} submissions ({:.0}% cache hits; p99 {:.0} us, p999 {:.0} us)",
-        report.serve.throughput_rps,
-        report.serve.requests,
-        report.serve.cache_hit_rate * 100.0,
-        report.serve.p99_us,
-        report.serve.p999_us
-    )
-    .ok();
-    writeln!(
-        out,
         "  loadgen zipfian : {:>9.1} req/s over {} connections ({} failed; p99 {:.0} us, p999 {:.0} us)",
         report.loadgen.rps,
         report.loadgen.connections,
@@ -1102,97 +1089,23 @@ fn lint(args: &ParsedArgs) -> Result<String, ArgError> {
         .options
         .get("rules")
         .map(|r| r.split(',').map(|s| s.trim().to_string()).collect());
-    let cache = (args.str_or("no-cache", "false") != "true")
-        .then(|| root.join("target").join("tbstc-lint.cache"));
     let opts = tbstc_lint::LintOptions {
-        root: root.clone(),
+        root,
         rules,
         baseline: None,
-        cache: cache.clone(),
     };
 
-    if args.str_or("cache-bench", "false") == "true" {
-        // Cold run (cache file removed) vs warm run, in-process so the
-        // comparison is immune to cargo/process startup noise. CI
-        // asserts the warm run is >= --min-speedup x faster.
-        let Some(cache_path) = &cache else {
-            return Err(ArgError(
-                "--cache-bench needs the cache; drop --no-cache".into(),
-            ));
-        };
-        let _ = std::fs::remove_file(cache_path);
-        let t0 = std::time::Instant::now();
-        let cold = tbstc_lint::lint_workspace(&opts).map_err(ArgError)?;
-        let cold_us = t0.elapsed().as_micros();
-        let t1 = std::time::Instant::now();
-        let warm = tbstc_lint::lint_workspace(&opts).map_err(ArgError)?;
-        let warm_us = t1.elapsed().as_micros().max(1);
-        let speedup = cold_us as f64 / warm_us as f64;
-        let mut out = String::new();
-        writeln!(out, "lint_cold_us {cold_us}").ok();
-        writeln!(out, "lint_warm_us {warm_us}").ok();
-        writeln!(out, "lint_cache_speedup {speedup:.2}").ok();
-        writeln!(
-            out,
-            "warm cache: {} hits / {} misses over {} files",
-            warm.cache_hits, warm.cache_misses, warm.files_scanned
-        )
-        .ok();
-        if warm.cache_hits != warm.files_scanned {
-            return Err(ArgError(format!(
-                "{out}warm run was not fully cached ({} misses)",
-                warm.cache_misses
-            )));
-        }
-        let min = args.num_or("min-speedup", 0.0f64)?;
-        if speedup < min {
-            return Err(ArgError(format!(
-                "{out}warm lint speedup {speedup:.2}x is below the required {min:.2}x"
-            )));
-        }
-        drop(cold);
-        return Ok(out);
-    }
-
-    let report = tbstc_lint::lint_workspace(&opts).map_err(ArgError)?;
-
     if args.str_or("update-baseline", "false") == "true" {
-        let text = tbstc_lint::render_baseline(&report, &|rel| {
-            std::fs::read_to_string(root.join(rel)).ok()
-        });
-        let path = root.join(tbstc_lint::BASELINE_FILE);
-        std::fs::write(&path, text)
-            .map_err(|e| ArgError(format!("cannot write {}: {e}", path.display())))?;
+        let entries = tbstc_lint::update_baseline(&opts).map_err(ArgError)?;
         return Ok(format!(
-            "baseline rewritten: {} entries in {}\n",
-            report.findings.len() + report.baselined.len(),
-            path.display()
+            "baseline rewritten: {entries} entries in {}\n",
+            opts.baseline_path().display()
         ));
     }
 
+    let report = tbstc_lint::lint_workspace(&opts).map_err(ArgError)?;
     let deny = args.str_or("deny-warnings", "false") == "true";
-
-    if args.str_or("fix", "false") == "true" {
-        let baseline_path = root.join(tbstc_lint::BASELINE_FILE);
-        let outcome = tbstc_lint::apply_fixes(&root, &report, &baseline_path).map_err(ArgError)?;
-        let after = tbstc_lint::lint_workspace(&opts).map_err(ArgError)?;
-        let mut out = format!(
-            "lint --fix: {} suppression(s) inserted across {} file(s); {} stale baseline entr{} removed\n",
-            outcome.suppressions_inserted,
-            outcome.files_changed,
-            outcome.stale_removed,
-            if outcome.stale_removed == 1 { "y" } else { "ies" },
-        );
-        out.push_str(&tbstc_lint::render_human(&after, deny));
-        if after.fails(deny) {
-            return Err(ArgError(format!("\n{out}")));
-        }
-        return Ok(out);
-    }
-
-    let rendered = if args.str_or("sarif", "false") == "true" {
-        tbstc_lint::render_sarif(&report)
-    } else if args.str_or("json", "false") == "true" {
+    let rendered = if args.str_or("json", "false") == "true" {
         tbstc_lint::render_json(&report)
     } else {
         tbstc_lint::render_human(&report, deny)
@@ -1465,6 +1378,24 @@ mod tests {
     #[test]
     fn perf_rejects_zero_iters() {
         assert!(run_line(&["perf", "--iters", "0"]).is_err());
+    }
+
+    #[test]
+    fn lint_rejects_unknown_rules_and_filtered_baseline_updates() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let err = run_line(&["lint", "--rules", "panic-surfac", "--root", root]).unwrap_err();
+        assert!(err.0.contains("valid rules: panic-surface,"), "{}", err.0);
+        // Refused before the baseline is read or written.
+        let err = run_line(&[
+            "lint",
+            "--update-baseline",
+            "--rules",
+            "panic-surface",
+            "--root",
+            root,
+        ])
+        .unwrap_err();
+        assert!(err.0.contains("--rules"), "{}", err.0);
     }
 
     #[test]

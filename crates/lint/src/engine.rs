@@ -1,6 +1,6 @@
 //! The rule engine: file walking, test-code exclusion, inline
 //! suppressions, the grandfathered-findings baseline, the workspace
-//! graph pass, the incremental cache, and human/JSON rendering.
+//! graph pass, and human/JSON rendering.
 //!
 //! A finding travels through three gates before it fails a build:
 //!
@@ -15,20 +15,18 @@
 //!    grandfathered findings as `rule<TAB>path<TAB>trimmed line text`;
 //!    matching findings are reported as baselined, not failing. Entries
 //!    are count-aware (two identical lines need two entries); entries
-//!    that no longer match anything are listed as stale so the file
-//!    shrinks over time.
+//!    of a rule that ran but no longer match anything are listed as
+//!    stale, and `--update-baseline` drops them.
 //!
-//! Per-file analysis (lexing, per-file rules, fact extraction) is
-//! cached by content hash in [`crate::cache`]; the workspace rules
-//! (`lock-order`, `panic-reachability`) rerun every time over the cached
-//! facts, which is cheap.
+//! Every run reads and analyzes every file (lexing, per-file rules,
+//! fact extraction), then runs the workspace rules (`lock-order`,
+//! `panic-reachability`) over all files' facts.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::cache::{fnv1a_128, LintCache};
 use crate::graph::Workspace;
 use crate::lexer::{lex, TokKind, Token};
 use crate::rules;
@@ -90,9 +88,15 @@ pub struct LintOptions {
     /// Baseline file. `None` = `<root>/lint-baseline.txt`; a missing
     /// file is an empty baseline.
     pub baseline: Option<PathBuf>,
-    /// Incremental per-file cache file. `None` disables caching; a
-    /// missing or stale file is a cold cache.
-    pub cache: Option<PathBuf>,
+}
+
+impl LintOptions {
+    /// The baseline file this run reads (and `--update-baseline` writes).
+    pub fn baseline_path(&self) -> PathBuf {
+        self.baseline
+            .clone()
+            .unwrap_or_else(|| self.root.join(BASELINE_FILE))
+    }
 }
 
 /// The outcome of a workspace lint run.
@@ -106,12 +110,9 @@ pub struct LintReport {
     pub suppressed: usize,
     /// `.rs` files scanned.
     pub files_scanned: usize,
-    /// Baseline entries that matched nothing (candidates for deletion).
+    /// Baseline entries of rules that ran which matched nothing
+    /// (candidates for deletion).
     pub stale_baseline: Vec<String>,
-    /// Files whose per-file analysis came from the incremental cache.
-    pub cache_hits: usize,
-    /// Files that had to be (re)analyzed.
-    pub cache_misses: usize,
 }
 
 impl LintReport {
@@ -170,23 +171,25 @@ impl FileCtx<'_> {
     }
 }
 
-/// Everything the engine learned about one file: its gated per-file
-/// findings plus the ingredients the workspace pass and the cache need.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FileAnalysis {
+/// What the engine learned about one file: its gated per-file findings
+/// plus the gates the workspace pass applies to its own findings.
+struct FileAnalysis {
     /// Workspace-relative path, forward slashes.
-    pub rel_path: String,
+    rel_path: String,
     /// Per-file findings after test exclusion and suppressions (the
     /// baseline, a workspace concept, has not been applied).
-    pub findings: Vec<Finding>,
+    findings: Vec<Finding>,
     /// Findings silenced by inline `allow(...)` comments.
-    pub suppressed: usize,
+    suppressed: usize,
     /// Line → rules allowed there (for gating workspace findings).
-    pub allows: BTreeMap<u32, Vec<String>>,
+    allows: BTreeMap<u32, Vec<String>>,
     /// `#[cfg(test)]` line ranges, 1-based inclusive.
-    pub test_ranges: Vec<(u32, u32)>,
-    /// Syntax-layer facts (functions, calls, locks, panic sites).
-    pub facts: FileFacts,
+    test_ranges: Vec<(u32, u32)>,
+}
+
+/// Whether a rule runs under the `--rules` filter `only`.
+fn enabled(only: Option<&[String]>, rule: &str) -> bool {
+    only.is_none_or(|names| names.iter().any(|n| n == rule))
 }
 
 /// Lints one source text as if it lived at `rel_path`, running all rules.
@@ -205,14 +208,14 @@ pub fn lint_source_rules(
     src: &str,
     only: Option<&[String]>,
 ) -> (Vec<Finding>, usize) {
-    let a = analyze_source(rel_path, src, only);
+    let (a, _) = analyze_source(rel_path, src, only);
     (a.findings, a.suppressed)
 }
 
 /// Runs the per-file rules and the syntax layer over one source text,
-/// applying test exclusion and suppressions. This is the unit of work
-/// the incremental cache stores.
-pub fn analyze_source(rel_path: &str, src: &str, only: Option<&[String]>) -> FileAnalysis {
+/// applying test exclusion and suppressions. Returns the gated analysis
+/// and the facts the workspace pass consumes.
+fn analyze_source(rel_path: &str, src: &str, only: Option<&[String]>) -> (FileAnalysis, FileFacts) {
     let tokens = lex(src);
     let code: Vec<Token> = tokens.iter().filter(|t| !t.is_comment()).cloned().collect();
     let crate_name = rel_path
@@ -230,8 +233,7 @@ pub fn analyze_source(rel_path: &str, src: &str, only: Option<&[String]>) -> Fil
 
     let mut raw = Vec::with_capacity(16);
     for rule in rules::ALL_RULES {
-        let enabled = only.is_none_or(|names| names.iter().any(|n| n == rule.name));
-        if enabled {
+        if enabled(only, rule.name) {
             (rule.check)(&ctx, &mut raw);
         }
     }
@@ -255,35 +257,29 @@ pub fn analyze_source(rel_path: &str, src: &str, only: Option<&[String]>) -> Fil
     }
     findings.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
     let facts = syntax::extract(rel_path, src, &code, &test_lines);
-    FileAnalysis {
+    let analysis = FileAnalysis {
         rel_path: rel_path.to_string(),
         findings,
         suppressed,
         allows,
         test_ranges: test_lines,
-        facts,
-    }
+    };
+    (analysis, facts)
 }
 
-/// Runs the workspace rules (`lock-order`, `panic-reachability`) over a
-/// set of per-file analyses, gating each finding through the target
-/// file's test ranges and suppressions. Returns the surviving findings
-/// and the suppressed count.
+/// Runs the workspace rules (`lock-order`, `panic-reachability`) over
+/// every file's facts, gating each finding through the target file's
+/// test ranges and suppressions. Returns the surviving findings and the
+/// suppressed count.
 fn workspace_findings(
-    analyses: &mut [FileAnalysis],
+    analyses: &[FileAnalysis],
+    facts: &[FileFacts],
     only: Option<&[String]>,
 ) -> (Vec<Finding>, usize) {
-    // The facts are moved out (the cache keeps its own copies); the
-    // per-file findings/allows/test_ranges stay behind for gating.
-    let facts: Vec<FileFacts> = analyses
-        .iter_mut()
-        .map(|a| std::mem::take(&mut a.facts))
-        .collect();
-    let ws = Workspace::build(&facts);
+    let ws = Workspace::build(facts);
     let mut raw = Vec::with_capacity(8);
     for rule in rules::WORKSPACE_RULES {
-        let enabled = only.is_none_or(|names| names.iter().any(|n| n == rule.name));
-        if enabled {
+        if enabled(only, rule.name) {
             (rule.check)(&ws, &mut raw);
         }
     }
@@ -320,17 +316,41 @@ fn workspace_findings(
 /// on each and the workspace rules across all of them. No baseline
 /// applies. This is the entry point for multi-file fixture tests.
 pub fn lint_texts(files: &[(&str, &str)], only: Option<&[String]>) -> Vec<Finding> {
-    let mut analyses: Vec<FileAnalysis> = files
+    lint_files(files, only).0
+}
+
+/// The analysis every entry point shares: per-file rules on each file,
+/// then the workspace rules across all of them. Returns the findings
+/// that pass test exclusion and suppressions, sorted by location, and
+/// the suppressed count.
+fn lint_files(files: &[(&str, &str)], only: Option<&[String]>) -> (Vec<Finding>, usize) {
+    let (analyses, facts): (Vec<FileAnalysis>, Vec<FileFacts>) = files
         .iter()
         .map(|(path, src)| analyze_source(path, src, only))
-        .collect();
-    let (ws_findings, _) = workspace_findings(&mut analyses, only);
+        .unzip();
+    let (ws_findings, ws_suppressed) = workspace_findings(&analyses, &facts, only);
+    let suppressed = ws_suppressed + analyses.iter().map(|a| a.suppressed).sum::<usize>();
     let mut out: Vec<Finding> = analyses.into_iter().flat_map(|a| a.findings).collect();
     out.extend(ws_findings);
     out.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
     });
-    out
+    (out, suppressed)
+}
+
+/// Rejects a `--rules` filter that names a rule the engine does not
+/// know: a misspelled filter would otherwise run nothing and pass.
+fn check_rule_names(names: &[String]) -> Result<(), String> {
+    match names
+        .iter()
+        .find(|n| !rules::rule_names().any(|r| r == n.as_str()))
+    {
+        None => Ok(()),
+        Some(unknown) => Err(format!(
+            "unknown lint rule `{unknown}`; valid rules: {}",
+            rules::rule_names().collect::<Vec<_>>().join(", ")
+        )),
+    }
 }
 
 /// Line ranges (1-based, inclusive) covered by `#[cfg(test)]` items.
@@ -496,31 +516,18 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
 /// Default baseline file name at the workspace root.
 pub const BASELINE_FILE: &str = "lint-baseline.txt";
 
-/// The cache fingerprint for a run: the rule filter (a per-file result
-/// depends on nothing outside the file but which rules ran).
-fn cache_fingerprint(opts: &LintOptions) -> String {
-    let mut fp = String::with_capacity(256);
-    fp.push_str("rules=");
-    match &opts.rules {
-        None => fp.push('*'),
-        Some(rs) => {
-            let mut rs = rs.clone();
-            rs.sort();
-            fp.push_str(&rs.join(","));
-        }
-    }
-    fp
-}
-
-/// Lints every `crates/*/src/**/*.rs` under `opts.root`: per-file rules
-/// (through the incremental cache when `opts.cache` is set), then the
-/// workspace rules over all files' facts, then the baseline.
+/// Lints every `crates/*/src/**/*.rs` under `opts.root`: per-file rules,
+/// then the workspace rules over all files' facts, then the baseline.
 ///
 /// # Errors
 ///
-/// Returns a message when the root has no `crates/` directory or a
-/// source file cannot be read.
+/// Returns a message when `opts.rules` names an unknown rule, the root
+/// has no `crates/` directory, or a source file cannot be read.
 pub fn lint_workspace(opts: &LintOptions) -> Result<LintReport, String> {
+    let only = opts.rules.as_deref();
+    if let Some(names) = only {
+        check_rule_names(names)?;
+    }
     let crates_dir = opts.root.join("crates");
     if !crates_dir.is_dir() {
         return Err(format!(
@@ -539,26 +546,7 @@ pub fn lint_workspace(opts: &LintOptions) -> Result<LintReport, String> {
             .is_some_and(|c| c.as_os_str() == "src")
     });
 
-    let baseline_path = opts
-        .baseline
-        .clone()
-        .unwrap_or_else(|| opts.root.join(BASELINE_FILE));
-    let mut baseline = load_baseline(&baseline_path);
-    let fingerprint = cache_fingerprint(opts);
-    let mut cache = opts
-        .cache
-        .as_deref()
-        .map(|p| LintCache::load(p, &fingerprint));
-
-    let mut report = LintReport::default();
-    let mut analyses: Vec<FileAnalysis> = Vec::with_capacity(files.len());
-    let mut sources: BTreeMap<String, String> = BTreeMap::new();
-
-    // Phase 1: read and hash everything, so the combined hash — and
-    // with it, whether the cross-file pass will replay from the cache —
-    // is known before any per-file work.
-    let mut metas: Vec<(String, String, String)> = Vec::with_capacity(files.len());
-    let mut combined_src = String::with_capacity(files.len() * 64);
+    let mut texts: Vec<(String, String)> = Vec::with_capacity(files.len());
     for path in &files {
         let rel = path
             .strip_prefix(&opts.root)
@@ -567,76 +555,24 @@ pub fn lint_workspace(opts: &LintOptions) -> Result<LintReport, String> {
             .replace('\\', "/");
         let src =
             fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let hash = fnv1a_128(src.as_bytes());
-        combined_src.push_str(&rel);
-        combined_src.push('\t');
-        combined_src.push_str(&hash);
-        combined_src.push('\n');
-        metas.push((rel, src, hash));
+        texts.push((rel, src));
     }
-    let combined = fnv1a_128(combined_src.as_bytes());
-    let ws_cached = cache
-        .as_ref()
-        .and_then(|c| c.get_workspace(&combined))
-        .is_some();
+    let files: Vec<(&str, &str)> = texts
+        .iter()
+        .map(|(rel, src)| (rel.as_str(), src.as_str()))
+        .collect();
+    let sources: BTreeMap<&str, &str> = files.iter().copied().collect();
+    let (all, suppressed) = lint_files(&files, only);
 
-    // Phase 2: per-file analyses, through the cache. When the workspace
-    // pass is going to replay too, the facts in each hit are dead
-    // weight — only the pre-gated findings travel on.
-    for (rel, src, hash) in metas {
-        let analysis = match cache.as_ref().and_then(|c| c.get(&rel, &hash)) {
-            Some(hit) => {
-                report.cache_hits += 1;
-                if ws_cached {
-                    FileAnalysis {
-                        rel_path: hit.rel_path.clone(),
-                        findings: hit.findings.clone(),
-                        suppressed: hit.suppressed,
-                        ..FileAnalysis::default()
-                    }
-                } else {
-                    hit.clone()
-                }
-            }
-            None => {
-                report.cache_misses += 1;
-                let a = analyze_source(&rel, &src, opts.rules.as_deref());
-                if let Some(c) = cache.as_mut() {
-                    c.put(rel.clone(), hash, a.clone());
-                }
-                a
-            }
-        };
-        report.suppressed += analysis.suppressed;
-        report.files_scanned += 1;
-        sources.insert(rel, src);
-        analyses.push(analysis);
-    }
-
-    // The cross-file pass replays from the cache when no file changed
-    // (the combined hash covers the whole scan set, so adding, editing,
-    // or deleting any file forces a rebuild of the graphs).
-    let (ws_findings, ws_suppressed) = match cache.as_ref().and_then(|c| c.get_workspace(&combined))
-    {
-        Some((findings, suppressed)) => (findings.to_vec(), suppressed),
-        None => {
-            let (findings, suppressed) = workspace_findings(&mut analyses, opts.rules.as_deref());
-            if let Some(c) = cache.as_mut() {
-                c.put_workspace(combined, findings.clone(), suppressed);
-            }
-            (findings, suppressed)
-        }
+    let mut report = LintReport {
+        files_scanned: files.len(),
+        suppressed,
+        ..LintReport::default()
     };
-    report.suppressed += ws_suppressed;
-
-    let mut all: Vec<Finding> = analyses.into_iter().flat_map(|a| a.findings).collect();
-    all.extend(ws_findings);
-    all.sort_by(|a, b| {
-        (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
-    });
+    let mut baseline = load_baseline(&opts.baseline_path());
     for f in all {
         let line_text = sources
-            .get(&f.path)
+            .get(f.path.as_str())
             .and_then(|src| src.lines().nth(f.line as usize - 1))
             .map_or(String::new(), |l| l.trim().to_string());
         let key = (f.rule.to_string(), f.path.clone(), line_text);
@@ -649,6 +585,11 @@ pub fn lint_workspace(opts: &LintOptions) -> Result<LintReport, String> {
         }
     }
     for ((rule, path, text), n) in baseline {
+        // A rule the filter skipped matched nothing, but its entries are
+        // not stale.
+        if !enabled(only, &rule) {
+            continue;
+        }
         for _ in 0..n {
             report
                 .stale_baseline
@@ -656,15 +597,31 @@ pub fn lint_workspace(opts: &LintOptions) -> Result<LintReport, String> {
         }
     }
     report.stale_baseline.sort();
-    if let (Some(mut c), Some(p)) = (cache, opts.cache.as_deref()) {
-        c.prune_to(&sources.keys().cloned().collect());
-        // A fully-warm run leaves the store alone; cache write failure
-        // never fails the lint — the next run is just cold again.
-        if c.dirty() {
-            let _ = c.save(p);
-        }
-    }
     Ok(report)
+}
+
+/// Rewrites the baseline file to hold exactly the current findings (what
+/// `--update-baseline` does): new findings are grandfathered and stale
+/// entries dropped. Returns the number of entries written.
+///
+/// # Errors
+///
+/// Refuses a rule filter, because the rewrite would drop every entry of
+/// the rules that did not run. Also returns [`lint_workspace`]'s errors
+/// and a message when the baseline cannot be written.
+pub fn update_baseline(opts: &LintOptions) -> Result<usize, String> {
+    if opts.rules.is_some() {
+        return Err(
+            "the baseline cannot be updated under a rule filter: entries of the \
+             rules that did not run would be dropped; rerun without --rules"
+                .into(),
+        );
+    }
+    let report = lint_workspace(opts)?;
+    let text = render_baseline(&report, &opts.root);
+    let path = opts.baseline_path();
+    fs::write(&path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    Ok(report.findings.len() + report.baselined.len())
 }
 
 type BaselineKey = (String, String, String);
@@ -691,13 +648,12 @@ fn load_baseline(path: &Path) -> BTreeMap<BaselineKey, usize> {
 }
 
 /// Serializes the failing + baselined findings of `report` into baseline
-/// format (what `--update-baseline` writes). `sources` maps a
-/// workspace-relative path to its text so each finding's line can be
-/// recorded.
-pub fn render_baseline(report: &LintReport, sources: &dyn Fn(&str) -> Option<String>) -> String {
+/// format, reading each finding's line from its file under `root`.
+fn render_baseline(report: &LintReport, root: &Path) -> String {
     let mut lines: Vec<String> = Vec::with_capacity(report.findings.len() + report.baselined.len());
     for f in report.findings.iter().chain(&report.baselined) {
-        let text = sources(&f.path)
+        let text = fs::read_to_string(root.join(&f.path))
+            .ok()
             .and_then(|src| {
                 src.lines()
                     .nth(f.line as usize - 1)
@@ -746,17 +702,11 @@ pub fn render_human(report: &LintReport, deny_warnings: bool) -> String {
         report.stale_baseline.len(),
         if report.stale_baseline.len() == 1 { "y" } else { "ies" },
     ));
-    if report.cache_hits + report.cache_misses > 0 {
-        out.push_str(&format!(
-            "; cache {} hit(s) / {} miss(es)",
-            report.cache_hits, report.cache_misses
-        ));
-    }
     out.push('\n');
     out
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

@@ -15,35 +15,24 @@
 //! with severities, inline `// tbstc-lint: allow(<rule>)` suppressions,
 //! and a checked-in, count-aware baseline for grandfathered findings.
 //!
-//! Around the core: [`cache`] makes warm re-runs near-zero via an
-//! FNV-keyed per-file result cache, [`sarif`] renders SARIF 2.1.0 for
-//! CI annotations, and [`fix`] applies mechanical remediation
-//! (suppression insertion, baseline burndown).
-//!
 //! The crate has zero dependencies (it hand-rolls its JSON output) so
 //! every other crate — including `tbstc-bench`, which times it — can
 //! depend on it without cycles.
 //!
-//! Run it as `tbstc-cli lint [--deny-warnings] [--json] [--sarif]
-//! [--fix] [--no-cache]`; see DESIGN.md §10 for the rule-authoring
-//! guide and §15 for the structural analyses.
+//! Run it as `tbstc-cli lint [--deny-warnings] [--json]
+//! [--update-baseline] [--rules a,b]`; see DESIGN.md §10 for the
+//! rule-authoring guide and §15 for the workspace graphs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod engine;
-pub mod fix;
 pub mod graph;
 pub mod lexer;
 pub mod rules;
-pub mod sarif;
 pub mod syntax;
 
-pub use cache::fnv1a_128;
 pub use engine::{
-    analyze_source, lint_source, lint_texts, lint_workspace, render_baseline, render_human,
-    render_json, FileAnalysis, Finding, LintOptions, LintReport, Severity, BASELINE_FILE,
+    lint_source, lint_texts, lint_workspace, render_human, render_json, update_baseline, Finding,
+    LintOptions, LintReport, Severity, BASELINE_FILE,
 };
-pub use fix::{apply_fixes, FixOutcome};
-pub use sarif::render_sarif;

@@ -16,8 +16,6 @@ pub struct Rule {
     /// Kebab-case rule name, used in diagnostics, `allow(...)`, and the
     /// baseline file.
     pub name: &'static str,
-    /// One-line description, surfaced in SARIF rule metadata.
-    pub desc: &'static str,
     /// The check itself.
     pub check: fn(&FileCtx<'_>, &mut Vec<Finding>),
 }
@@ -28,8 +26,6 @@ pub struct Rule {
 pub struct WorkspaceRule {
     /// Kebab-case rule name.
     pub name: &'static str,
-    /// One-line description, surfaced in SARIF rule metadata.
-    pub desc: &'static str,
     /// The check itself.
     pub check: fn(&Workspace<'_>, &mut Vec<Finding>),
 }
@@ -38,49 +34,34 @@ pub struct WorkspaceRule {
 pub const ALL_RULES: &[Rule] = &[
     Rule {
         name: "panic-surface",
-        desc: "panicking call sites: .unwrap()/.expect(), panic!-family \
-               macros, slice indexing on the serve request path",
         check: panic_surface,
     },
     Rule {
         name: "determinism",
-        desc: "nondeterministic containers, wall clocks, and unseeded \
-               entropy sources",
         check: determinism,
     },
     Rule {
         name: "lock-discipline",
-        desc: "lock-poisoning panics and blocking I/O while a guard is \
-               held",
         check: lock_discipline,
     },
     Rule {
         name: "crate-hygiene",
-        desc: "crate roots must carry #![forbid(unsafe_code)] or \
-               #![deny(unsafe_code)]",
         check: crate_hygiene,
     },
     Rule {
         name: "unsafe-audit",
-        desc: "unsafe only in allowlisted modules, every block justified \
-               by a SAFETY: comment",
         check: unsafe_audit,
     },
     Rule {
         name: "hot-path-alloc",
-        desc: "unsized Vec growth; push after Vec::new() on measured hot \
-               paths",
         check: hot_path_alloc,
     },
     Rule {
         name: "blocking-in-event-loop",
-        desc: "calls that park the serve event-loop thread",
         check: blocking_in_event_loop,
     },
     Rule {
         name: "store-lock-discipline",
-        desc: "shared-store filesystem writes must go through ResultStore \
-               accessors",
         check: store_lock_discipline,
     },
 ];
@@ -89,27 +70,20 @@ pub const ALL_RULES: &[Rule] = &[
 pub const WORKSPACE_RULES: &[WorkspaceRule] = &[
     WorkspaceRule {
         name: "lock-order",
-        desc: "deadlock-risk cycles in the workspace lock-acquisition \
-               graph (mutexes and flock(2) named locks)",
         check: lock_order,
     },
     WorkspaceRule {
         name: "panic-reachability",
-        desc: "panic sites transitively reachable from the serve \
-               event.rs/conn.rs request path",
         check: panic_reachability,
     },
 ];
 
-/// The `&'static` spelling of a rule name, or `None` for an unknown
-/// rule. The incremental cache stores findings as text and needs to
-/// restore the `&'static str` the engine uses.
-pub fn static_rule_name(name: &str) -> Option<&'static str> {
+/// Every rule name, per-file rules first, in reporting order.
+pub fn rule_names() -> impl Iterator<Item = &'static str> {
     ALL_RULES
         .iter()
         .map(|r| r.name)
         .chain(WORKSPACE_RULES.iter().map(|r| r.name))
-        .find(|n| *n == name)
 }
 
 fn finding(

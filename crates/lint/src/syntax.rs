@@ -29,7 +29,7 @@
 use crate::lexer::{TokKind, Token};
 
 /// A call site inside a function body.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct CallSite {
     /// Simple (last-segment) callee name.
     pub callee: String,
@@ -51,7 +51,7 @@ pub struct LockSite {
 }
 
 /// Lock `second` acquired while `first`'s guard was live, in one body.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct OrderedPair {
     /// The lock already held.
     pub first: LockSite,
@@ -60,7 +60,7 @@ pub struct OrderedPair {
 }
 
 /// A call made while a lock guard was live.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct HeldCall {
     /// The held lock.
     pub lock: LockSite,
@@ -74,7 +74,7 @@ pub struct HeldCall {
 
 /// A potential panic site (what `panic-surface` flags), kept as a fact
 /// so reachability analysis can escalate it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct PanicSite {
     /// What can panic: `unwrap`, `expect`, `panic!`, `unreachable!`,
     /// `todo!`, `unimplemented!`, or `index`.
@@ -86,7 +86,7 @@ pub struct PanicSite {
 }
 
 /// Everything the workspace analyses need to know about one function.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default)]
 pub struct FnFacts {
     /// The function's simple name.
     pub name: String,
@@ -109,7 +109,7 @@ pub struct FnFacts {
 }
 
 /// The per-file fact set the graph pass consumes.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct FileFacts {
     /// Workspace-relative path, forward slashes.
     pub rel_path: String,

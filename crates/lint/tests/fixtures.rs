@@ -3,7 +3,7 @@
 //! suppressions, test-code exclusion, and the baseline behave.
 
 use tbstc_lint::engine::{lint_source_rules, LintOptions};
-use tbstc_lint::{lint_source, lint_workspace, Finding, Severity};
+use tbstc_lint::{lint_source, lint_workspace, update_baseline, Finding, Severity};
 
 fn rules_at(findings: &[Finding], rule: &str) -> Vec<(u32, u32)> {
     findings
@@ -416,9 +416,11 @@ fn f(x: Option<u32>) -> u32 { x.unwrap() }
 
 // --- workspace driver & baseline ----------------------------------------
 
-#[test]
-fn workspace_driver_applies_baseline_and_reports_stale() {
-    let dir = std::env::temp_dir().join(format!("tbstc-lint-fixture-{}", std::process::id()));
+/// A one-file workspace under the temp dir whose only finding is a
+/// `panic-surface` warning on line 3, with `baseline` as its
+/// `lint-baseline.txt`.
+fn demo_workspace(tag: &str, baseline: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("tbstc-lint-{tag}-{}", std::process::id()));
     let src_dir = dir.join("crates/demo/src");
     std::fs::create_dir_all(&src_dir).unwrap();
     std::fs::write(
@@ -426,19 +428,37 @@ fn workspace_driver_applies_baseline_and_reports_stale() {
         "#![forbid(unsafe_code)]\n//! Demo.\npub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
     )
     .unwrap();
-    std::fs::write(
-        dir.join("lint-baseline.txt"),
+    std::fs::write(dir.join("lint-baseline.txt"), baseline).unwrap();
+    dir
+}
+
+const DEMO_BASELINE: &str = "\
+panic-surface\tcrates/demo/src/lib.rs\tpub fn f(x: Option<u32>) -> u32 { x.unwrap() }
+panic-surface\tcrates/demo/src/gone.rs\tfixed long ago
+hot-path-alloc\tcrates/demo/src/gone.rs\tlet mut v = Vec::new();
+";
+
+fn only(rules: &[&str], root: &std::path::Path) -> LintOptions {
+    LintOptions {
+        root: root.to_path_buf(),
+        rules: Some(rules.iter().map(|r| r.to_string()).collect()),
+        baseline: None,
+    }
+}
+
+#[test]
+fn workspace_driver_applies_baseline_and_reports_stale() {
+    let dir = demo_workspace(
+        "fixture",
         "# comment\n\
          panic-surface\tcrates/demo/src/lib.rs\tpub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n\
          panic-surface\tcrates/demo/src/gone.rs\tstale entry\n",
-    )
-    .unwrap();
+    );
 
     let report = lint_workspace(&LintOptions {
         root: dir.clone(),
         rules: None,
         baseline: None,
-        cache: None,
     })
     .unwrap();
     assert_eq!(report.files_scanned, 1);
@@ -454,7 +474,6 @@ fn workspace_driver_applies_baseline_and_reports_stale() {
         root: dir.clone(),
         rules: None,
         baseline: None,
-        cache: None,
     })
     .unwrap();
     assert_eq!(report.findings.len(), 1);
@@ -466,52 +485,68 @@ fn workspace_driver_applies_baseline_and_reports_stale() {
 }
 
 #[test]
-fn incremental_cache_replays_warm_runs_and_invalidates_on_edit() {
-    let dir = std::env::temp_dir().join(format!("tbstc-lint-cache-e2e-{}", std::process::id()));
-    let src_dir = dir.join("crates/demo/src");
-    std::fs::create_dir_all(&src_dir).unwrap();
-    std::fs::write(
-        src_dir.join("lib.rs"),
-        "#![forbid(unsafe_code)]\n//! Demo.\npub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
-    )
+fn rule_filter_reports_stale_entries_only_for_rules_that_ran() {
+    let dir = demo_workspace("filter-stale", DEMO_BASELINE);
+
+    // The hot-path-alloc entry matched nothing only because its rule
+    // was filtered out; the stale panic-surface entry is still reported.
+    let report = lint_workspace(&only(&["panic-surface"], &dir)).unwrap();
+    assert_eq!(report.baselined.len(), 1);
+    assert_eq!(
+        report.stale_baseline,
+        ["panic-surface\tcrates/demo/src/gone.rs\tfixed long ago"]
+    );
+
+    let report = lint_workspace(&only(&["determinism"], &dir)).unwrap();
+    assert!(
+        report.stale_baseline.is_empty(),
+        "{:?}",
+        report.stale_baseline
+    );
+
+    // Unfiltered, both gone.rs entries are stale.
+    let report = lint_workspace(&LintOptions {
+        root: dir.clone(),
+        rules: None,
+        baseline: None,
+    })
     .unwrap();
-    let cache_path = dir.join("lint.cache");
+    assert_eq!(report.stale_baseline.len(), 2);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn unknown_rule_filter_is_an_error_naming_the_valid_rules() {
+    let dir = demo_workspace("filter-typo", DEMO_BASELINE);
+    let err = lint_workspace(&only(&["panic-surface", "panic-surfac"], &dir)).unwrap_err();
+    assert!(err.contains("`panic-surfac`"), "{err}");
+    for rule in tbstc_lint::rules::rule_names() {
+        assert!(err.contains(rule), "{rule} missing from: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn update_baseline_refuses_a_rule_filter_and_drops_stale_entries() {
+    let dir = demo_workspace("update-baseline", DEMO_BASELINE);
+    let baseline = dir.join("lint-baseline.txt");
+
+    let err = update_baseline(&only(&["panic-surface"], &dir)).unwrap_err();
+    assert!(err.contains("--rules"), "{err}");
+    assert_eq!(std::fs::read_to_string(&baseline).unwrap(), DEMO_BASELINE);
+
+    // Unfiltered, the rewrite keeps the live entry and drops both stale ones.
     let opts = LintOptions {
         root: dir.clone(),
         rules: None,
         baseline: None,
-        cache: Some(cache_path.clone()),
     };
-
-    let cold = lint_workspace(&opts).unwrap();
-    assert_eq!((cold.cache_hits, cold.cache_misses), (0, 1));
-    let stored = std::fs::read_to_string(&cache_path).unwrap();
-
-    let warm = lint_workspace(&opts).unwrap();
-    assert_eq!((warm.cache_hits, warm.cache_misses), (1, 0));
-    assert_eq!(warm.findings, cold.findings);
-    assert_eq!(warm.suppressed, cold.suppressed);
-    // A fully-warm run must not rewrite the store.
-    assert_eq!(std::fs::read_to_string(&cache_path).unwrap(), stored);
-
-    // Editing the file invalidates exactly it (and the workspace pass).
-    std::fs::write(
-        src_dir.join("lib.rs"),
-        "#![forbid(unsafe_code)]\n//! Demo.\npub fn f(x: Option<u32>) -> u32 { x.expect(\"y\") }\n",
-    )
-    .unwrap();
-    let edited = lint_workspace(&opts).unwrap();
-    assert_eq!((edited.cache_hits, edited.cache_misses), (0, 1));
-    assert!(edited
-        .findings
-        .iter()
-        .any(|f| f.message.contains(".expect()")));
-
-    // A corrupt store degrades to a cold run, never a wrong one.
-    std::fs::write(&cache_path, "garbage\n").unwrap();
-    let recovered = lint_workspace(&opts).unwrap();
-    assert_eq!((recovered.cache_hits, recovered.cache_misses), (0, 1));
-    assert_eq!(recovered.findings, edited.findings);
+    assert_eq!(update_baseline(&opts).unwrap(), 1);
+    let report = lint_workspace(&opts).unwrap();
+    assert_eq!(report.baselined.len(), 1);
+    assert!(report.stale_baseline.is_empty());
+    assert!(!report.fails(true));
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,8 +1,8 @@
 //! Fixture tests for the structural (workspace-level) analyses:
-//! `lock-order` cycle detection, `panic-reachability` classification,
-//! and the SARIF rendering golden.
+//! `lock-order` cycle detection and `panic-reachability`
+//! classification.
 
-use tbstc_lint::{lint_texts, render_sarif, Finding, LintReport, Severity};
+use tbstc_lint::{lint_texts, Finding, Severity};
 
 fn rule<'a>(findings: &'a [Finding], name: &str) -> Vec<&'a Finding> {
     findings.iter().filter(|f| f.rule == name).collect()
@@ -231,74 +231,4 @@ fn panic_reachability_needs_a_request_path_root() {
     let worker = "pub fn dispatch() { x.unwrap(); }\n";
     let findings = lint_texts(&[("crates/formats/src/codec.rs", worker)], None);
     assert!(rule(&findings, "panic-reachability").is_empty());
-}
-
-// --- SARIF golden -------------------------------------------------------
-
-#[test]
-fn sarif_output_matches_the_golden_fixture() {
-    let report = LintReport {
-        findings: vec![
-            Finding {
-                rule: "lock-order",
-                severity: Severity::Error,
-                path: "crates/serve/src/jobs.rs".to_string(),
-                line: 4,
-                col: 22,
-                message: "lock-order cycle Jobs.cancels -> Jobs.queue -> Jobs.cancels \
-                          risks deadlock"
-                    .to_string(),
-            },
-            Finding {
-                rule: "determinism",
-                severity: Severity::Warning,
-                path: "crates/core/src/spec.rs".to_string(),
-                line: 12,
-                col: 9,
-                message: "HashMap iteration order is nondeterministic; use BTreeMap".to_string(),
-            },
-        ],
-        baselined: vec![Finding {
-            rule: "panic-surface",
-            severity: Severity::Warning,
-            path: "crates/formats/src/ddc.rs".to_string(),
-            line: 7,
-            col: 15,
-            message: ".expect() can panic".to_string(),
-        }],
-        suppressed: 3,
-        files_scanned: 3,
-        stale_baseline: Vec::new(),
-        cache_hits: 0,
-        cache_misses: 3,
-    };
-    let got = render_sarif(&report);
-    let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/lint.sarif");
-    let want = std::fs::read_to_string(golden_path).expect("golden file present");
-    assert_eq!(got, want, "SARIF drifted from tests/golden/lint.sarif");
-}
-
-#[test]
-fn sarif_shape_is_2_1_0() {
-    let report = LintReport::default();
-    let s = render_sarif(&report);
-    assert!(s.contains("\"version\":\"2.1.0\""));
-    assert!(s.contains("sarif-schema-2.1.0.json"));
-    assert!(s.contains("\"tool\":{\"driver\":{\"name\":\"tbstc-lint\""));
-    // All ten rules are declared in the driver metadata.
-    for rule in [
-        "panic-surface",
-        "determinism",
-        "lock-discipline",
-        "crate-hygiene",
-        "unsafe-audit",
-        "hot-path-alloc",
-        "blocking-in-event-loop",
-        "store-lock-discipline",
-        "lock-order",
-        "panic-reachability",
-    ] {
-        assert!(s.contains(&format!("\"id\":\"{rule}\"")), "{rule} missing");
-    }
-    assert!(s.contains("\"results\":[]"));
 }

@@ -7,11 +7,9 @@
 //!   [`tbstc::jobspec::JobSpec::cache_key`] (32 hex chars of the
 //!   canonicalized spec) and `<kk>` is its first two hex chars — 256
 //!   shard subdirectories, so concurrent writers never contend on one
-//!   directory and listing stays cheap at millions of entries. Reads
-//!   fall back to the pre-shard flat `<key>.json` path, so caches
-//!   written by earlier versions keep hitting. The file holds the
-//!   *exact response body bytes*, so a hit across a process restart is
-//!   byte-identical to the original response.
+//!   directory and listing stays cheap at millions of entries. The
+//!   file holds the *exact response body bytes*, so a hit across a
+//!   process restart is byte-identical to the original response.
 //! * `memo.jsonl` — the serialized model-level memo cache: a version
 //!   header line, then one `{"bandwidth_gbps":..,"job":..,"result":..}`
 //!   entry per line, sorted for deterministic files. Checkpoint appends
@@ -172,27 +170,12 @@ impl ResultStore {
         Some(self.dir.join(shard).join(format!("{key}.json")))
     }
 
-    /// Pre-sharding flat path, still honored on reads so caches written
-    /// by earlier versions keep hitting.
-    fn legacy_path_for(&self, key: &str) -> Option<PathBuf> {
-        Self::valid_key(key).then(|| self.dir.join(format!("{key}.json")))
-    }
-
     /// Fetches the cached response body for `key`, validating that the
     /// bytes still parse as JSON. Corrupt entries log a warning and
     /// report a miss (the caller recomputes and overwrites).
     pub fn get(&self, key: &str) -> Option<String> {
         let path = self.path_for(key)?;
-        let body = match fs::read_to_string(&path) {
-            Ok(b) => b,
-            Err(_) => {
-                let legacy = self.legacy_path_for(key)?;
-                match fs::read_to_string(&legacy) {
-                    Ok(b) => b,
-                    Err(_) => return None,
-                }
-            }
-        };
+        let body = fs::read_to_string(&path).ok()?;
         if Json::parse(body.trim_end()).is_err() {
             eprintln!(
                 "tbstc-serve: warning: corrupt cache entry {} — recomputing",
@@ -703,15 +686,6 @@ mod tests {
             store.dir().join("ab").join(format!("{key}.json")).is_file(),
             "entry must live under its two-hex shard directory"
         );
-        let _ = fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
-    fn legacy_flat_entries_still_hit() {
-        let store = tmp_store("legacy");
-        let key = "cd0000000000000000000000000000aa";
-        fs::write(store.dir().join(format!("{key}.json")), "{\"old\":true}").unwrap();
-        assert_eq!(store.get(key).as_deref(), Some("{\"old\":true}"));
         let _ = fs::remove_dir_all(store.dir());
     }
 
