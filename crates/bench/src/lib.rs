@@ -9,7 +9,6 @@
 #![warn(missing_docs)]
 
 pub mod loadgen;
-pub mod perf;
 
 /// Prints a banner naming the experiment being regenerated.
 pub fn banner(id: &str, title: &str) {

@@ -18,9 +18,7 @@
 //!
 //! The report carries throughput (requests per second), the p50/p99/
 //! p999 latency percentiles, the failure count, and the observed cache
-//! hit rate. `tbstc-cli loadgen` wraps this as a subcommand; the perf
-//! harness uses it for the `loadgen_*` numbers in
-//! `BENCH_PR7.json`.
+//! hit rate. `tbstc-cli loadgen` wraps this as a subcommand.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;

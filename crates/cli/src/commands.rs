@@ -35,8 +35,6 @@ USAGE:
   tbstc-cli jobs     list|status|cancel|resume [KEY] [--addr 127.0.0.1:7878]
   tbstc-cli loadgen  [--addr HOST:PORT] [--connections 64] [--requests 512]
                      [--specs 16] [--zipf 1.1] [--seed 1] [--min-rps 0] [--json]
-  tbstc-cli perf     [--iters 20] [--seed 42] [--jobs N] [--out BENCH_PR10.json]
-                     [--loadgen-connections 1000] [--loadgen-requests 8000]
   tbstc-cli lint     [--deny-warnings] [--json] [--update-baseline]
                      [--rules a,b] [--root DIR]
   tbstc-cli table3
@@ -89,12 +87,6 @@ inline as `arch_spec` to a server) to simulate your own architecture.
 `--json` on simulate/sweep emits the same canonical machine-readable
 body the server returns, instead of the human tables.
 
-`perf` times the numeric hot paths (train step old vs new kernels,
-Algorithm-1 sparsify, layer simulation) plus the serve loopback
-(loadgen-driven throughput, latency percentiles, and cache hit-rate)
-and the workspace lint pass, and writes a JSON report to --out.
---jobs caps the GEMM worker pool (sets TBSTC_JOBS).
-
 `lint` runs the workspace's own static analyzer (tbstc-lint) over
 crates/*/src: eight per-file rules (panic-surface, determinism,
 lock-discipline, crate-hygiene, unsafe-audit, hot-path-alloc,
@@ -136,7 +128,6 @@ pub fn run(args: &ParsedArgs) -> Result<String, ArgError> {
         "submit" => submit(args),
         "jobs" => jobs_cmd(args),
         "loadgen" => loadgen(args),
-        "perf" => perf(args),
         "lint" => lint(args),
         "table3" => Ok(table3()),
         "models" => Ok(models()),
@@ -153,6 +144,13 @@ fn parse_arch(name: &str) -> Result<Arch, ArgError> {
 
 fn parse_model_spec(name: &str) -> Result<ModelSpec, ArgError> {
     tbstc::jobspec::model_from_name(name).ok_or_else(|| ArgError(format!("unknown model `{name}`")))
+}
+
+/// `--bandwidth` in GB/s, under the same rule job specs apply.
+fn parse_bandwidth(args: &ParsedArgs) -> Result<f64, ArgError> {
+    let gbps: f64 = args.num_or("bandwidth", 64.0)?;
+    tbstc::jobspec::checked_bandwidth(gbps)
+        .map_err(|_| ArgError(format!("--bandwidth {gbps} must be positive")))
 }
 
 fn parse_list<T>(
@@ -325,7 +323,7 @@ fn parse_arch_choice(args: &ParsedArgs) -> Result<ArchChoice, ArgError> {
 fn simulate(args: &ParsedArgs) -> Result<String, ArgError> {
     let choice = parse_arch_choice(args)?;
     let sparsity: f64 = args.num_or("sparsity", 0.75)?;
-    let bandwidth: f64 = args.num_or("bandwidth", 64.0)?;
+    let bandwidth = parse_bandwidth(args)?;
     let seed: u64 = args.num_or("seed", 0)?;
     if !(0.0..=1.0).contains(&sparsity) {
         return Err(ArgError("--sparsity must be in [0, 1]".into()));
@@ -482,7 +480,7 @@ fn sweep(args: &ParsedArgs) -> Result<String, ArgError> {
         return Err(ArgError("--sparsities must be in [0, 1]".into()));
     }
     let seed: u64 = args.num_or("seed", 0)?;
-    let bandwidth: f64 = args.num_or("bandwidth", 64.0)?;
+    let bandwidth = parse_bandwidth(args)?;
     let jobs_flag: usize = args.num_or("jobs", 0)?; // 0 = auto
     let verify = args.str_or("verify", "false") == "true";
 
@@ -904,6 +902,9 @@ fn loadgen(args: &ParsedArgs) -> Result<String, ArgError> {
             "--connections, --requests, and --specs must be at least 1".into(),
         ));
     }
+    if !zipf.is_finite() {
+        return Err(ArgError(format!("--zipf must be finite, got {zipf}")));
+    }
 
     let load = tbstc_bench::loadgen::LoadgenConfig {
         addr: args.str_or("addr", ""),
@@ -985,88 +986,6 @@ fn loadgen(args: &ParsedArgs) -> Result<String, ArgError> {
             report.rps
         )));
     }
-    Ok(out)
-}
-
-fn perf(args: &ParsedArgs) -> Result<String, ArgError> {
-    let iters: usize = args.num_or("iters", 20)?;
-    let seed: u64 = args.num_or("seed", 42)?;
-    let jobs: usize = args.num_or("jobs", 0)?; // 0 = auto
-    let loadgen_connections: usize = args.num_or("loadgen-connections", 1000)?;
-    let loadgen_requests: usize = args.num_or("loadgen-requests", 8000)?;
-    let out_path = args.str_or("out", "BENCH_PR10.json");
-    if iters == 0 {
-        return Err(ArgError("--iters must be at least 1".into()));
-    }
-    if jobs > 0 {
-        // The GEMM worker pool reads TBSTC_JOBS on each dispatch.
-        std::env::set_var(tbstc::runner::JOBS_ENV, jobs.to_string());
-    }
-
-    let report = tbstc_bench::perf::run(&tbstc_bench::perf::PerfConfig {
-        iters,
-        seed,
-        loadgen_connections,
-        loadgen_requests,
-    });
-    let json = report.to_json();
-    std::fs::write(&out_path, &json)
-        .map_err(|e| ArgError(format!("cannot write {out_path}: {e}")))?;
-
-    let mut out = String::new();
-    writeln!(
-        out,
-        "Perf harness: {iters} iters, {} workers (best-of timings)",
-        report.workers
-    )
-    .ok();
-    writeln!(
-        out,
-        "  train step      : old {:>9.1} us, new {:>9.1} us  ({:.2}x speedup)",
-        report.train_step_old.best_us, report.train_step_new.best_us, report.train_speedup
-    )
-    .ok();
-    writeln!(
-        out,
-        "  sparsify 128x128: {:>9.1} us",
-        report.sparsify.best_us
-    )
-    .ok();
-    writeln!(
-        out,
-        "  plan build      : {:>9.1} us",
-        report.plan_build.best_us
-    )
-    .ok();
-    writeln!(
-        out,
-        "  simulate layer  : {:>9.1} us",
-        report.simulate_layer.best_us
-    )
-    .ok();
-    writeln!(
-        out,
-        "  parallel GEMM bit-identical to serial: {}",
-        report.parallel_gemm_bit_identical
-    )
-    .ok();
-    writeln!(
-        out,
-        "  lint workspace  : {:>9.1} us (full static-analysis pass)",
-        report.lint.best_us
-    )
-    .ok();
-    writeln!(
-        out,
-        "  loadgen zipfian : {:>9.1} req/s over {} connections ({} failed; p99 {:.0} us, p999 {:.0} us)",
-        report.loadgen.rps,
-        report.loadgen.connections,
-        report.loadgen.failed,
-        report.loadgen.p99_us,
-        report.loadgen.p999_us
-    )
-    .ok();
-    writeln!(out, "  report written to {out_path}").ok();
     Ok(out)
 }
 
@@ -1220,6 +1139,23 @@ mod tests {
     }
 
     #[test]
+    fn bandwidth_must_be_finite_and_positive() {
+        let commands: [&[&str]; 4] = [
+            &["simulate", "--model", "bert"],
+            &["simulate", "--model", "bert", "--json"],
+            &["sweep", "--models", "gcn", "--archs", "tb-stc"],
+            &["sweep", "--models", "gcn", "--archs", "tb-stc", "--json"],
+        ];
+        for bad in ["0", "-3", "nan", "inf"] {
+            for command in commands {
+                let line = [command, &["--bandwidth", bad]].concat();
+                let err = run_line(&line).unwrap_err();
+                assert!(err.0.contains("--bandwidth"), "{line:?}: {}", err.0);
+            }
+        }
+    }
+
+    #[test]
     fn stray_positionals_are_rejected() {
         assert!(run_line(&["prune", "stray"]).is_err());
         assert!(run_line(&["simulate", "tb-stc"]).is_err());
@@ -1348,36 +1284,6 @@ mod tests {
     #[test]
     fn unknown_command_errors() {
         assert!(run_line(&["frobnicate"]).is_err());
-    }
-
-    #[test]
-    fn perf_writes_report_and_summary() {
-        let path = std::env::temp_dir().join("tbstc_cli_perf_test.json");
-        let path_str = path.to_str().unwrap().to_string();
-        let out = run_line(&[
-            "perf",
-            "--iters",
-            "1",
-            "--seed",
-            "1",
-            "--loadgen-connections",
-            "8",
-            "--loadgen-requests",
-            "64",
-            "--out",
-            &path_str,
-        ])
-        .unwrap();
-        assert!(out.contains("speedup"), "{out}");
-        assert!(out.contains("parallel GEMM bit-identical to serial: true"));
-        let json = std::fs::read_to_string(&path).unwrap();
-        assert!(json.contains("\"train_speedup\""));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn perf_rejects_zero_iters() {
-        assert!(run_line(&["perf", "--iters", "0"]).is_err());
     }
 
     #[test]
@@ -1546,6 +1452,14 @@ mod tests {
     fn loadgen_rejects_zero_knobs() {
         assert!(run_line(&["loadgen", "--connections", "0"]).is_err());
         assert!(run_line(&["loadgen", "--requests", "0"]).is_err());
+    }
+
+    #[test]
+    fn loadgen_rejects_a_non_finite_zipf_exponent() {
+        for bad in ["nan", "inf", "-inf"] {
+            let err = run_line(&["loadgen", "--zipf", bad]).unwrap_err();
+            assert!(err.0.contains("--zipf must be finite"), "{bad}: {}", err.0);
+        }
     }
 
     #[test]

@@ -165,6 +165,22 @@ fn parse_arch_id_value(v: &Json) -> Result<ArchId, Error> {
     })
 }
 
+/// Validates an off-chip bandwidth in GB/s: it must be finite and
+/// positive. Job specs and the CLI's `--bandwidth` share this rule.
+///
+/// # Errors
+///
+/// [`Error::InvalidSpec`] for a non-finite, zero or negative value.
+pub fn checked_bandwidth(gbps: f64) -> Result<f64, Error> {
+    if gbps.is_finite() && gbps > 0.0 {
+        Ok(gbps)
+    } else {
+        Err(Error::InvalidSpec(format!(
+            "bandwidth_gbps {gbps} must be positive"
+        )))
+    }
+}
+
 fn parse_sparsity(v: &Json) -> Result<f64, Error> {
     let s = v
         .as_f64()
@@ -195,14 +211,6 @@ impl ArchChoice {
         match self {
             ArchChoice::Builtin(a) => a.canonical_name(),
             ArchChoice::Custom(spec) => &spec.name,
-        }
-    }
-
-    /// The builtin, when this is one.
-    pub fn builtin(&self) -> Option<Arch> {
-        match self {
-            ArchChoice::Builtin(a) => Some(*a),
-            ArchChoice::Custom(_) => None,
         }
     }
 }
@@ -277,17 +285,10 @@ impl JobSpec {
             .ok_or_else(|| Error::InvalidSpec("job needs a `type` (simulate|sweep)".into()))?;
         let bandwidth_gbps = match v.get("bandwidth_gbps") {
             None => DEFAULT_BANDWIDTH_GBPS,
-            Some(j) => {
-                let b = j
-                    .as_f64()
-                    .ok_or_else(|| Error::InvalidSpec("bandwidth_gbps must be a number".into()))?;
-                if !b.is_finite() || b <= 0.0 {
-                    return Err(Error::InvalidSpec(format!(
-                        "bandwidth_gbps {b} must be positive"
-                    )));
-                }
-                b
-            }
+            Some(j) => checked_bandwidth(
+                j.as_f64()
+                    .ok_or_else(|| Error::InvalidSpec("bandwidth_gbps must be a number".into()))?,
+            )?,
         };
         let seed_of = |j: Option<&Json>| -> Result<u64, Error> {
             match j {
@@ -855,7 +856,7 @@ mod tests {
             panic!("wrong variant");
         };
         assert_eq!(s.arch.canonical_name(), "tb-stc");
-        assert_eq!(s.arch.builtin(), None);
+        assert!(matches!(s.arch, ArchChoice::Custom(_)));
 
         // Canonical round-trip through the document form.
         let back = JobSpec::from_json(&spec.canonical_json()).unwrap();

@@ -440,7 +440,7 @@ fn unsafe_audit(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 // --- hot-path-alloc -----------------------------------------------------
 
 /// Files on the simulator's measured hot path, where incremental `Vec`
-/// growth shows up directly in the perf-harness numbers.
+/// growth shows up directly in the benchmark's per-stage times.
 const HOT_PATHS: &[&str] = &["crates/sim/src/plan.rs", "crates/matrix/src/gemm.rs"];
 
 /// `Vec::new()` anywhere (warning; pre-existing debt lives in the

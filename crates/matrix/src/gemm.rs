@@ -261,10 +261,10 @@ pub fn matmul_transb_into(a: &Matrix, b: &Matrix, out: &mut Matrix, scratch: &mu
 /// [`matmul_transb_into`] with an explicit worker count instead of the
 /// size-threshold heuristic.
 ///
-/// Exposed so determinism tests and the perf harness can pin the worker
-/// count; `workers <= 1` runs inline on the caller's thread. `A` is packed
-/// once (serially) before the panels are dispatched, so every worker reads
-/// the same packed tiles.
+/// Exposed so determinism tests can pin the worker count; `workers <= 1`
+/// runs inline on the caller's thread. `A` is packed once (serially)
+/// before the panels are dispatched, so every worker reads the same
+/// packed tiles.
 ///
 /// # Panics
 ///

@@ -265,18 +265,6 @@ impl SweepRunner {
         })
     }
 
-    /// Warms the model memo with `jobs` in one batched, deduplicated
-    /// pass — the serving-side coalescing entry point: a window of
-    /// independent `simulate` requests becomes a single [`Self::run_models`]
-    /// call, so `BlockPlan` batching and worker-pool amortization pay
-    /// off across requests, after which each request's own
-    /// [`Self::model`] lookup is a pure memo hit. Returns how many jobs
-    /// were actually computed (the rest were memo hits or in-batch
-    /// duplicates).
-    pub fn warm_models(&self, jobs: &[SimJob]) -> usize {
-        self.run_models(jobs).stats.unique_jobs
-    }
-
     /// Simulates one model-level job (through the same cache).
     pub fn model(&self, job: SimJob) -> ModelResult {
         self.run_models(std::slice::from_ref(&job))

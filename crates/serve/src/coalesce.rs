@@ -1,19 +1,12 @@
-//! Request coalescing: single-flight per content address, plus
-//! batching of small `simulate` jobs into one engine pass.
+//! Request coalescing: single-flight per content address.
 //!
-//! The dispatcher sits between the event loop and the engine:
-//!
-//! * **Single-flight** — a spec is identified by its FNV-1a-128
-//!   content address ([`tbstc::jobspec::JobSpec::cache_key`]). While a
-//!   key is queued or executing, further requests for the same key
-//!   *attach as waiters* instead of taking admission slots; one
-//!   execution fans its response out to every waiter.
-//! * **Batching** — when a worker picks up a job, it drains every other
-//!   queued `simulate` job with the same bandwidth configuration into
-//!   one batch (up to [`MAX_BATCH`]) and warms them through a single
-//!   `SweepRunner::run_models` call, so PR 6's `BlockPlan` batching
-//!   amortizes across independent HTTP requests. Sweeps run singly —
-//!   they are already internally batched.
+//! The dispatcher sits between the event loop and the engine. A spec
+//! is identified by its FNV-1a-128 content address
+//! ([`tbstc::jobspec::JobSpec::cache_key`]). While a key is queued or
+//! executing, further requests for the same key *attach as waiters*
+//! instead of taking admission slots; one execution fans its response
+//! out to every waiter. Workers pick up distinct jobs one at a time in
+//! FIFO order.
 //!
 //! Workers are plain threads (this module is *not* on the event loop's
 //! no-blocking path); responses travel back via
@@ -30,9 +23,6 @@ use crate::event::{Completion, Completions, Token};
 use crate::http::Response;
 use crate::queue::{AdmissionQueue, OwnedTicket};
 
-/// Maximum queued `simulate` jobs drained into one engine batch.
-pub const MAX_BATCH: usize = 32;
-
 /// A deduplicated job handed to the executor.
 #[derive(Debug)]
 pub struct QueuedJob {
@@ -42,12 +32,11 @@ pub struct QueuedJob {
     pub spec: JobSpec,
 }
 
-/// Executes batches of deduplicated specs. Implemented by the server
-/// (engine + store + metrics) and by test fakes; must return exactly
-/// one response per job, in order.
+/// Executes one deduplicated spec. Implemented by the server (engine +
+/// store + metrics) and by test fakes.
 pub trait BatchExecutor: Send + Sync {
-    /// Runs `jobs` and returns one response per entry.
-    fn execute(&self, jobs: &[QueuedJob]) -> Vec<Response>;
+    /// Runs `job` and returns its response.
+    fn execute(&self, job: &QueuedJob) -> Response;
 }
 
 /// Called once per delivered waiter with the response and the waiter's
@@ -71,8 +60,6 @@ struct PendingJob {
     spec: JobSpec,
     waiters: Vec<(Token, Instant)>,
     ticket: OwnedTicket,
-    batchable: bool,
-    bandwidth_bits: u64,
 }
 
 #[derive(Default)]
@@ -108,7 +95,7 @@ pub struct Dispatcher {
 
 impl Dispatcher {
     /// Starts `workers` worker threads. `hold` artificially extends
-    /// each pickup (the `--hold-ms` testing knob); `finish` is invoked
+    /// each job (the `--hold-ms` testing knob); `finish` is invoked
     /// once per delivered waiter.
     pub fn start(
         workers: usize,
@@ -165,16 +152,12 @@ impl Dispatcher {
         let Some(ticket) = queue.try_enter_owned() else {
             return Enqueue::Rejected;
         };
-        let batchable = matches!(spec, JobSpec::Simulate(_));
-        let bandwidth_bits = spec.bandwidth_gbps().to_bits();
         s.queued.insert(
             key.to_string(),
             PendingJob {
                 spec,
                 waiters: vec![(token, started)],
                 ticket,
-                batchable,
-                bandwidth_bits,
             },
         );
         s.order.push_back(key.to_string());
@@ -203,113 +186,60 @@ impl Dispatcher {
     }
 }
 
-/// One worker: pick up a batch, execute, deliver, repeat.
+/// One worker: pick up the FIFO head, execute, deliver, repeat.
 fn worker_loop(inner: &Inner) {
-    loop {
-        let Some(pickup) = next_batch(inner) else {
-            return;
-        };
-        run_batch(inner, pickup);
+    while let Some((job, ticket)) = next_job(inner) {
+        run_job(inner, job, ticket);
     }
 }
 
-struct Pickup {
-    jobs: Vec<QueuedJob>,
-    tickets: Vec<OwnedTicket>,
-}
-
 /// Blocks until work is queued (or the dispatcher closes and drains),
-/// then drains one batch: the FIFO head plus, if it is a `simulate`,
-/// every other queued `simulate` with the same bandwidth bits.
-fn next_batch(inner: &Inner) -> Option<Pickup> {
+/// then moves the FIFO head from queued to in-flight.
+fn next_job(inner: &Inner) -> Option<(QueuedJob, OwnedTicket)> {
     let mut s = inner.guard();
-    let lead_key = loop {
+    loop {
         if let Some(key) = s.order.pop_front() {
-            break key;
+            // Every ordered key is queued; skip one that is not rather
+            // than stall the worker.
+            let Some(pending) = s.queued.remove(&key) else {
+                continue;
+            };
+            s.inflight.insert(key.clone(), pending.waiters);
+            let job = QueuedJob {
+                key,
+                spec: pending.spec,
+            };
+            return Some((job, pending.ticket));
         }
         if s.closed {
             return None;
         }
         s = inner.cv.wait(s).unwrap_or_else(PoisonError::into_inner);
-    };
-    let Some(lead) = s.queued.remove(&lead_key) else {
-        // Key vanished (should not happen); retry from the top.
-        drop(s);
-        return next_batch(inner);
-    };
-    let mut jobs = Vec::with_capacity(4);
-    let mut tickets = Vec::with_capacity(4);
-    let batch_bits = lead.batchable.then_some(lead.bandwidth_bits);
-    s.inflight.insert(lead_key.clone(), lead.waiters);
-    jobs.push(QueuedJob {
-        key: lead_key,
-        spec: lead.spec,
-    });
-    tickets.push(lead.ticket);
-    if let Some(bits) = batch_bits {
-        let mut keep: VecDeque<String> = VecDeque::with_capacity(s.order.len());
-        while let Some(key) = s.order.pop_front() {
-            if jobs.len() >= MAX_BATCH {
-                keep.push_back(key);
-                continue;
-            }
-            let joins = s
-                .queued
-                .get(&key)
-                .is_some_and(|p| p.batchable && p.bandwidth_bits == bits);
-            if !joins {
-                keep.push_back(key);
-                continue;
-            }
-            let Some(p) = s.queued.remove(&key) else {
-                continue;
-            };
-            s.inflight.insert(key.clone(), p.waiters);
-            jobs.push(QueuedJob { key, spec: p.spec });
-            tickets.push(p.ticket);
-        }
-        s.order = keep;
     }
-    drop(s);
-    Some(Pickup { jobs, tickets })
 }
 
-/// Executes a pickup and fans responses out to every waiter.
-fn run_batch(inner: &Inner, mut pickup: Pickup) {
-    // Only the lead ticket takes a worker slot: the whole batch is one
-    // engine pass, and follower tickets beginning would deadlock a
-    // single-worker queue against itself.
-    if let Some(lead) = pickup.tickets.first_mut() {
-        lead.begin();
-    }
+/// Executes one job and fans its response out to every waiter.
+fn run_job(inner: &Inner, job: QueuedJob, mut ticket: OwnedTicket) {
+    ticket.begin();
     if !inner.hold.is_zero() {
         thread::sleep(inner.hold);
     }
-    let mut responses = inner.executor.execute(&pickup.jobs);
-    while responses.len() < pickup.jobs.len() {
-        responses
-            .push(Response::new(500).json("{\"error\":\"executor returned too few responses\"}"));
-    }
-    let mut delivery: Vec<Completion> = Vec::with_capacity(pickup.jobs.len());
-    {
-        let mut s = inner.guard();
-        for (job, response) in pickup.jobs.iter().zip(responses) {
-            let Some(waiters) = s.inflight.remove(&job.key) else {
-                continue;
-            };
-            for (token, started) in waiters {
-                (inner.finish)(&response, started.elapsed());
-                delivery.push(Completion {
-                    token,
-                    response: response.clone(),
-                });
+    let response = inner.executor.execute(&job);
+    let waiters = inner.guard().inflight.remove(&job.key).unwrap_or_default();
+    let delivery: Vec<Completion> = waiters
+        .into_iter()
+        .map(|(token, started)| {
+            (inner.finish)(&response, started.elapsed());
+            Completion {
+                token,
+                response: response.clone(),
             }
-        }
-    }
+        })
+        .collect();
     inner.completions.push_all(delivery);
-    // Tickets drop here: admission capacity is released only after the
-    // responses are queued for delivery.
-    drop(pickup.tickets);
+    // The ticket drops here: admission capacity is released only after
+    // the responses are queued for delivery.
+    drop(ticket);
     inner.cv.notify_all();
 }
 
@@ -336,25 +266,23 @@ mod tests {
     /// Executor that blocks until released, recording every call.
     struct GatedExec {
         calls: AtomicUsize,
-        batch_sizes: Mutex<Vec<usize>>,
+        keys: Mutex<Vec<String>>,
         gate: Mutex<mpsc::Receiver<()>>,
     }
 
     impl BatchExecutor for GatedExec {
-        fn execute(&self, jobs: &[QueuedJob]) -> Vec<Response> {
+        fn execute(&self, job: &QueuedJob) -> Response {
             self.calls.fetch_add(1, Ordering::SeqCst);
-            self.batch_sizes
+            self.keys
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
-                .push(jobs.len());
+                .push(job.key.clone());
             let _ = self
                 .gate
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .recv_timeout(Duration::from_secs(5));
-            jobs.iter()
-                .map(|j| Response::new(200).text(format!("done:{}\n", j.key)))
-                .collect()
+            Response::new(200).text(format!("done:{}\n", job.key))
         }
     }
 
@@ -372,7 +300,7 @@ mod tests {
         let (gate_tx, gate_rx) = mpsc::channel();
         let exec = Arc::new(GatedExec {
             calls: AtomicUsize::new(0),
-            batch_sizes: Mutex::new(Vec::new()),
+            keys: Mutex::new(Vec::new()),
             gate: Mutex::new(gate_rx),
         });
         let queue = Arc::new(AdmissionQueue::new(capacity, workers));
@@ -437,7 +365,7 @@ mod tests {
     }
 
     #[test]
-    fn distinct_simulate_jobs_batch_into_one_pickup() {
+    fn distinct_jobs_run_one_call_each_in_fifo_order() {
         let (dispatcher, queue, exec, gate) = harness(1, 16);
         let blocker = spec(999);
         let key_b = blocker.cache_key();
@@ -445,6 +373,7 @@ mod tests {
         wait_until(2000, || exec.calls.load(Ordering::SeqCst) == 1);
 
         // Four distinct specs queue behind the blocker.
+        let mut expected = vec![key_b];
         for seed in 0..4 {
             let s = spec(seed);
             let key = s.cache_key();
@@ -452,17 +381,18 @@ mod tests {
                 dispatcher.submit(&queue, &key, s, token(), Instant::now()),
                 Enqueue::Queued
             );
+            expected.push(key);
         }
-        gate.send(()).expect("release blocker");
-        wait_until(2000, || exec.calls.load(Ordering::SeqCst) == 2);
-        gate.send(()).expect("release batch");
+        for _ in 0..expected.len() {
+            gate.send(()).expect("release one job");
+        }
         wait_until(2000, || dispatcher.depth() == 0);
-        let sizes = exec
-            .batch_sizes
+        let keys = exec
+            .keys
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .clone();
-        assert_eq!(sizes, vec![1, 4], "four queued jobs must form one batch");
+        assert_eq!(keys, expected, "one call per job, in submission order");
         dispatcher.close_and_join();
         queue.wait_idle();
     }

@@ -14,8 +14,7 @@
 //!   turns overload into `429 Too Many Requests` + `Retry-After` instead
 //!   of unbounded memory growth; in-flight jobs are never dropped.
 //! * **Coalescing** — identical in-flight specs share one execution
-//!   (single-flight keyed by the content address), and same-bandwidth
-//!   `simulate` jobs batch into one engine pass ([`coalesce`]).
+//!   (single-flight keyed by the content address, [`coalesce`]).
 //! * **Persistent, content-addressed results** — the response body for a
 //!   job is stored under a hash of its canonicalized spec
 //!   ([`store::ResultStore`], sharded by key prefix on disk), with a

@@ -41,8 +41,6 @@ pub struct Metrics {
     /// Requests that attached to an identical in-flight job
     /// (single-flight coalescing) instead of executing.
     pub jobs_coalesced: AtomicU64,
-    /// Simulate jobs that rode in a multi-job engine batch.
-    pub jobs_batched: AtomicU64,
     /// Long jobs accepted 202 into the durable queue.
     pub jobs_accepted: AtomicU64,
     /// Durable jobs cancelled before completion.
@@ -83,7 +81,6 @@ impl Metrics {
             mem_hits: AtomicU64::new(0),
             jobs_executed: AtomicU64::new(0),
             jobs_coalesced: AtomicU64::new(0),
-            jobs_batched: AtomicU64::new(0),
             jobs_accepted: AtomicU64::new(0),
             jobs_cancelled: AtomicU64::new(0),
             jobs_resumed: AtomicU64::new(0),
@@ -193,11 +190,6 @@ impl Metrics {
             "tbstc_jobs_coalesced_total",
             "Requests that shared an identical in-flight execution.",
             &[("", load(&self.jobs_coalesced))],
-        );
-        counter(
-            "tbstc_jobs_batched_total",
-            "Simulate jobs executed as part of a multi-job engine batch.",
-            &[("", load(&self.jobs_batched))],
         );
         counter(
             "tbstc_jobs_cancelled_total",
@@ -321,7 +313,6 @@ mod tests {
         m.mem_hits.fetch_add(4, Ordering::Relaxed);
         m.jobs_executed.fetch_add(7, Ordering::Relaxed);
         m.jobs_coalesced.fetch_add(8, Ordering::Relaxed);
-        m.jobs_batched.fetch_add(9, Ordering::Relaxed);
         m.jobs_accepted.fetch_add(12, Ordering::Relaxed);
         m.jobs_cancelled.fetch_add(13, Ordering::Relaxed);
         m.jobs_resumed.fetch_add(14, Ordering::Relaxed);
@@ -341,7 +332,6 @@ mod tests {
         assert!(text.contains("tbstc_cache_hits_total{tier=\"mem\"} 4"));
         assert!(text.contains("tbstc_jobs_executed_total 7"));
         assert!(text.contains("tbstc_jobs_coalesced_total 8"));
-        assert!(text.contains("tbstc_jobs_batched_total 9"));
         assert!(text.contains("tbstc_jobs_total{outcome=\"accepted\"} 12"));
         assert!(text.contains("tbstc_jobs_cancelled_total 13"));
         assert!(text.contains("tbstc_jobs_resumed_total 14"));

@@ -16,9 +16,9 @@
 //!    ([`crate::coalesce`]): an identical in-flight spec shares its
 //!    execution (single-flight); a full admission queue is 429 with a
 //!    `Retry-After` estimate,
-//! 4. workers drain same-bandwidth `simulate` jobs into one batched
-//!    [`SweepRunner`] pass, persist each body, and answer
-//!    `X-Cache: miss` through the completion queue.
+//! 4. a worker picks up the FIFO head, runs it on the
+//!    bandwidth-matched [`SweepRunner`], persists the body, and answers
+//!    every waiter `X-Cache: miss` through the completion queue.
 //!
 //! Shutdown (SIGTERM/ctrl-c via [`crate::signal`], or
 //! [`Handle::shutdown`]) stops accepting, drains in-flight jobs,
@@ -1017,67 +1017,16 @@ fn finish_cancel(state: &Arc<State>, key: &str, status: &JobStatus) {
     state.metrics.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
 }
 
-/// The dispatcher's executor: runs deduplicated batches on the
-/// bandwidth-matched engines and persists each result.
+/// The dispatcher's executor: runs one deduplicated job on the
+/// bandwidth-matched engine and persists its result.
 struct EngineExecutor {
     state: Arc<State>,
 }
 
 impl BatchExecutor for EngineExecutor {
-    fn execute(&self, jobs: &[QueuedJob]) -> Vec<Response> {
-        self.warm_batches(jobs);
-        jobs.iter().map(|job| self.run_one(job)).collect()
-    }
-}
-
-impl EngineExecutor {
-    /// Warms multi-job `simulate` groups through one batched
-    /// `SweepRunner` pass per bandwidth, so each job's own execution
-    /// below is a pure memo hit. A panic inside the warm pass is
-    /// swallowed — the per-job run reports it properly.
-    fn warm_batches(&self, jobs: &[QueuedJob]) {
-        if jobs.len() < 2 {
-            return;
-        }
-        let mut groups: BTreeMap<u64, Vec<SimJob>> = BTreeMap::new();
-        for job in jobs {
-            if let JobSpec::Simulate(s) = &job.spec {
-                // Inline-spec jobs have no builtin memo key; they run
-                // individually through the interpreter in `run_one`.
-                let Some(arch) = s.arch.builtin() else {
-                    continue;
-                };
-                groups
-                    .entry(s.bandwidth_gbps.to_bits())
-                    .or_default()
-                    .push(SimJob {
-                        arch,
-                        model: s.model,
-                        sparsity: s.sparsity,
-                        seed: s.seed,
-                    });
-            }
-        }
-        for (bits, sims) in groups {
-            if sims.len() < 2 {
-                continue;
-            }
-            let Ok(engine) = self.state.engine_for(f64::from_bits(bits)) else {
-                continue;
-            };
-            let warmed = catch_unwind(AssertUnwindSafe(|| engine.warm_models(&sims))).unwrap_or(0);
-            if warmed > 0 {
-                self.state
-                    .metrics
-                    .jobs_batched
-                    .fetch_add(sims.len() as u64, Ordering::Relaxed);
-            }
-        }
-    }
-
     /// Executes one deduplicated job: fleet-wide claim, engine lookup,
     /// guarded execution, persistence into both cache tiers.
-    fn run_one(&self, job: &QueuedJob) -> Response {
+    fn execute(&self, job: &QueuedJob) -> Response {
         let state = &self.state;
         // Claim the key across every process sharing the store — the
         // cross-process face of single-flight. Waiting is bounded by

@@ -352,3 +352,56 @@ fn sweep_jobs_cache_and_memo_persists_across_restart() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn distinct_cold_simulates_execute_singly_without_memo_hits() {
+    use tbstc::jobspec::{JobSpec, DEFAULT_BANDWIDTH_GBPS};
+    use tbstc::runner::SweepRunner;
+    use tbstc::sim::HwConfig;
+
+    let dir = tmp_dir("single");
+    let running = Server::bind(ServeConfig {
+        job_workers: 1,
+        hold_ms: 300, // the first job holds the worker while the rest queue
+        ..cfg(&dir)
+    })
+    .unwrap()
+    .spawn()
+    .unwrap();
+    let addr = running.addr.to_string();
+
+    let specs: Vec<String> = (0..4)
+        .map(|seed| {
+            format!(
+                r#"{{"type":"simulate","arch":"tb-stc","model":{{"kind":"gcn","nodes":64,"features":16}},"sparsity":0.5,"seed":{seed}}}"#
+            )
+        })
+        .collect();
+    let clients: Vec<_> = specs
+        .iter()
+        .map(|body| {
+            let (addr, body) = (addr.clone(), body.clone());
+            std::thread::spawn(move || request(&addr, "POST", "/v1/jobs", Some(&body)).unwrap())
+        })
+        .collect();
+    let engine = SweepRunner::new(HwConfig::with_bandwidth_gbps(DEFAULT_BANDWIDTH_GBPS));
+    for (body, client) in specs.iter().zip(clients) {
+        let resp = client.join().unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        let expected = JobSpec::from_json(body).unwrap().execute(&engine);
+        assert_eq!(
+            resp.body,
+            format!("{expected}\n"),
+            "served bytes = direct execution"
+        );
+    }
+
+    let metrics = request(&addr, "GET", "/metrics", None).unwrap().body;
+    assert!(metrics.contains("tbstc_jobs_executed_total 4"), "{metrics}");
+    assert!(
+        metrics.contains("tbstc_cache_hits_total{tier=\"memo\"} 0"),
+        "cold executions are not memo hits: {metrics}"
+    );
+    running.shutdown_and_join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
