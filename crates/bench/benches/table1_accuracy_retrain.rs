@@ -9,7 +9,7 @@
 //! Tasks are capacity-bound teacher–student proxies (DESIGN.md explains
 //! the substitution); each cell averages over seeds.
 
-use tbstc::prelude::*;
+use tbstc::runner::{available_workers, parallel_map};
 use tbstc::sparsity::PatternKind;
 use tbstc::train::sparse::SparseTrainer;
 use tbstc_bench::{banner, paper_vs_measured, proxy_task, section, student_config};
@@ -81,7 +81,7 @@ fn main() {
                 .flat_map(move |&kind| (0..SEEDS).map(move |s| (ti, kind, s)))
         })
         .collect();
-    let report = Runner::new().run(&jobs, |&(ti, kind, s)| {
+    let accuracies = parallel_map(&jobs, available_workers(), |_, &(ti, kind, s)| {
         let task = &all_tasks[ti];
         let data = proxy_task(task.classes, task.seed + s);
         let sp = if kind == PatternKind::Dense {
@@ -93,7 +93,7 @@ fn main() {
         SparseTrainer::new(cfg).train(&data).test_accuracy
     });
 
-    let mut cell = report.results.iter();
+    let mut cell = accuracies.iter().map(|(acc, _)| acc);
     for task in &all_tasks {
         print!(
             "{:<24}",

@@ -2,7 +2,7 @@
 //! iso-accuracy sparsity selection (the Fig. 13 protocol) and Pareto
 //! frontiers (Fig. 1).
 
-use tbstc_runner::Runner;
+use tbstc_runner::{parallel_map, Runner};
 use tbstc_sparsity::PatternKind;
 use tbstc_train::sparse::{SparseTrainer, TrainConfig};
 use tbstc_train::Dataset;
@@ -45,14 +45,16 @@ impl AccuracyCurve {
         sparsities: &[f64],
         base: &TrainConfig,
     ) -> Self {
-        let report = runner.run(sparsities, |&s| {
+        let mut points: Vec<(f64, f64)> = parallel_map(sparsities, runner.workers(), |_, &s| {
             let mut cfg = base.clone();
             cfg.pattern = pattern;
             cfg.sparsity = s;
             let rec = SparseTrainer::new(cfg).train(data);
             (s, rec.test_accuracy)
-        });
-        let mut points = report.results;
+        })
+        .into_iter()
+        .map(|(point, _)| point)
+        .collect();
         points.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
         AccuracyCurve { pattern, points }
     }

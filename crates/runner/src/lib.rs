@@ -41,6 +41,7 @@
 pub mod memo;
 pub mod pool;
 pub mod runner;
+mod siblings;
 pub mod sweep;
 
 pub use memo::Memo;

@@ -11,12 +11,11 @@ use crate::pool::{available_workers, parallel_map};
 /// Determinism guarantee: each job's result is a pure function of the job
 /// description (each job owns its seed), results are assembled in input
 /// order, and repeated jobs are deduplicated *before* execution — so the
-/// output of [`Runner::run`]/[`Runner::run_memo`] is bit-identical for
-/// any worker count, including the serial `workers = 1` path.
+/// output of [`Runner::run_memo`] is bit-identical for any worker count,
+/// including the serial `workers = 1` path.
 #[derive(Debug, Clone)]
 pub struct Runner {
     workers: usize,
-    progress: bool,
 }
 
 impl Default for Runner {
@@ -31,16 +30,12 @@ impl Runner {
     pub fn new() -> Self {
         Runner {
             workers: available_workers(),
-            progress: false,
         }
     }
 
     /// A single-threaded runner (the reference for determinism checks).
     pub fn serial() -> Self {
-        Runner {
-            workers: 1,
-            progress: false,
-        }
+        Runner { workers: 1 }
     }
 
     /// Overrides the worker count (min 1).
@@ -49,53 +44,9 @@ impl Runner {
         self
     }
 
-    /// Enables per-job progress lines on stderr.
-    pub fn progress(mut self, on: bool) -> Self {
-        self.progress = on;
-        self
-    }
-
     /// The worker count this runner schedules onto.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Runs every job (no deduplication), returning results in input
-    /// order plus timing stats.
-    pub fn run<T, R, F>(&self, jobs: &[T], f: F) -> RunReport<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        let start = Instant::now();
-        let n = jobs.len();
-        let done = std::sync::atomic::AtomicUsize::new(0);
-        let timed = parallel_map(jobs, self.workers, |_, job| {
-            let r = f(job);
-            if self.progress {
-                let k = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-                eprintln!("  [{k:>4}/{n}] job done");
-            }
-            r
-        });
-        let mut results = Vec::with_capacity(n);
-        let mut job_wall = Vec::with_capacity(n);
-        for (r, d) in timed {
-            results.push(r);
-            job_wall.push(d);
-        }
-        RunReport {
-            results,
-            stats: RunStats {
-                jobs: n,
-                unique_jobs: n,
-                cache_hits: 0,
-                workers: self.workers,
-                wall: start.elapsed(),
-                job_wall,
-            },
-        }
     }
 
     /// Runs jobs through a [`Memo`]: repeated keys (within the batch or
@@ -106,6 +57,32 @@ impl Runner {
         K: Eq + Hash + Clone + Sync,
         R: Clone + Send,
         F: Fn(&K) -> R + Sync,
+    {
+        self.run_memo_batch(jobs, memo, |fresh| {
+            parallel_map(fresh, self.workers, |_, job| f(job))
+        })
+    }
+
+    /// [`Runner::run_memo`] with the fresh keys computed by one `batch`
+    /// call instead of one call per key, so the batch can share work
+    /// between keys. `batch` receives the fresh keys in first-seen order
+    /// and returns, aligned with them, each result and the busy time
+    /// charged to it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `batch` returns a different number of results than it
+    /// was given keys.
+    pub(crate) fn run_memo_batch<K, R, B>(
+        &self,
+        jobs: &[K],
+        memo: &Memo<K, R>,
+        batch: B,
+    ) -> RunReport<R>
+    where
+        K: Eq + Hash + Clone,
+        R: Clone,
+        B: FnOnce(&[K]) -> Vec<(R, Duration)>,
     {
         let start = Instant::now();
         // Dedupe before running: first-seen order keeps the schedule
@@ -123,15 +100,8 @@ impl Runner {
         // One counter update per input job: served-without-computing
         // (memo hits + batch duplicates) vs actually computed.
         memo.record((jobs.len() - n_fresh) as u64, n_fresh as u64);
-        let done = std::sync::atomic::AtomicUsize::new(0);
-        let timed = parallel_map(&fresh, self.workers, |_, job| {
-            let r = f(job);
-            if self.progress {
-                let k = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-                eprintln!("  [{k:>4}/{n_fresh}] job done");
-            }
-            r
-        });
+        let timed = batch(&fresh);
+        assert_eq!(timed.len(), n_fresh, "one result per fresh key");
         let mut job_wall = Vec::with_capacity(n_fresh);
         for (key, (r, d)) in fresh.into_iter().zip(timed) {
             memo.insert(key, r);
@@ -179,12 +149,16 @@ pub struct RunStats {
     pub workers: usize,
     /// Wall time of the whole batch.
     pub wall: Duration,
-    /// Per-computed-job wall time (first-seen order of the fresh keys).
+    /// Per-computed-job busy time (first-seen order of the fresh keys).
+    /// A job that shared work with others in one batch (a model sweep's
+    /// sampled layer weights, see [`crate::SweepRunner::run_models`]) is
+    /// charged its own work plus an equal share of the shared work, so
+    /// the sum is still the batch's busy time.
     pub job_wall: Vec<Duration>,
 }
 
 impl RunStats {
-    /// Total CPU time spent inside jobs (sum of per-job walls).
+    /// Total time workers spent inside jobs (sum of per-job walls).
     pub fn busy(&self) -> Duration {
         self.job_wall.iter().sum()
     }
@@ -195,9 +169,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn run_keeps_input_order() {
+    fn run_memo_keeps_input_order() {
         let jobs: Vec<u64> = (0..40).collect();
-        let rep = Runner::new().with_workers(8).run(&jobs, |&j| j * j);
+        let rep = Runner::new()
+            .with_workers(8)
+            .run_memo(&jobs, &Memo::new(), |&j| j * j);
         assert_eq!(rep.results, jobs.iter().map(|j| j * j).collect::<Vec<_>>());
         assert_eq!(rep.stats.jobs, 40);
         assert_eq!(rep.stats.cache_hits, 0);
@@ -237,7 +213,7 @@ mod tests {
 
     #[test]
     fn stats_report_busy_time() {
-        let rep = Runner::serial().run(&[1u32, 2, 3], |&j| j);
+        let rep = Runner::serial().run_memo(&[1u32, 2, 3], &Memo::new(), |&j| j);
         assert_eq!(rep.stats.job_wall.len(), 3);
         assert!(rep.stats.busy() <= rep.stats.wall + Duration::from_millis(5));
     }

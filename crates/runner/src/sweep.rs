@@ -4,10 +4,11 @@ use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
 use tbstc_models::Model;
-use tbstc_sim::{simulate_model, Arch, HwConfig, LayerResult, LayerSim, ModelResult};
+use tbstc_sim::{Arch, HwConfig, LayerResult, LayerSim, ModelResult};
 
 use crate::memo::Memo;
 use crate::runner::{RunReport, RunStats, Runner};
+use crate::siblings;
 
 /// A hashable, buildable model identity (the workload axis of a sweep).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -198,15 +199,18 @@ impl SweepRunner {
     }
 
     /// Simulates every model-level job, memoized and in input order.
+    ///
+    /// Fresh jobs that share a model and seed share each layer's sampled
+    /// weights: the unit of parallel work is one (model, seed, layer)
+    /// task that samples the layer once and then prunes and simulates it
+    /// for each of those jobs in turn (see the `siblings` module).
+    /// Results are bit-identical to simulating each job on its own. Each
+    /// computed job's [`RunStats::job_wall`] is its own prune and simulate
+    /// time plus an equal share of the sampling it shared, so the sum is
+    /// still the run's busy time.
     pub fn run_models(&self, jobs: &[SimJob]) -> RunReport<ModelResult> {
-        self.runner.run_memo(jobs, &self.models, |job| {
-            simulate_model(
-                job.arch,
-                &job.model.build(),
-                job.sparsity,
-                job.seed,
-                &self.cfg,
-            )
+        self.runner.run_memo_batch(jobs, &self.models, |fresh| {
+            siblings::simulate(fresh, &self.cfg, self.runner.workers())
         })
     }
 

@@ -1,10 +1,9 @@
 //! The unified simulation-entry builder.
 //!
-//! [`LayerSim`] replaces the four historical `SparseLayer::build*` entry
-//! points with one typed builder: start from a workload shape, set the
-//! architecture (or an explicit pattern), sparsity and seed, then either
-//! [`LayerSim::build`] the pruned layer or [`LayerSim::run`] the full
-//! simulation in one call.
+//! [`LayerSim`] is the one typed builder for single-layer simulations:
+//! start from a workload shape, set the architecture (or an explicit
+//! pattern), sparsity and seed, then either [`LayerSim::build`] the
+//! pruned layer or [`LayerSim::run`] the full simulation in one call.
 //!
 //! ```
 //! use tbstc_models::bert_base;
@@ -21,7 +20,7 @@ use tbstc_sparsity::{PatternKind, TbsConfig};
 
 use crate::arch::Arch;
 use crate::config::HwConfig;
-use crate::layer::SparseLayer;
+use crate::layer::{LayerWeights, SparseLayer};
 use crate::pipeline::simulate_layer;
 use crate::result::LayerResult;
 
@@ -99,19 +98,19 @@ impl LayerSim {
         self.pattern.unwrap_or_else(|| self.arch.native_pattern())
     }
 
-    /// Builds the pruned [`SparseLayer`] (sampling limits from `cfg`).
+    /// Builds the pruned [`SparseLayer`] (sampling limits from `cfg`):
+    /// samples the layer's dense weights ([`LayerWeights::sample`]), then
+    /// prunes them ([`LayerWeights::prune`]).
     ///
     /// # Panics
     ///
     /// Panics when the sparsity is outside `[0, 1]` or a custom TBS
     /// config is invalid.
     pub fn build(&self, cfg: &HwConfig) -> SparseLayer {
-        SparseLayer::assemble(
-            &self.shape,
+        let block = self.tbs_cfg.as_ref().map_or(LayerWeights::BLOCK, |t| t.m);
+        LayerWeights::sample_blocked(&self.shape, self.seed, cfg, block).prune_with(
             self.effective_pattern(),
             self.sparsity,
-            self.seed,
-            cfg,
             self.tbs_cfg.as_ref(),
         )
     }
@@ -150,20 +149,6 @@ mod tests {
 
     fn shape() -> LayerShape {
         bert_base(128).layers[0].clone()
-    }
-
-    #[test]
-    fn builder_matches_legacy_build() {
-        let cfg = HwConfig::paper_default();
-        #[allow(deprecated)]
-        let legacy = SparseLayer::build_for_arch(&shape(), Arch::TbStc, 0.75, 7, &cfg);
-        let new = LayerSim::new(&shape())
-            .arch(Arch::TbStc)
-            .sparsity(0.75)
-            .seed(7)
-            .build(&cfg);
-        assert_eq!(legacy.sampled(), new.sampled());
-        assert_eq!(legacy.pattern, new.pattern);
     }
 
     #[test]

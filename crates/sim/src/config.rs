@@ -19,7 +19,7 @@ pub struct HwConfig {
     /// On-chip buffer capacity in KiB (for B-matrix reuse accounting).
     pub buffer_kib: usize,
     /// Rows/cols used when sampling very large layers (see
-    /// [`crate::layer::SparseLayer::build`]).
+    /// [`crate::LayerSim::build`]).
     pub sample_dim: usize,
     /// B-columns used when sampling.
     pub sample_cols: usize,

@@ -16,7 +16,6 @@ use tbstc_models::LayerShape;
 use tbstc_sparsity::pattern::{paper_pattern, TileNm};
 use tbstc_sparsity::{Mask, Pattern, PatternKind, TbsConfig, TbsPattern};
 
-use crate::arch::Arch;
 use crate::config::HwConfig;
 
 /// A pruned layer ready for simulation: sampled weights + pattern
@@ -43,42 +42,88 @@ pub struct SparseLayer {
     pub sn: usize,
 }
 
-impl SparseLayer {
-    /// The single construction path behind [`crate::LayerSim`] (and the
-    /// deprecated `build*` shims): prunes `shape` with `pattern` at
-    /// `target` sparsity, deterministically from `seed`, sampling under
-    /// the limits in `cfg`. A custom `tbs_cfg` switches block sizing to
-    /// the Fig. 15(a) sensitivity path.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `target` is outside `[0, 1]` or `tbs_cfg` is invalid.
-    pub(crate) fn assemble(
+/// The dense sampled weights of one layer: the first of the two stages
+/// behind [`crate::LayerSim::build`].
+///
+/// The sample depends only on the layer (its name and size), the seed and
+/// the sampling limits — never on the pattern or the sparsity — so one
+/// sample can be pruned for every architecture and sparsity that shares
+/// the layer and seed ([`LayerWeights::prune`]).
+#[derive(Debug, Clone)]
+pub struct LayerWeights {
+    shape: LayerShape,
+    dense: Matrix,
+    sn: usize,
+}
+
+impl LayerWeights {
+    /// Block granularity of the weight generator unless a custom TBS
+    /// configuration sizes it.
+    pub(crate) const BLOCK: usize = 8;
+
+    /// Samples the dense weights of `shape` deterministically from
+    /// `seed`, under the sampling limits in `cfg`.
+    pub fn sample(shape: &LayerShape, seed: u64, cfg: &HwConfig) -> Self {
+        Self::sample_blocked(shape, seed, cfg, Self::BLOCK)
+    }
+
+    /// [`LayerWeights::sample`] at an explicit generator block size (a
+    /// custom TBS config sizes the sample by its own block dimension).
+    pub(crate) fn sample_blocked(
         shape: &LayerShape,
-        pattern: PatternKind,
-        target: f64,
         seed: u64,
         cfg: &HwConfig,
-        tbs_cfg: Option<&TbsConfig>,
+        block: usize,
     ) -> Self {
-        assert!((0.0..=1.0).contains(&target), "target sparsity in [0, 1]");
-        // A custom TBS config sizes the sample (and the weight generator's
-        // block granularity) by its own block dimension.
-        let block = tbs_cfg.map_or(8, |t| t.m);
         let sm = shape.m.min(cfg.sample_dim).max(block);
         let sk = shape.k.min(cfg.sample_dim).max(block);
         let sn = shape.n.min(cfg.sample_cols).max(1);
         let mut rng = MatrixRng::seed_from(seed ^ fxhash(&shape.name));
-        let weights = rng.block_structured_weights(sm, sk, block);
+        LayerWeights {
+            shape: shape.clone(),
+            dense: rng.block_structured_weights(sm, sk, block),
+            sn,
+        }
+    }
 
+    /// The layer shape the weights were sampled for.
+    pub fn shape(&self) -> &LayerShape {
+        &self.shape
+    }
+
+    /// Prunes the weights with `pattern` at `target` sparsity: the second
+    /// stage behind [`crate::LayerSim::build`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `target` is outside `[0, 1]`.
+    pub fn prune(&self, pattern: PatternKind, target: f64) -> SparseLayer {
+        self.prune_with(pattern, target, None)
+    }
+
+    /// [`LayerWeights::prune`] with an optional custom TBS configuration,
+    /// which switches the pattern to TBS at that block size (the
+    /// Fig. 15(a) sensitivity path).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `target` is outside `[0, 1]` or `tbs_cfg` is invalid.
+    pub(crate) fn prune_with(
+        &self,
+        pattern: PatternKind,
+        target: f64,
+        tbs_cfg: Option<&TbsConfig>,
+    ) -> SparseLayer {
+        assert!((0.0..=1.0).contains(&target), "target sparsity in [0, 1]");
+        let weights = &self.dense;
         let (pattern, mask, tbs): (PatternKind, Mask, Option<TbsPattern>) = match (pattern, tbs_cfg)
         {
             (_, Some(t)) => {
-                let p = TbsPattern::sparsify(&weights, target, t);
+                let p = TbsPattern::sparsify(weights, target, t);
                 (PatternKind::Tbs, p.mask().clone(), Some(p))
             }
             (PatternKind::Tbs, None) => {
-                let p = TbsPattern::sparsify(&weights, target, &TbsConfig::paper_default());
+                let p = TbsPattern::sparsify(weights, target, &TbsConfig::paper_default());
                 (pattern, p.mask().clone(), Some(p))
             }
             (PatternKind::TileNm, None) => {
@@ -86,95 +131,26 @@ impl SparseLayer {
                 // metadata format cannot express other ratios, so the
                 // pattern is projected at 50 % regardless of the target
                 // (paper Table I footnote and Fig. 12 caption).
-                (pattern, TileNm::new(4, 8).project(&weights, 0.5), None)
+                (pattern, TileNm::new(4, 8).project(weights, 0.5), None)
             }
-            (other, None) => (other, paper_pattern(other).project(&weights, target), None),
+            (other, None) => (other, paper_pattern(other).project(weights, target), None),
         };
 
         SparseLayer {
-            name: shape.name.clone(),
-            m: shape.m,
-            k: shape.k,
-            n: shape.n,
+            name: self.shape.name.clone(),
+            m: self.shape.m,
+            k: self.shape.k,
+            n: self.shape.n,
             target,
             pattern,
-            sampled: mask.apply(&weights),
+            sampled: mask.apply(weights),
             tbs,
-            sn,
+            sn: self.sn,
         }
     }
+}
 
-    /// Builds a sparse layer for `shape` pruned with `pattern` at `target`
-    /// sparsity, deterministically from `seed`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `LayerSim::new(shape).pattern(p).sparsity(s).seed(n).build(&HwConfig::paper_default())`"
-    )]
-    pub fn build(shape: &LayerShape, pattern: PatternKind, target: f64, seed: u64) -> Self {
-        Self::assemble(
-            shape,
-            pattern,
-            target,
-            seed,
-            &HwConfig::paper_default(),
-            None,
-        )
-    }
-
-    /// Builds with explicit sampling limits from `cfg`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `target` is outside `[0, 1]`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `LayerSim::new(shape).pattern(p).sparsity(s).seed(n).build(cfg)`"
-    )]
-    pub fn build_with(
-        shape: &LayerShape,
-        pattern: PatternKind,
-        target: f64,
-        seed: u64,
-        cfg: &HwConfig,
-    ) -> Self {
-        Self::assemble(shape, pattern, target, seed, cfg, None)
-    }
-
-    /// Builds the layer for an architecture's native pattern.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `LayerSim::new(shape).arch(a).sparsity(s).seed(n).build(cfg)`"
-    )]
-    pub fn build_for_arch(
-        shape: &LayerShape,
-        arch: Arch,
-        target: f64,
-        seed: u64,
-        cfg: &HwConfig,
-    ) -> Self {
-        Self::assemble(shape, arch.native_pattern(), target, seed, cfg, None)
-    }
-
-    /// Builds a TBS layer with a custom block-size configuration
-    /// (Fig. 15(a) block-size sensitivity).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `target` is outside `[0, 1]` or `tbs_cfg` is invalid.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `LayerSim::new(shape).sparsity(s).seed(n).tbs_config(c).build(cfg)`"
-    )]
-    pub fn build_tbs_with_config(
-        shape: &LayerShape,
-        target: f64,
-        seed: u64,
-        cfg: &HwConfig,
-        tbs_cfg: &TbsConfig,
-    ) -> Self {
-        Self::assemble(shape, PatternKind::Tbs, target, seed, cfg, Some(tbs_cfg))
-    }
-
+impl SparseLayer {
     /// The sampled pruned weight matrix.
     pub fn sampled(&self) -> &Matrix {
         &self.sampled

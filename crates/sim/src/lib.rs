@@ -24,7 +24,7 @@
 //!
 //! The flow: describe a single-layer simulation with [`builder::LayerSim`]
 //! (shape + architecture + sparsity + seed; large layers are sampled and
-//! results scaled — see `SparseLayer::scale`), then
+//! results scaled — see [`layer::SparseLayer::weight_scale`]), then
 //! [`builder::LayerSim::run`] (or [`pipeline::simulate_layer`] on a
 //! pre-built [`layer::SparseLayer`]) produces a [`result::LayerResult`]
 //! with cycles, a phase breakdown, utilizations and energy.
@@ -64,10 +64,10 @@ pub use arch::{Arch, ArchId, ParseArchError};
 pub use archs::{ArchModel, REGISTRY};
 pub use builder::LayerSim;
 pub use config::HwConfig;
-pub use layer::SparseLayer;
+pub use layer::{LayerWeights, SparseLayer};
 pub use pipeline::{
-    simulate_layer, simulate_layer_on, simulate_layer_with, simulate_model, simulate_model_on,
-    SimOptions,
+    simulate_layer, simulate_layer_on, simulate_layer_with, simulate_model,
+    simulate_model_layer_on, simulate_model_on, SimOptions,
 };
 pub use plan::BlockPlan;
 pub use result::{CycleBreakdown, LayerResult, ModelResult};

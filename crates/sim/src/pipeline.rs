@@ -8,14 +8,14 @@
 
 use tbstc_energy::edp::EnergyBreakdown;
 use tbstc_formats::{CodecStats, CodecUnit};
-use tbstc_models::{LayerShape, Model};
+use tbstc_models::Model;
 use tbstc_sparsity::SparsityDim;
 
 use crate::arch::Arch;
 use crate::archs::ArchModel;
 use crate::compute::{simulate_compute_on, SchedulePolicy};
 use crate::config::HwConfig;
-use crate::layer::SparseLayer;
+use crate::layer::{LayerWeights, SparseLayer};
 use crate::memory::{simulate_memory_on, FormatOverride};
 use crate::plan::BlockPlan;
 use crate::result::{CycleBreakdown, LayerResult, ModelResult};
@@ -157,7 +157,11 @@ pub fn simulate_model(
     simulate_model_on(arch.model(), model, target, seed, cfg)
 }
 
-/// Simulates a whole model against any [`ArchModel`].
+/// Simulates a whole model against any [`ArchModel`]: each layer's
+/// weights are sampled ([`LayerWeights::sample`]) and simulated
+/// ([`simulate_model_layer_on`]), then folded in layer order
+/// ([`ModelResult::from_layers`]). A sweep runner that shares one sample
+/// across several architectures and sparsities runs the same three steps.
 pub fn simulate_model_on(
     arch_model: &ArchModel,
     model: &Model,
@@ -165,40 +169,31 @@ pub fn simulate_model_on(
     seed: u64,
     cfg: &HwConfig,
 ) -> ModelResult {
-    let mut layers = Vec::with_capacity(model.layers.len());
-    let mut total_cycles = 0u64;
-    let mut total_energy = 0.0f64;
-    for shape in &model.layers {
-        let res = simulate_model_layer_on(arch_model, shape, target, seed, cfg);
-        total_cycles += res.cycles * shape.repeats as u64;
-        total_energy += res.energy_pj * shape.repeats as f64;
-        layers.push(res);
-    }
-    ModelResult {
-        arch: arch_model.id(),
-        model: model.kind.to_string(),
-        layers,
-        total_cycles,
-        total_energy_pj: total_energy,
-    }
+    let layers = model
+        .layers
+        .iter()
+        .map(|shape| {
+            let weights = LayerWeights::sample(shape, seed, cfg);
+            simulate_model_layer_on(arch_model, &weights, target, cfg)
+        })
+        .collect();
+    ModelResult::from_layers(arch_model.id(), model, layers)
 }
 
-/// Simulates a single model layer against any [`ArchModel`], respecting
-/// `prunable`.
+/// Simulates one model layer from its sampled weights against any
+/// [`ArchModel`] at `target` sparsity, respecting the shape's `prunable`
+/// flag (non-prunable layers run dense).
 pub fn simulate_model_layer_on(
     arch_model: &ArchModel,
-    shape: &LayerShape,
+    weights: &LayerWeights,
     target: f64,
-    seed: u64,
     cfg: &HwConfig,
 ) -> LayerResult {
-    let effective = if shape.prunable { target } else { 0.0 };
-    let pattern = if shape.prunable {
-        arch_model.native_pattern()
+    let layer = if weights.shape().prunable {
+        weights.prune(arch_model.native_pattern(), target)
     } else {
-        tbstc_sparsity::PatternKind::Dense
+        weights.prune(tbstc_sparsity::PatternKind::Dense, 0.0)
     };
-    let layer = SparseLayer::assemble(shape, pattern, effective, seed, cfg, None);
     simulate_layer_on(arch_model, &layer, cfg, &SimOptions::native())
 }
 
@@ -244,7 +239,7 @@ pub fn codec_stats(layer: &SparseLayer) -> CodecStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tbstc_models::{bert_base, resnet50};
+    use tbstc_models::{bert_base, resnet50, LayerShape};
 
     fn cfg() -> HwConfig {
         HwConfig::paper_default()

@@ -1,6 +1,7 @@
 //! Simulation results: per-layer and per-model.
 
 use tbstc_energy::EdpPoint;
+use tbstc_models::Model;
 
 use crate::arch::ArchId;
 
@@ -98,6 +99,25 @@ pub struct ModelResult {
 }
 
 impl ModelResult {
+    /// Folds per-layer results (in `model.layers` order) into a model
+    /// result: each layer's cycles and energy count once per repeat, and
+    /// the totals are summed in layer order.
+    pub fn from_layers(arch: ArchId, model: &Model, layers: Vec<LayerResult>) -> Self {
+        let mut total_cycles = 0u64;
+        let mut total_energy_pj = 0.0f64;
+        for (res, shape) in layers.iter().zip(&model.layers) {
+            total_cycles += res.cycles * shape.repeats as u64;
+            total_energy_pj += res.energy_pj * shape.repeats as f64;
+        }
+        ModelResult {
+            arch,
+            model: model.kind.to_string(),
+            layers,
+            total_cycles,
+            total_energy_pj,
+        }
+    }
+
     /// The model-level `(delay, energy)` point.
     pub fn edp_point(&self) -> EdpPoint {
         EdpPoint {
