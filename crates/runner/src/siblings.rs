@@ -6,20 +6,31 @@
 //! points that share a model and a seed (*siblings*) can therefore share
 //! one sample. The unit of parallel work is one (model, seed, layer) task
 //! over a chunk of those siblings: it samples the layer's dense weights
-//! once, then prunes and simulates them for each sibling in turn. Nothing
-//! outlives a task, so at most one dense sample and one pruned layer are
-//! live per worker, and no weights are kept between tasks.
+//! once, then prunes and simulates them for each sibling in turn.
 //!
-//! Every per-point result comes from the same three steps as
-//! [`tbstc_sim::simulate_model_on`] (sample, simulate the layer, fold the
-//! layers in order), so results are bit-identical to simulating each point
-//! on its own.
+//! Siblings often prune alike: TB-STC and DVPE+FAN both prune TBS, RM-STC
+//! and SGCN both prune unstructured, STC is pinned to 4:8 and TC (like
+//! every arch on a non-prunable layer) runs dense. A task therefore walks
+//! its siblings in [`PruneKey`] order — (key target, key pattern, arch) —
+//! through one [`LayerPruner`], which prunes only when the key changes and
+//! shares the global top-k across a target's patterns, and it reuses the
+//! previous [`LayerResult`] when the key and the arch both repeat. Nothing
+//! outlives a task, so at most one dense sample, one top-k and one pruned
+//! layer are live per worker, and no weights are kept between tasks.
+//!
+//! Every per-point result comes from the same steps as
+//! [`tbstc_sim::simulate_model_on`] (sample, key and prune, simulate the
+//! layer, fold the layers in order), so results are bit-identical to
+//! simulating each point on its own.
 
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use tbstc_models::Model;
-use tbstc_sim::{simulate_model_layer_on, HwConfig, LayerResult, LayerWeights, ModelResult};
+use tbstc_sim::{
+    simulate_layer_on, Arch, HwConfig, LayerPruner, LayerResult, LayerWeights, ModelResult,
+    PruneKey, SimOptions,
+};
 
 use crate::pool::parallel_map;
 use crate::sweep::{ModelSpec, SimJob};
@@ -125,9 +136,10 @@ impl Plan {
 
 /// Simulates every fresh point on up to `workers` threads, returning
 /// aligned with `fresh` each result and the busy time charged to it: the
-/// point's own prune-and-simulate calls plus an equal share of each
-/// task's remaining time (chiefly the weight sampling it shared), so the
-/// charges sum to the tasks' busy time.
+/// point's own simulate call (or the reuse of an equal result) plus an
+/// equal share of each task's remaining time (the sampling, top-k and
+/// pruning its siblings shared), so the charges sum to the tasks' busy
+/// time.
 pub(crate) fn simulate(
     fresh: &[SimJob],
     cfg: &HwConfig,
@@ -136,15 +148,41 @@ pub(crate) fn simulate(
     let plan = Plan::new(fresh, workers);
     let done = parallel_map(&plan.tasks, workers, |_, task| {
         let group = &plan.groups[task.group];
-        let weights = LayerWeights::sample(&group.model.layers[task.layer], group.seed, cfg);
-        group.points[task.points.clone()]
+        let shape = &group.model.layers[task.layer];
+        let weights = LayerWeights::sample(shape, group.seed, cfg);
+        let points = &group.points[task.points.clone()];
+        let mut walk: Vec<(PruneKey, Arch, usize)> = points
             .iter()
-            .map(|&p| {
+            .enumerate()
+            .map(|(i, &p)| {
                 let job = &fresh[p];
-                let t = Instant::now();
-                let res = simulate_model_layer_on(job.arch.model(), &weights, job.sparsity, cfg);
-                (res, t.elapsed())
+                let key = PruneKey::new(job.arch.native_pattern(), shape.prunable, job.sparsity);
+                (key, job.arch, i)
             })
+            .collect();
+        walk.sort_by(|(a, x, _), (b, y, _)| {
+            a.target
+                .total_cmp(&b.target)
+                .then(a.pattern.cmp(&b.pattern))
+                .then(x.cmp(y))
+        });
+
+        let mut pruner = LayerPruner::new(&weights);
+        let mut out: Vec<(usize, LayerResult, Duration)> = Vec::with_capacity(walk.len());
+        let mut last = None;
+        for (key, arch, i) in walk {
+            let layer = pruner.prune(key);
+            let t = Instant::now();
+            let res = match out.last() {
+                Some((_, res, _)) if last == Some((key, arch)) => res.clone(),
+                _ => simulate_layer_on(arch.model(), layer, cfg, &SimOptions::native()),
+            };
+            out.push((i, res, t.elapsed()));
+            last = Some((key, arch));
+        }
+        out.sort_unstable_by_key(|&(i, ..)| i);
+        out.into_iter()
+            .map(|(_, res, d)| (res, d))
             .collect::<Vec<_>>()
     });
 
@@ -187,7 +225,6 @@ pub(crate) fn simulate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tbstc_sim::Arch;
 
     fn job(arch: Arch, model: ModelSpec, sparsity: f64, seed: u64) -> SimJob {
         SimJob {

@@ -1,13 +1,16 @@
 //! `SweepRunner::run_models` shares each layer's sampled weights among the
-//! fresh points of one (model, seed). This checks, over random job lists,
-//! that the grouped run is bit-identical to simulating every point on its
-//! own with `simulate_model_on`, and that the memo, its counters and the
-//! per-job timings behave exactly as for one-point-at-a-time execution.
+//! fresh points of one (model, seed), and within a layer task each
+//! distinct pruned layer, top-k and (arch, prune key) result. This checks,
+//! over random job lists and over full grids that hold every sharing
+//! pair, that the grouped run is bit-identical to simulating every point
+//! on its own with `simulate_model_on`, and that the memo, its counters
+//! and the per-job timings behave exactly as for one-point-at-a-time
+//! execution.
 
 use std::collections::HashSet;
 
 use proptest::prelude::*;
-use tbstc_runner::{ModelSpec, Runner, SimJob, SweepRunner};
+use tbstc_runner::{ModelSpec, Runner, SimJob, Sweep, SweepRunner};
 use tbstc_sim::{simulate_model_on, Arch, HwConfig, ModelResult};
 
 /// Paper models at small inputs, plus the single-layer GCN.
@@ -53,6 +56,40 @@ fn assert_bits_equal(got: &ModelResult, want: &ModelResult, job: &SimJob) {
         "{job}"
     );
     assert_eq!(got, want, "{job}");
+}
+
+/// Every arch at every sparsity: TB-STC/DVPE+FAN and RM-STC/SGCN share
+/// pruned layers, STC and TC repeat results across sparsities, and
+/// ResNet-18's non-prunable stem and fc run dense for all 24 points. The
+/// single-layer GCN grid has fewer layer tasks than three workers, so its
+/// siblings are split into chunks.
+#[test]
+fn full_grids_match_per_point_simulation() {
+    let cfg = HwConfig::paper_default();
+    let resnet = MODELS[0];
+    assert!(
+        resnet.build().layers.iter().any(|l| !l.prunable),
+        "the grid needs a non-prunable layer"
+    );
+    for model in [resnet, MODELS[2]] {
+        let jobs = Sweep::new()
+            .archs(Arch::ALL)
+            .models([model])
+            .sparsities(SPARSITIES)
+            .seeds([5])
+            .jobs();
+        assert_eq!(jobs.len(), Arch::ALL.len() * SPARSITIES.len());
+        let want: Vec<ModelResult> = jobs.iter().map(|j| reference(j, &cfg)).collect();
+        for workers in [1, 3] {
+            let engine = SweepRunner::with_runner(cfg, Runner::new().with_workers(workers));
+            let rep = engine.run_models(&jobs);
+            assert_eq!(rep.stats.unique_jobs, jobs.len());
+            assert_eq!(rep.stats.job_wall.len(), jobs.len());
+            for ((job, got), want) in jobs.iter().zip(&rep.results).zip(&want) {
+                assert_bits_equal(got, want, job);
+            }
+        }
+    }
 }
 
 proptest! {

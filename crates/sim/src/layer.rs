@@ -13,10 +13,56 @@
 use tbstc_matrix::rng::MatrixRng;
 use tbstc_matrix::Matrix;
 use tbstc_models::LayerShape;
-use tbstc_sparsity::pattern::{paper_pattern, TileNm};
-use tbstc_sparsity::{Mask, Pattern, PatternKind, TbsConfig, TbsPattern};
+use tbstc_sparsity::pattern::{paper_pattern, RowWiseVegeta, TileNm};
+use tbstc_sparsity::{GlobalTopK, Pattern, PatternKind, TbsConfig, TbsPattern};
 
 use crate::config::HwConfig;
+
+/// What a prune request actually computes: the pattern and the target
+/// sparsity it is projected at. Two requests with equal keys prune a
+/// sample into bit-equal layers.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PruneKey {
+    /// The pattern the mask is projected onto.
+    pub pattern: PatternKind,
+    /// The target sparsity the projection runs at.
+    pub target: f64,
+}
+
+impl PruneKey {
+    /// The one rule from a request (the pattern an architecture prunes
+    /// with, whether the layer is prunable, the requested sparsity) to
+    /// what is computed:
+    ///
+    /// - a non-prunable layer runs dense: `(Dense, 0)`;
+    /// - dense ignores the target: `(Dense, 0)`;
+    /// - tile N:M is pinned to 4:8, NVIDIA STC's only ratio (paper
+    ///   Table I footnote and Fig. 12 caption): `(TileNm, 0.5)`;
+    /// - every other pattern runs at the requested target.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `target` is outside `[0, 1]`.
+    pub fn new(pattern: PatternKind, prunable: bool, target: f64) -> Self {
+        assert!((0.0..=1.0).contains(&target), "target sparsity in [0, 1]");
+        let (pattern, target) = match pattern {
+            _ if !prunable => (PatternKind::Dense, 0.0),
+            PatternKind::Dense => (PatternKind::Dense, 0.0),
+            PatternKind::TileNm => (PatternKind::TileNm, 0.5),
+            other => (other, target),
+        };
+        PruneKey { pattern, target }
+    }
+
+    /// Whether the pattern starts from the global top-k at its target
+    /// (Algorithm 1 step 1).
+    fn uses_top_k(self) -> bool {
+        matches!(
+            self.pattern,
+            PatternKind::Unstructured | PatternKind::RowWiseVegeta | PatternKind::Tbs
+        )
+    }
+}
 
 /// A pruned layer ready for simulation: sampled weights + pattern
 /// metadata + scale factors back to the real size.
@@ -30,8 +76,6 @@ pub struct SparseLayer {
     pub k: usize,
     /// Real activation columns.
     pub n: usize,
-    /// The sparsity target requested.
-    pub target: f64,
     /// The pattern that produced the mask.
     pub pattern: PatternKind,
     /// Sampled, pruned weights (`sm × sk`).
@@ -91,8 +135,9 @@ impl LayerWeights {
         &self.shape
     }
 
-    /// Prunes the weights with `pattern` at `target` sparsity: the second
-    /// stage behind [`crate::LayerSim::build`].
+    /// Prunes the weights with `pattern` at `target` sparsity (as keyed by
+    /// [`PruneKey::new`] for a prunable layer): the second stage behind
+    /// [`crate::LayerSim::build`].
     ///
     /// # Panics
     ///
@@ -114,39 +159,94 @@ impl LayerWeights {
         target: f64,
         tbs_cfg: Option<&TbsConfig>,
     ) -> SparseLayer {
-        assert!((0.0..=1.0).contains(&target), "target sparsity in [0, 1]");
-        let weights = &self.dense;
-        let (pattern, mask, tbs): (PatternKind, Mask, Option<TbsPattern>) = match (pattern, tbs_cfg)
-        {
-            (_, Some(t)) => {
-                let p = TbsPattern::sparsify(weights, target, t);
-                (PatternKind::Tbs, p.mask().clone(), Some(p))
+        match tbs_cfg {
+            Some(t) => {
+                let p = TbsPattern::sparsify(&self.dense, target, t);
+                self.layer(PatternKind::Tbs, p.mask().apply(&self.dense), Some(p))
             }
-            (PatternKind::Tbs, None) => {
-                let p = TbsPattern::sparsify(weights, target, &TbsConfig::paper_default());
-                (pattern, p.mask().clone(), Some(p))
-            }
-            (PatternKind::TileNm, None) => {
-                // NVIDIA STC hardware supports exactly 2:4/4:8 — its
-                // metadata format cannot express other ratios, so the
-                // pattern is projected at 50 % regardless of the target
-                // (paper Table I footnote and Fig. 12 caption).
-                (pattern, TileNm::new(4, 8).project(weights, 0.5), None)
-            }
-            (other, None) => (other, paper_pattern(other).project(weights, target), None),
-        };
+            None => self.prune_at(PruneKey::new(pattern, true, target), &mut None),
+        }
+    }
 
+    /// Prunes the weights at `key`. A pattern that starts from the global
+    /// top-k takes it from `top_k` when that holds the one at the key's
+    /// target, and otherwise computes it there first (dropping the old one).
+    fn prune_at(&self, key: PruneKey, top_k: &mut Option<GlobalTopK>) -> SparseLayer {
+        let w = &self.dense;
+        if !key.uses_top_k() {
+            let mask = match key.pattern {
+                // The key pins STC's 4:8 at target 0.5.
+                PatternKind::TileNm => TileNm::new(4, 8).project(w, key.target),
+                other => paper_pattern(other).project(w, key.target),
+            };
+            return self.layer(key.pattern, mask.apply(w), None);
+        }
+        if top_k.as_ref().is_some_and(|t| t.target() != key.target) {
+            *top_k = None;
+        }
+        let top_k = top_k.get_or_insert_with(|| GlobalTopK::new(w, key.target));
+        let (sampled, tbs) = match key.pattern {
+            PatternKind::Tbs => {
+                let p = TbsPattern::from_top_k(top_k, &TbsConfig::paper_default());
+                (p.mask().apply(w), Some(p))
+            }
+            PatternKind::RowWiseVegeta => (
+                RowWiseVegeta::paper_default().project_top_k(top_k).apply(w),
+                None,
+            ),
+            _ => (top_k.mask().apply(w), None),
+        };
+        self.layer(key.pattern, sampled, tbs)
+    }
+
+    fn layer(&self, pattern: PatternKind, sampled: Matrix, tbs: Option<TbsPattern>) -> SparseLayer {
         SparseLayer {
             name: self.shape.name.clone(),
             m: self.shape.m,
             k: self.shape.k,
             n: self.shape.n,
-            target,
             pattern,
-            sampled: mask.apply(weights),
+            sampled,
             tbs,
             sn: self.sn,
         }
+    }
+}
+
+/// Prunes one layer's sample for a sequence of [`PruneKey`]s, doing each
+/// distinct piece of work once while equal work arrives in a row: a key
+/// equal to the previous one returns the previous layer, and the patterns
+/// that start from the global top-k (unstructured, RS-V, TBS) share one
+/// while the target stays the same. Fed keys sorted by (target, pattern),
+/// it prunes each distinct key once and takes each target's top-k once.
+///
+/// It holds at most one top-k and one pruned layer; nothing outlives it.
+/// Any order of keys gives the same layers as [`LayerWeights::prune`].
+#[derive(Debug)]
+pub struct LayerPruner<'w> {
+    weights: &'w LayerWeights,
+    top_k: Option<GlobalTopK>,
+    last: Option<(PruneKey, SparseLayer)>,
+}
+
+impl<'w> LayerPruner<'w> {
+    /// A pruner over `weights` that has done no work yet.
+    pub fn new(weights: &'w LayerWeights) -> Self {
+        LayerPruner {
+            weights,
+            top_k: None,
+            last: None,
+        }
+    }
+
+    /// The weights pruned at `key`.
+    pub fn prune(&mut self, key: PruneKey) -> &SparseLayer {
+        // A stale layer is dropped before the next one is pruned.
+        let last = self.last.take().filter(|(k, _)| *k == key);
+        let (_, layer) = self
+            .last
+            .insert(last.unwrap_or_else(|| (key, self.weights.prune_at(key, &mut self.top_k))));
+        layer
     }
 }
 
@@ -297,6 +397,138 @@ mod tests {
         let a = build(&shape(), PatternKind::Tbs, 0.5, 7);
         let b = build(&s2, PatternKind::Tbs, 0.5, 7);
         assert_ne!(a.sampled(), b.sampled());
+    }
+
+    /// Bit-level equality of two pruned layers (NaN weights included).
+    fn assert_same(got: &SparseLayer, want: &SparseLayer, what: &str) {
+        let bits = |l: &SparseLayer| -> Vec<u32> {
+            l.sampled().as_slice().iter().map(|x| x.to_bits()).collect()
+        };
+        assert_eq!(got.pattern, want.pattern, "{what}");
+        assert_eq!(
+            (got.m, got.k, got.n, got.sn),
+            (want.m, want.k, want.n, want.sn),
+            "{what}"
+        );
+        assert_eq!(bits(got), bits(want), "{what}");
+        assert_eq!(got.tbs(), want.tbs(), "{what}");
+    }
+
+    const TARGETS: [f64; 5] = [0.0, 0.5, 0.75, 0.875, 1.0];
+
+    #[test]
+    fn prune_key_requests_prune_like_their_keys() {
+        let cfg = HwConfig::paper_default();
+        for prunable in [true, false] {
+            let shape = LayerShape {
+                name: "keyed".into(),
+                m: 40,
+                k: 24,
+                n: 8,
+                repeats: 1,
+                prunable,
+            };
+            let weights = LayerWeights::sample(&shape, 11, &cfg);
+            let w = &weights.dense;
+            let mut by_key: Vec<(PruneKey, SparseLayer)> = Vec::new();
+            for arch in crate::Arch::ALL {
+                for target in TARGETS {
+                    let what = format!("{arch} prunable={prunable} at {target}");
+                    // The raw request, pruned without a key: the pattern
+                    // the arch runs on this layer, projected at the
+                    // requested target (STC's hardware runs 4:8 only).
+                    let pattern = if prunable {
+                        arch.native_pattern()
+                    } else {
+                        PatternKind::Dense
+                    };
+                    let (mask, tbs) = match pattern {
+                        PatternKind::Tbs => {
+                            let p = TbsPattern::sparsify(w, target, &TbsConfig::paper_default());
+                            (p.mask().clone(), Some(p))
+                        }
+                        PatternKind::TileNm => (TileNm::new(4, 8).project(w, 0.5), None),
+                        other => (paper_pattern(other).project(w, target), None),
+                    };
+                    let raw = weights.layer(pattern, mask.apply(w), tbs);
+
+                    let key = PruneKey::new(arch.native_pattern(), prunable, target);
+                    assert_eq!(PruneKey::new(key.pattern, true, key.target), key, "{what}");
+                    let keyed = weights.prune(key.pattern, key.target);
+                    assert_same(&keyed, &raw, &what);
+                    match by_key.iter().find(|(k, _)| *k == key) {
+                        Some((_, first)) => assert_same(&keyed, first, &what),
+                        None => by_key.push((key, keyed)),
+                    }
+                }
+            }
+            // Prunable: dense, 4:8 and four patterns at each of the five
+            // targets; non-prunable: dense only.
+            assert_eq!(
+                by_key.len(),
+                if prunable { 2 + 4 * TARGETS.len() } else { 1 }
+            );
+        }
+    }
+
+    /// Scores with ties, ±0, tiny values and (optionally) NaNs.
+    fn special_scores(seed: u64, rows: usize, cols: usize, nan: bool) -> Matrix {
+        const ALPHABET: [f32; 8] = [0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 1e-3, f32::NAN];
+        let mut rng = MatrixRng::seed_from(seed);
+        let pick = if nan { 8 } else { 7 };
+        Matrix::from_fn(rows, cols, |_, _| match rng.index(pick + 3) {
+            i if i < pick => ALPHABET[i],
+            _ => rng.standard_normal(),
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn layer_pruner_replays_match_fresh_prunes(
+            seed in 0u64..1000,
+            rows in 1usize..24,
+            cols in 1usize..24,
+            special in 0usize..3,
+            requests in proptest::collection::vec((0usize..7, 0usize..5, 0usize..4), 1..24),
+        ) {
+            // Real samples, and special scores with and without NaNs.
+            let dense = match special {
+                0 => MatrixRng::seed_from(seed).block_structured_weights(rows, cols, 8),
+                s => special_scores(seed, rows, cols, s == 1),
+            };
+            let weights = LayerWeights {
+                shape: LayerShape {
+                    name: "replay".into(),
+                    m: rows,
+                    k: cols,
+                    n: 4,
+                    repeats: 1,
+                    prunable: true,
+                },
+                dense,
+                sn: 4,
+            };
+            let mut pruner = LayerPruner::new(&weights);
+            // Small alphabets, so repeats and out-of-order targets are common.
+            for (i, (p, t, prunable)) in requests.into_iter().enumerate() {
+                let target = TARGETS[t];
+                let what = format!("request {i}: pattern {p} at {target}");
+                if p == PatternKind::ALL.len() {
+                    // A custom TBS block size takes the unshared path.
+                    let cfg4 = TbsConfig::with_block_size(4);
+                    let got = weights.prune_with(PatternKind::Tbs, target, Some(&cfg4));
+                    let p4 = TbsPattern::sparsify(&weights.dense, target, &cfg4);
+                    let want = weights.layer(PatternKind::Tbs, p4.mask().apply(&weights.dense), Some(p4));
+                    assert_same(&got, &want, &what);
+                } else {
+                    let key = PruneKey::new(PatternKind::ALL[p], prunable != 0, target);
+                    let want = weights.prune(key.pattern, key.target);
+                    assert_same(pruner.prune(key), &want, &what);
+                }
+            }
+        }
     }
 
     #[test]

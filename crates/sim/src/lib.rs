@@ -64,10 +64,10 @@ pub use arch::{Arch, ArchId, ParseArchError};
 pub use archs::{ArchModel, REGISTRY};
 pub use builder::LayerSim;
 pub use config::HwConfig;
-pub use layer::{LayerWeights, SparseLayer};
+pub use layer::{LayerPruner, LayerWeights, PruneKey, SparseLayer};
 pub use pipeline::{
-    simulate_layer, simulate_layer_on, simulate_layer_with, simulate_model,
-    simulate_model_layer_on, simulate_model_on, SimOptions,
+    simulate_layer, simulate_layer_on, simulate_layer_with, simulate_model, simulate_model_on,
+    SimOptions,
 };
 pub use plan::BlockPlan;
 pub use result::{CycleBreakdown, LayerResult, ModelResult};

@@ -15,7 +15,7 @@ use crate::arch::Arch;
 use crate::archs::ArchModel;
 use crate::compute::{simulate_compute_on, SchedulePolicy};
 use crate::config::HwConfig;
-use crate::layer::{LayerWeights, SparseLayer};
+use crate::layer::{LayerWeights, PruneKey, SparseLayer};
 use crate::memory::{simulate_memory_on, FormatOverride};
 use crate::plan::BlockPlan;
 use crate::result::{CycleBreakdown, LayerResult, ModelResult};
@@ -158,10 +158,11 @@ pub fn simulate_model(
 }
 
 /// Simulates a whole model against any [`ArchModel`]: each layer's
-/// weights are sampled ([`LayerWeights::sample`]) and simulated
-/// ([`simulate_model_layer_on`]), then folded in layer order
-/// ([`ModelResult::from_layers`]). A sweep runner that shares one sample
-/// across several architectures and sparsities runs the same three steps.
+/// weights are sampled ([`LayerWeights::sample`]), pruned at their
+/// [`PruneKey`] (non-prunable layers run dense) and simulated, then the
+/// layers are folded in order ([`ModelResult::from_layers`]). A sweep
+/// runner that shares samples and pruned layers across several
+/// architectures and sparsities runs the same steps.
 pub fn simulate_model_on(
     arch_model: &ArchModel,
     model: &Model,
@@ -173,28 +174,12 @@ pub fn simulate_model_on(
         .layers
         .iter()
         .map(|shape| {
-            let weights = LayerWeights::sample(shape, seed, cfg);
-            simulate_model_layer_on(arch_model, &weights, target, cfg)
+            let key = PruneKey::new(arch_model.native_pattern(), shape.prunable, target);
+            let layer = LayerWeights::sample(shape, seed, cfg).prune(key.pattern, key.target);
+            simulate_layer_on(arch_model, &layer, cfg, &SimOptions::native())
         })
         .collect();
     ModelResult::from_layers(arch_model.id(), model, layers)
-}
-
-/// Simulates one model layer from its sampled weights against any
-/// [`ArchModel`] at `target` sparsity, respecting the shape's `prunable`
-/// flag (non-prunable layers run dense).
-pub fn simulate_model_layer_on(
-    arch_model: &ArchModel,
-    weights: &LayerWeights,
-    target: f64,
-    cfg: &HwConfig,
-) -> LayerResult {
-    let layer = if weights.shape().prunable {
-        weights.prune(arch_model.native_pattern(), target)
-    } else {
-        weights.prune(tbstc_sparsity::PatternKind::Dense, 0.0)
-    };
-    simulate_layer_on(arch_model, &layer, cfg, &SimOptions::native())
 }
 
 /// Conversion cycles the codec needs for the layer's weight stream

@@ -46,5 +46,5 @@ pub mod stats;
 pub mod tbs;
 
 pub use mask::{Mask, MaskBlockView};
-pub use pattern::{Pattern, PatternKind};
+pub use pattern::{GlobalTopK, Pattern, PatternKind};
 pub use tbs::{SparsityDim, TbsConfig, TbsPattern};

@@ -123,8 +123,65 @@ impl Pattern for Unstructured {
     }
 
     fn project(&self, scores: &Matrix, target: f64) -> Mask {
-        let keep = ((1.0 - target) * scores.len() as f64).round() as usize;
-        Mask::top_k(&scores.map(f32::abs), keep)
+        GlobalTopK::new(scores, target).into_mask()
+    }
+}
+
+/// The global top-k at a target sparsity: step 1 of Algorithm 1, which
+/// [`Unstructured`], [`RowWiseVegeta`] and [`TbsPattern`] all start from.
+///
+/// It holds the absolute scores, the kept count `keep_total` and the
+/// unstructured mask that keeps the `keep_total` largest of them. A caller
+/// that projects one score matrix onto several of those patterns at the
+/// same target computes it once and hands it to each
+/// ([`RowWiseVegeta::project_top_k`], [`TbsPattern::from_top_k`]); their
+/// `project`/`sparsify` are exactly that composition.
+#[derive(Debug, Clone)]
+pub struct GlobalTopK {
+    target: f64,
+    abs: Matrix,
+    keep_total: usize,
+    mask: Mask,
+}
+
+impl GlobalTopK {
+    /// Keeps the `round((1 − target) · len)` largest `|scores|` (ties and
+    /// NaNs as in [`Mask::top_k`]).
+    pub fn new(scores: &Matrix, target: f64) -> Self {
+        let abs = scores.map(f32::abs);
+        let keep_total = ((1.0 - target) * scores.len() as f64).round() as usize;
+        let mask = Mask::top_k(&abs, keep_total);
+        GlobalTopK {
+            target,
+            abs,
+            keep_total,
+            mask,
+        }
+    }
+
+    /// The target sparsity the top-k was taken at.
+    pub fn target(&self) -> f64 {
+        self.target
+    }
+
+    /// The absolute scores.
+    pub fn abs(&self) -> &Matrix {
+        &self.abs
+    }
+
+    /// How many elements the target keeps.
+    pub fn keep_total(&self) -> usize {
+        self.keep_total
+    }
+
+    /// The unstructured mask: the `keep_total` largest absolute scores.
+    pub fn mask(&self) -> &Mask {
+        &self.mask
+    }
+
+    /// Consumes the value and returns its unstructured mask.
+    pub fn into_mask(self) -> Mask {
+        self.mask
     }
 }
 
@@ -224,33 +281,40 @@ impl Pattern for RowWiseVegeta {
     }
 
     fn project(&self, scores: &Matrix, target: f64) -> Mask {
-        let abs = scores.map(f32::abs);
-        let keep_total = ((1.0 - target) * scores.len() as f64).round() as usize;
-        let unstructured = Mask::top_k(&abs, keep_total);
+        self.project_top_k(&GlobalTopK::new(scores, target))
+    }
+}
+
+impl RowWiseVegeta {
+    /// [`Pattern::project`] from an already computed global top-k (the
+    /// scores and target it was taken from).
+    pub fn project_top_k(&self, top_k: &GlobalTopK) -> Mask {
+        let abs = top_k.abs();
+        let (rows, cols) = (abs.rows(), abs.cols());
 
         // Per-row N matching the row's unstructured density.
-        let mut row_n: Vec<usize> = (0..scores.rows())
+        let mut row_n: Vec<usize> = (0..rows)
             .map(|r| {
-                let density = unstructured.row_kept(r) as f64 / scores.cols() as f64;
+                let density = top_k.mask().row_kept(r) as f64 / cols as f64;
                 nearest(&self.candidates, density, self.m)
             })
             .collect();
         // Global adjustment towards the target kept count.
-        let row_mass: Vec<f64> = (0..scores.rows())
+        let row_mass: Vec<f64> = (0..rows)
             .map(|r| abs.row(r).iter().map(|&x| f64::from(x)).sum())
             .collect();
         adjust_rows(
             &mut row_n,
             &self.candidates,
             &row_mass,
-            scores.cols(),
+            cols,
             self.m,
-            keep_total,
+            top_k.keep_total(),
         );
 
-        let mut mask = Mask::none(scores.rows(), scores.cols());
+        let mut mask = Mask::none(rows, cols);
         for (r, &n) in row_n.iter().enumerate() {
-            keep_row_tiles(&abs, r, self.m, n, &mut mask);
+            keep_row_tiles(abs, r, self.m, n, &mut mask);
         }
         mask
     }

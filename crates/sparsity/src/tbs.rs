@@ -27,6 +27,7 @@ use tbstc_matrix::tile::{blocks_along, BlockCoord};
 use tbstc_matrix::Matrix;
 
 use crate::mask::Mask;
+use crate::pattern::GlobalTopK;
 use crate::select;
 
 /// The sparsity dimension a block's N:M constraint runs along.
@@ -162,22 +163,35 @@ impl TbsPattern {
     ///
     /// Panics when `target` is outside `[0, 1]` or `config` is invalid.
     pub fn sparsify(scores: &Matrix, target: f64, config: &TbsConfig) -> Self {
-        assert!((0.0..=1.0).contains(&target), "target sparsity in [0, 1]");
+        // Step 1: unstructured pruning at the target sparsity.
+        Self::from_top_k(&GlobalTopK::new(scores, target), config)
+    }
+
+    /// Steps 2 and 3 of Algorithm 1 from its step 1, the global top-k of
+    /// the scores at the target sparsity: [`TbsPattern::sparsify`] without
+    /// recomputing a top-k it shares with other patterns.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the top-k's target is outside `[0, 1]` or `config` is
+    /// invalid.
+    pub fn from_top_k(top_k: &GlobalTopK, config: &TbsConfig) -> Self {
+        assert!(
+            (0.0..=1.0).contains(&top_k.target()),
+            "target sparsity in [0, 1]"
+        );
         config.validate();
         let m = config.m;
-        let abs_scores = scores.map(f32::abs);
-
-        // Step 1: unstructured pruning at the target sparsity.
-        let total = scores.len();
-        let keep_total = ((1.0 - target) * total as f64).round() as usize;
-        let unstructured = Mask::top_k(&abs_scores, keep_total);
+        let abs_scores = top_k.abs();
+        let unstructured = top_k.mask();
+        let (rows, cols) = (abs_scores.rows(), abs_scores.cols());
 
         // Step 2: choose N per block to match the block's unstructured
         // density, then globally adjust so overall sparsity hits the target.
         // Blocks are walked through borrowed views: nothing in the per-block
         // loops allocates.
-        let grid_rows = blocks_along(scores.rows(), m);
-        let grid_cols = blocks_along(scores.cols(), m);
+        let grid_rows = blocks_along(rows, m);
+        let grid_cols = blocks_along(cols, m);
         let mut chosen: Vec<(BlockCoord, usize)> = Vec::with_capacity(grid_rows * grid_cols);
         for br in 0..grid_rows {
             for bc in 0..grid_cols {
@@ -192,7 +206,7 @@ impl TbsPattern {
                 chosen.push((coord, n));
             }
         }
-        adjust_to_target(&mut chosen, &abs_scores, config, keep_total);
+        adjust_to_target(&mut chosen, abs_scores, config, top_k.keep_total());
 
         // Step 3: per block, build both directional candidate sets and keep
         // the one closer (L1/Hamming) to the unstructured mask. The current
@@ -204,7 +218,7 @@ impl TbsPattern {
         // (out-of-bounds padded positions dropped). All scratch is reused
         // across blocks.
         let words = m.div_ceil(64);
-        let mut mask = Mask::none(scores.rows(), scores.cols());
+        let mut mask = Mask::none(rows, cols);
         let mut blocks = Vec::with_capacity(chosen.len());
         let mut by_row = vec![0.0f32; m * m];
         let mut by_col = vec![0.0f32; m * m];
@@ -214,8 +228,8 @@ impl TbsPattern {
         let mut col_cand = vec![0u64; m * words];
         for (coord, n) in chosen {
             let (r0, c0) = coord.origin(m);
-            let rmax = (r0 + m).min(scores.rows());
-            let cmax = (c0 + m).min(scores.cols());
+            let rmax = (r0 + m).min(rows);
+            let cmax = (c0 + m).min(cols);
             by_row.fill(0.0);
             by_col.fill(0.0);
             un_rows.fill(0);
