@@ -50,7 +50,6 @@ impl ParsedArgs {
                 "expected a subcommand, got option {command}"
             )));
         }
-        // tbstc-lint: allow(hot-path-alloc) — a command line carries a handful of operands
         let mut positionals = Vec::new();
         while let Some(next) = it.peek() {
             if next.starts_with("--") {

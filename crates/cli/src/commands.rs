@@ -35,8 +35,7 @@ USAGE:
   tbstc-cli jobs     list|status|cancel|resume [KEY] [--addr 127.0.0.1:7878]
   tbstc-cli loadgen  [--addr HOST:PORT] [--connections 64] [--requests 512]
                      [--specs 16] [--zipf 1.1] [--seed 1] [--min-rps 0] [--json]
-  tbstc-cli lint     [--deny-warnings] [--json] [--update-baseline]
-                     [--rules a,b] [--root DIR]
+  tbstc-cli lint     [--deny-warnings] [--json] [--rules a,b] [--root DIR]
   tbstc-cli table3
   tbstc-cli models
   tbstc-cli help
@@ -90,18 +89,14 @@ body the server returns, instead of the human tables.
 `lint` runs the workspace's own static analyzer (tbstc-lint) over
 crates/*/src: eight per-file rules (panic-surface, determinism,
 lock-discipline, crate-hygiene, unsafe-audit, hot-path-alloc,
-blocking-in-event-loop, store-lock-discipline) plus two
-workspace-wide structural rules (lock-order deadlock-cycle detection
-over the lock-acquisition graph, panic-reachability escalation along
-the call graph from the serve request path) with file:line:col
-output.
+blocking-in-event-loop, store-lock-discipline) plus one
+workspace-wide structural rule (lock-order deadlock-cycle detection
+over the lock-acquisition graph) with file:line:col output.
 Errors always fail; warnings fail only with --deny-warnings (CI's
-mode). Silence a finding in place with a
-`// tbstc-lint: allow(<rule>) — reason` comment, or grandfather it
-with --update-baseline (rewrites the count-aware lint-baseline.txt
-at the root and drops its stale entries). --rules runs only the
-named rules; an unknown name is an error, and --update-baseline
-refuses a --rules filter.
+mode). Accept a finding in place with a
+`// tbstc-lint: allow(<rule>) — reason` comment; an allow that
+silences nothing, or names no rule, is itself a stale-allow warning.
+--rules runs only the named rules; an unknown name is an error.
 ";
 
 /// Dispatches a parsed command line.
@@ -1008,20 +1003,7 @@ fn lint(args: &ParsedArgs) -> Result<String, ArgError> {
         .options
         .get("rules")
         .map(|r| r.split(',').map(|s| s.trim().to_string()).collect());
-    let opts = tbstc_lint::LintOptions {
-        root,
-        rules,
-        baseline: None,
-    };
-
-    if args.str_or("update-baseline", "false") == "true" {
-        let entries = tbstc_lint::update_baseline(&opts).map_err(ArgError)?;
-        return Ok(format!(
-            "baseline rewritten: {entries} entries in {}\n",
-            opts.baseline_path().display()
-        ));
-    }
-
+    let opts = tbstc_lint::LintOptions { root, rules };
     let report = tbstc_lint::lint_workspace(&opts).map_err(ArgError)?;
     let deny = args.str_or("deny-warnings", "false") == "true";
     let rendered = if args.str_or("json", "false") == "true" {
@@ -1287,21 +1269,10 @@ mod tests {
     }
 
     #[test]
-    fn lint_rejects_unknown_rules_and_filtered_baseline_updates() {
+    fn lint_rejects_unknown_rules() {
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
         let err = run_line(&["lint", "--rules", "panic-surfac", "--root", root]).unwrap_err();
         assert!(err.0.contains("valid rules: panic-surface,"), "{}", err.0);
-        // Refused before the baseline is read or written.
-        let err = run_line(&[
-            "lint",
-            "--update-baseline",
-            "--rules",
-            "panic-surface",
-            "--root",
-            root,
-        ])
-        .unwrap_err();
-        assert!(err.0.contains("--rules"), "{}", err.0);
     }
 
     #[test]

@@ -500,7 +500,6 @@ impl JobSpec {
                     sparsity: s.sparsity,
                     seed: s.seed,
                 }],
-                // tbstc-lint: allow(hot-path-alloc) — empty vec, never grows
                 ArchChoice::Custom(_) => Vec::new(),
             },
             JobSpec::Sweep(s) => Sweep::new()

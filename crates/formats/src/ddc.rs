@@ -75,6 +75,7 @@ impl DdcBlock {
         let ratio = n_candidates
             .iter()
             .position(|&c| c == self.n)
+            // tbstc-lint: allow(panic-surface) — `n` was drawn from this ladder at encode time; a foreign ladder is a caller bug
             .expect("block N must be a configured candidate") as u16;
         dim_bit | (ratio << 12) | ((self.offset & 0x0FFF) as u16)
     }

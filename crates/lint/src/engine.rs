@@ -1,28 +1,23 @@
 //! The rule engine: file walking, test-code exclusion, inline
-//! suppressions, the grandfathered-findings baseline, the workspace
-//! graph pass, and human/JSON rendering.
+//! suppressions, the workspace graph pass, and human/JSON rendering.
 //!
-//! A finding travels through three gates before it fails a build:
+//! A finding travels through two gates before it fails a build:
 //!
 //! 1. **test-code exclusion** — tokens inside `#[cfg(test)]` items are
 //!    invisible to every rule (tests may `unwrap()` freely),
-//! 2. **inline suppression** — `// tbstc-lint: allow(<rule>)` on the
-//!    same line, or alone on the line above, silences that rule there
-//!    (the comment doubles as the justification). `allow(panic-surface)`
-//!    also silences `panic-reachability` at that line: one justified
-//!    suppression covers the warning and its escalation,
-//! 3. **baseline** — `lint-baseline.txt` at the workspace root lists
-//!    grandfathered findings as `rule<TAB>path<TAB>trimmed line text`;
-//!    matching findings are reported as baselined, not failing. Entries
-//!    are count-aware (two identical lines need two entries); entries
-//!    of a rule that ran but no longer match anything are listed as
-//!    stale, and `--update-baseline` drops them.
+//! 2. **inline suppression** — a `// tbstc-lint: allow(<rule>) — reason`
+//!    comment on the same line, or alone on the line above, silences
+//!    that rule there (the comment doubles as the justification).
+//!
+//! A suppression is the one way to accept a finding, so suppressions
+//! are checked too: an `allow(...)` that silenced nothing, or that names
+//! no rule, is itself a `stale-allow` warning at the comment. Under a
+//! `--rules` filter only allows naming a rule that ran are checked.
 //!
 //! Every run reads and analyzes every file (lexing, per-file rules,
-//! fact extraction), then runs the workspace rules (`lock-order`,
-//! `panic-reachability`) over all files' facts.
+//! fact extraction), then runs the workspace rule (`lock-order`) over
+//! all files' facts.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -85,18 +80,6 @@ pub struct LintOptions {
     pub root: PathBuf,
     /// Only run these rules (by name). `None` = all rules.
     pub rules: Option<Vec<String>>,
-    /// Baseline file. `None` = `<root>/lint-baseline.txt`; a missing
-    /// file is an empty baseline.
-    pub baseline: Option<PathBuf>,
-}
-
-impl LintOptions {
-    /// The baseline file this run reads (and `--update-baseline` writes).
-    pub fn baseline_path(&self) -> PathBuf {
-        self.baseline
-            .clone()
-            .unwrap_or_else(|| self.root.join(BASELINE_FILE))
-    }
 }
 
 /// The outcome of a workspace lint run.
@@ -104,15 +87,10 @@ impl LintOptions {
 pub struct LintReport {
     /// Findings that passed every gate (these fail the build).
     pub findings: Vec<Finding>,
-    /// Findings matched by a baseline entry (reported, not failing).
-    pub baselined: Vec<Finding>,
     /// Count of findings silenced by inline `allow(...)` comments.
     pub suppressed: usize,
     /// `.rs` files scanned.
     pub files_scanned: usize,
-    /// Baseline entries of rules that ran which matched nothing
-    /// (candidates for deletion).
-    pub stale_baseline: Vec<String>,
 }
 
 impl LintReport {
@@ -171,20 +149,97 @@ impl FileCtx<'_> {
     }
 }
 
+/// The rule name of the check on suppressions themselves: an
+/// `allow(...)` that silenced nothing or names no rule.
+const STALE_ALLOW: &str = "stale-allow";
+
+/// One rule named by a `// tbstc-lint: allow(...)` comment.
+struct Allow {
+    /// The rule name as written.
+    rule: String,
+    /// 1-based line of the comment (where a stale allow is reported).
+    line: u32,
+    /// 1-based byte column of the comment.
+    col: u32,
+    /// The code line a standalone comment also covers; `None` for a
+    /// trailing comment, which covers only its own line.
+    next_line: Option<u32>,
+    /// Whether it silenced at least one finding.
+    used: bool,
+}
+
 /// What the engine learned about one file: its gated per-file findings
 /// plus the gates the workspace pass applies to its own findings.
 struct FileAnalysis {
     /// Workspace-relative path, forward slashes.
     rel_path: String,
-    /// Per-file findings after test exclusion and suppressions (the
-    /// baseline, a workspace concept, has not been applied).
+    /// Per-file findings after test exclusion and suppressions.
     findings: Vec<Finding>,
     /// Findings silenced by inline `allow(...)` comments.
     suppressed: usize,
-    /// Line → rules allowed there (for gating workspace findings).
-    allows: BTreeMap<u32, Vec<String>>,
+    /// Every rule the file's `allow(...)` comments name.
+    allows: Vec<Allow>,
     /// `#[cfg(test)]` line ranges, 1-based inclusive.
     test_ranges: Vec<(u32, u32)>,
+}
+
+impl FileAnalysis {
+    /// Passes a finding in this file through test exclusion and the
+    /// suppressions, marking every allow that covers it as used. Returns
+    /// the finding when it survives both gates.
+    fn gate(&mut self, f: Finding) -> Option<Finding> {
+        if self
+            .test_ranges
+            .iter()
+            .any(|&(lo, hi)| f.line >= lo && f.line <= hi)
+        {
+            return None; // test code is out of scope, silently
+        }
+        let mut allowed = false;
+        for a in &mut self.allows {
+            if a.rule == f.rule && (a.line == f.line || a.next_line == Some(f.line)) {
+                a.used = true;
+                allowed = true;
+            }
+        }
+        if allowed {
+            self.suppressed += 1;
+            None
+        } else {
+            Some(f)
+        }
+    }
+
+    /// Pushes a `stale-allow` warning for each allow that silenced
+    /// nothing, limited to the rules that ran (a name no rule has never
+    /// runs, so only an unfiltered run reports it).
+    fn stale_allows(&self, only: Option<&[String]>, out: &mut Vec<Finding>) {
+        for a in &self.allows {
+            if a.used || !enabled(only, &a.rule) {
+                continue;
+            }
+            let message = if rules::rule_names().any(|r| r == a.rule) {
+                format!(
+                    "allow({}) silences no finding; delete the stale suppression",
+                    a.rule
+                )
+            } else {
+                format!(
+                    "allow({}) names no lint rule; valid rules: {}",
+                    a.rule,
+                    rules::rule_names().collect::<Vec<_>>().join(", ")
+                )
+            };
+            out.push(Finding {
+                rule: STALE_ALLOW,
+                severity: Severity::Warning,
+                path: self.rel_path.clone(),
+                line: a.line,
+                col: a.col,
+                message,
+            });
+        }
+    }
 }
 
 /// Whether a rule runs under the `--rules` filter `only`.
@@ -192,11 +247,11 @@ fn enabled(only: Option<&[String]>, rule: &str) -> bool {
     only.is_none_or(|names| names.iter().any(|n| n == rule))
 }
 
-/// Lints one source text as if it lived at `rel_path`, running all rules.
-/// Test-code exclusion and inline suppressions apply; the baseline does
-/// not (it is a workspace-level concept). This is the entry point the
-/// fixture tests drive. Workspace rules need more than one file; see
-/// [`lint_texts`].
+/// Lints one source text as if it lived at `rel_path`, running every
+/// rule (the workspace rule sees just this file). Test-code exclusion,
+/// inline suppressions and the stale-allow check apply. This is the
+/// entry point the per-file fixture tests drive; see [`lint_texts`] for
+/// several files.
 pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
     lint_source_rules(rel_path, src, None).0
 }
@@ -208,8 +263,7 @@ pub fn lint_source_rules(
     src: &str,
     only: Option<&[String]>,
 ) -> (Vec<Finding>, usize) {
-    let (a, _) = analyze_source(rel_path, src, only);
-    (a.findings, a.suppressed)
+    lint_files(&[(rel_path, src)], only)
 }
 
 /// Runs the per-file rules and the syntax layer over one source text,
@@ -238,100 +292,59 @@ fn analyze_source(rel_path: &str, src: &str, only: Option<&[String]>) -> (FileAn
         }
     }
 
-    let test_lines = test_ranges(src, &code);
-    let allows = suppressions(src, &tokens);
-    let mut findings = Vec::with_capacity(raw.len());
-    let mut suppressed = 0usize;
+    let mut analysis = FileAnalysis {
+        rel_path: rel_path.to_string(),
+        findings: Vec::with_capacity(raw.len()),
+        suppressed: 0,
+        allows: suppressions(src, &tokens),
+        test_ranges: test_ranges(src, &code),
+    };
     for f in raw {
-        if test_lines.iter().any(|&(a, b)| f.line >= a && f.line <= b) {
-            continue; // test code is out of scope, silently
-        }
-        let allowed = allows
-            .get(&f.line)
-            .is_some_and(|rules| rules.iter().any(|r| r == f.rule));
-        if allowed {
-            suppressed += 1;
-        } else {
-            findings.push(f);
+        if let Some(f) = analysis.gate(f) {
+            analysis.findings.push(f);
         }
     }
-    findings.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
-    let facts = syntax::extract(rel_path, src, &code, &test_lines);
-    let analysis = FileAnalysis {
-        rel_path: rel_path.to_string(),
-        findings,
-        suppressed,
-        allows,
-        test_ranges: test_lines,
-    };
+    let facts = syntax::extract(rel_path, src, &code, &analysis.test_ranges);
     (analysis, facts)
 }
 
-/// Runs the workspace rules (`lock-order`, `panic-reachability`) over
-/// every file's facts, gating each finding through the target file's
-/// test ranges and suppressions. Returns the surviving findings and the
-/// suppressed count.
-fn workspace_findings(
-    analyses: &[FileAnalysis],
-    facts: &[FileFacts],
-    only: Option<&[String]>,
-) -> (Vec<Finding>, usize) {
-    let ws = Workspace::build(facts);
+/// Lints a set of in-memory files together, running the per-file rules
+/// on each and the workspace rule across all of them. This is the entry
+/// point for multi-file fixture tests.
+pub fn lint_texts(files: &[(&str, &str)], only: Option<&[String]>) -> Vec<Finding> {
+    lint_files(files, only).0
+}
+
+/// The analysis every entry point shares: per-file rules on each file,
+/// then the workspace rules across all of them, each finding gated by
+/// its file's test ranges and suppressions, then the stale-allow check.
+/// Returns the surviving findings sorted by location and the suppressed
+/// count.
+fn lint_files(files: &[(&str, &str)], only: Option<&[String]>) -> (Vec<Finding>, usize) {
+    let (mut analyses, facts): (Vec<FileAnalysis>, Vec<FileFacts>) = files
+        .iter()
+        .map(|(path, src)| analyze_source(path, src, only))
+        .unzip();
+    let ws = Workspace::build(&facts);
     let mut raw = Vec::with_capacity(8);
     for rule in rules::WORKSPACE_RULES {
         if enabled(only, rule.name) {
             (rule.check)(&ws, &mut raw);
         }
     }
-    let by_path: BTreeMap<&str, &FileAnalysis> =
-        analyses.iter().map(|a| (a.rel_path.as_str(), a)).collect();
-    let mut out = Vec::with_capacity(raw.len());
-    let mut suppressed = 0usize;
+    let mut out: Vec<Finding> = Vec::with_capacity(raw.len() + files.len());
     for f in raw {
-        let Some(a) = by_path.get(f.path.as_str()) else {
-            out.push(f);
-            continue;
-        };
-        if a.test_ranges
-            .iter()
-            .any(|&(lo, hi)| f.line >= lo && f.line <= hi)
-        {
-            continue;
-        }
-        let allowed = a.allows.get(&f.line).is_some_and(|rules| {
-            rules
-                .iter()
-                .any(|r| r == f.rule || (f.rule == "panic-reachability" && r == "panic-surface"))
-        });
-        if allowed {
-            suppressed += 1;
-        } else {
-            out.push(f);
+        match analyses.iter_mut().find(|a| a.rel_path == f.path) {
+            Some(a) => out.extend(a.gate(f)),
+            None => out.push(f),
         }
     }
-    (out, suppressed)
-}
-
-/// Lints a set of in-memory files together, running the per-file rules
-/// on each and the workspace rules across all of them. No baseline
-/// applies. This is the entry point for multi-file fixture tests.
-pub fn lint_texts(files: &[(&str, &str)], only: Option<&[String]>) -> Vec<Finding> {
-    lint_files(files, only).0
-}
-
-/// The analysis every entry point shares: per-file rules on each file,
-/// then the workspace rules across all of them. Returns the findings
-/// that pass test exclusion and suppressions, sorted by location, and
-/// the suppressed count.
-fn lint_files(files: &[(&str, &str)], only: Option<&[String]>) -> (Vec<Finding>, usize) {
-    let (analyses, facts): (Vec<FileAnalysis>, Vec<FileFacts>) = files
-        .iter()
-        .map(|(path, src)| analyze_source(path, src, only))
-        .unzip();
-    let (ws_findings, ws_suppressed) = workspace_findings(&analyses, &facts, only);
-    let suppressed = ws_suppressed + analyses.iter().map(|a| a.suppressed).sum::<usize>();
-    let mut out: Vec<Finding> = analyses.into_iter().flat_map(|a| a.findings).collect();
-    out.extend(ws_findings);
+    let mut suppressed = 0usize;
+    for a in analyses {
+        suppressed += a.suppressed;
+        a.stale_allows(only, &mut out);
+        out.extend(a.findings);
+    }
     out.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
     });
@@ -451,14 +464,15 @@ fn item_end(src: &str, code: &[Token], j: usize) -> usize {
     code.len().saturating_sub(1)
 }
 
-/// Parses `// tbstc-lint: allow(rule, rule)` comments into a map from
-/// affected line to allowed rules. A trailing comment covers its own
-/// line; a comment alone on a line covers the next code line too (and
-/// consecutive standalone comments all bind to that same code line).
-fn suppressions(src: &str, tokens: &[Token]) -> BTreeMap<u32, Vec<String>> {
-    let mut out: BTreeMap<u32, Vec<String>> = BTreeMap::new();
+/// Collects the rules named by `// tbstc-lint: allow(rule, rule)`
+/// comments. A trailing comment covers its own line; a comment alone on
+/// a line covers the next code line too (and consecutive standalone
+/// comments all bind to that same code line). Doc comments document;
+/// they never suppress.
+fn suppressions(src: &str, tokens: &[Token]) -> Vec<Allow> {
+    let mut out = Vec::with_capacity(4);
     for (idx, t) in tokens.iter().enumerate() {
-        if !t.is_comment() {
+        if !t.is_comment() || t.is_doc {
             continue;
         }
         let Some(rules) = parse_allow(t.text(src)) else {
@@ -468,12 +482,21 @@ fn suppressions(src: &str, tokens: &[Token]) -> BTreeMap<u32, Vec<String>> {
             .iter()
             .take(idx)
             .any(|p| p.line == t.line && !p.is_comment());
-        out.entry(t.line).or_default().extend(rules.iter().cloned());
-        if standalone {
-            if let Some(next) = tokens.iter().skip(idx + 1).find(|n| !n.is_comment()) {
-                out.entry(next.line).or_default().extend(rules);
-            }
-        }
+        let next_line = if standalone {
+            tokens[idx + 1..]
+                .iter()
+                .find(|n| !n.is_comment())
+                .map(|n| n.line)
+        } else {
+            None
+        };
+        out.extend(rules.into_iter().map(|rule| Allow {
+            rule,
+            line: t.line,
+            col: t.col,
+            next_line,
+            used: false,
+        }));
     }
     out
 }
@@ -513,169 +536,66 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Default baseline file name at the workspace root.
-pub const BASELINE_FILE: &str = "lint-baseline.txt";
-
 /// Lints every `crates/*/src/**/*.rs` under `opts.root`: per-file rules,
-/// then the workspace rules over all files' facts, then the baseline.
+/// then the workspace rule over all files' facts.
 ///
 /// # Errors
 ///
-/// Returns a message when `opts.rules` names an unknown rule, the root
-/// has no `crates/` directory, or a source file cannot be read.
+/// Returns a message when `opts.rules` names an unknown rule, or
+/// [`read_workspace`] fails.
 pub fn lint_workspace(opts: &LintOptions) -> Result<LintReport, String> {
     let only = opts.rules.as_deref();
     if let Some(names) = only {
         check_rule_names(names)?;
     }
-    let crates_dir = opts.root.join("crates");
-    if !crates_dir.is_dir() {
-        return Err(format!(
-            "no crates/ directory under {}",
-            opts.root.display()
-        ));
-    }
-    let mut files = Vec::with_capacity(128);
-    rust_files(&crates_dir, &mut files);
-    // Only library/binary sources: crates/<name>/src/**. Tests, benches,
-    // and examples trade rigor for brevity on purpose.
-    files.retain(|p| {
-        p.strip_prefix(&opts.root)
-            .ok()
-            .and_then(|r| r.components().nth(2))
-            .is_some_and(|c| c.as_os_str() == "src")
-    });
-
-    let mut texts: Vec<(String, String)> = Vec::with_capacity(files.len());
-    for path in &files {
-        let rel = path
-            .strip_prefix(&opts.root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let src =
-            fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        texts.push((rel, src));
-    }
+    let texts = read_workspace(&opts.root)?;
     let files: Vec<(&str, &str)> = texts
         .iter()
         .map(|(rel, src)| (rel.as_str(), src.as_str()))
         .collect();
-    let sources: BTreeMap<&str, &str> = files.iter().copied().collect();
-    let (all, suppressed) = lint_files(&files, only);
-
-    let mut report = LintReport {
-        files_scanned: files.len(),
+    let (findings, suppressed) = lint_files(&files, only);
+    Ok(LintReport {
+        findings,
         suppressed,
-        ..LintReport::default()
-    };
-    let mut baseline = load_baseline(&opts.baseline_path());
-    for f in all {
-        let line_text = sources
-            .get(f.path.as_str())
-            .and_then(|src| src.lines().nth(f.line as usize - 1))
-            .map_or(String::new(), |l| l.trim().to_string());
-        let key = (f.rule.to_string(), f.path.clone(), line_text);
-        match baseline.get_mut(&key) {
-            Some(n) if *n > 0 => {
-                *n -= 1;
-                report.baselined.push(f);
-            }
-            _ => report.findings.push(f),
-        }
-    }
-    for ((rule, path, text), n) in baseline {
-        // A rule the filter skipped matched nothing, but its entries are
-        // not stale.
-        if !enabled(only, &rule) {
-            continue;
-        }
-        for _ in 0..n {
-            report
-                .stale_baseline
-                .push(format!("{rule}\t{path}\t{text}"));
-        }
-    }
-    report.stale_baseline.sort();
-    Ok(report)
+        files_scanned: files.len(),
+    })
 }
 
-/// Rewrites the baseline file to hold exactly the current findings (what
-/// `--update-baseline` does): new findings are grandfathered and stale
-/// entries dropped. Returns the number of entries written.
+/// Reads every library/binary source, `crates/*/src/**/*.rs` under
+/// `root`, as (workspace-relative path, text) pairs sorted by path.
+/// Tests, benches, and examples trade rigor for brevity on purpose and
+/// are not read.
 ///
 /// # Errors
 ///
-/// Refuses a rule filter, because the rewrite would drop every entry of
-/// the rules that did not run. Also returns [`lint_workspace`]'s errors
-/// and a message when the baseline cannot be written.
-pub fn update_baseline(opts: &LintOptions) -> Result<usize, String> {
-    if opts.rules.is_some() {
-        return Err(
-            "the baseline cannot be updated under a rule filter: entries of the \
-             rules that did not run would be dropped; rerun without --rules"
-                .into(),
-        );
+/// Returns a message when the root has no `crates/` directory or a
+/// source file cannot be read.
+pub fn read_workspace(root: &Path) -> Result<Vec<(String, String)>, String> {
+    let crates_dir = root.join("crates");
+    if !crates_dir.is_dir() {
+        return Err(format!("no crates/ directory under {}", root.display()));
     }
-    let report = lint_workspace(opts)?;
-    let text = render_baseline(&report, &opts.root);
-    let path = opts.baseline_path();
-    fs::write(&path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    Ok(report.findings.len() + report.baselined.len())
-}
-
-type BaselineKey = (String, String, String);
-
-fn load_baseline(path: &Path) -> BTreeMap<BaselineKey, usize> {
-    let mut out: BTreeMap<BaselineKey, usize> = BTreeMap::new();
-    let Ok(text) = fs::read_to_string(path) else {
-        return out;
-    };
-    for line in text.lines() {
-        let line = line.trim_end();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.splitn(3, '\t');
-        let (Some(rule), Some(p), Some(snippet)) = (parts.next(), parts.next(), parts.next())
-        else {
-            continue;
-        };
-        *out.entry((rule.to_string(), p.to_string(), snippet.to_string()))
-            .or_default() += 1;
-    }
-    out
-}
-
-/// Serializes the failing + baselined findings of `report` into baseline
-/// format, reading each finding's line from its file under `root`.
-fn render_baseline(report: &LintReport, root: &Path) -> String {
-    let mut lines: Vec<String> = Vec::with_capacity(report.findings.len() + report.baselined.len());
-    for f in report.findings.iter().chain(&report.baselined) {
-        let text = fs::read_to_string(root.join(&f.path))
+    let mut files = Vec::with_capacity(128);
+    rust_files(&crates_dir, &mut files);
+    files.retain(|p| {
+        p.strip_prefix(root)
             .ok()
-            .and_then(|src| {
-                src.lines()
-                    .nth(f.line as usize - 1)
-                    .map(|l| l.trim().to_string())
-            })
-            .unwrap_or_default();
-        lines.push(format!("{}\t{}\t{}", f.rule, f.path, text));
-    }
-    lines.sort();
-    // Entries are count-aware: two findings with identical trimmed lines
-    // need — and get — two baseline entries, so no dedup here.
-    let mut out = String::from(
-        "# tbstc-lint baseline: grandfathered findings, one per line as\n\
-         # rule<TAB>path<TAB>trimmed source line (count-aware: duplicates\n\
-         # are distinct entries). Regenerate with\n\
-         # `tbstc-cli lint --update-baseline`; delete lines as code is fixed.\n",
-    );
-    for l in lines {
-        out.push_str(&l);
-        out.push('\n');
-    }
-    out
+            .and_then(|r| r.components().nth(2))
+            .is_some_and(|c| c.as_os_str() == "src")
+    });
+    files
+        .iter()
+        .map(|path| {
+            let rel = path
+                .strip_prefix(root)
+                .unwrap_or(path)
+                .to_string_lossy()
+                .replace('\\', "/");
+            let src = fs::read_to_string(path)
+                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+            Ok((rel, src))
+        })
+        .collect()
 }
 
 /// Renders the report as compiler-style text plus a summary line.
@@ -685,22 +605,13 @@ pub fn render_human(report: &LintReport, deny_warnings: bool) -> String {
         out.push_str(&f.to_string());
         out.push('\n');
     }
-    for s in &report.stale_baseline {
-        out.push_str(&format!(
-            "stale baseline entry (fixed? delete it): {}\n",
-            s.replace('\t', " | ")
-        ));
-    }
     out.push_str(&format!(
-        "tbstc-lint: {} files scanned; {} error(s), {} warning(s){}; {} suppressed, {} baselined, {} stale baseline entr{}",
+        "tbstc-lint: {} files scanned; {} error(s), {} warning(s){}; {} suppressed",
         report.files_scanned,
         report.errors(),
         report.warnings(),
         if deny_warnings { " (denied)" } else { "" },
         report.suppressed,
-        report.baselined.len(),
-        report.stale_baseline.len(),
-        if report.stale_baseline.len() == 1 { "y" } else { "ies" },
     ));
     out.push('\n');
     out
@@ -736,20 +647,12 @@ pub fn render_json(report: &LintReport) -> String {
         )
     };
     let findings: Vec<String> = report.findings.iter().map(finding).collect();
-    let baselined: Vec<String> = report.baselined.iter().map(finding).collect();
-    let stale: Vec<String> = report
-        .stale_baseline
-        .iter()
-        .map(|s| format!("\"{}\"", json_escape(s)))
-        .collect();
     format!(
-        "{{\"schema\":\"tbstc-lint.v1\",\"files_scanned\":{},\"errors\":{},\"warnings\":{},\"suppressed\":{},\"findings\":[{}],\"baselined\":[{}],\"stale_baseline\":[{}]}}\n",
+        "{{\"schema\":\"tbstc-lint.v1\",\"files_scanned\":{},\"errors\":{},\"warnings\":{},\"suppressed\":{},\"findings\":[{}]}}\n",
         report.files_scanned,
         report.errors(),
         report.warnings(),
         report.suppressed,
         findings.join(","),
-        baselined.join(","),
-        stale.join(","),
     )
 }

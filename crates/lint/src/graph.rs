@@ -4,10 +4,10 @@
 //! **Call graph.** Nodes are every function [`crate::syntax`] extracted;
 //! edges resolve call sites by *simple name* — a call to `frob` points
 //! at every workspace function named `frob`. That over-approximates
-//! (two unrelated `new`s alias), which is the right polarity for both
-//! consumers: panic-reachability may escalate a finding that a human
-//! then suppresses with a reason, but it can never silently miss a
-//! genuinely reachable panic because resolution was too clever.
+//! (two unrelated `new`s alias), which is the right polarity for the
+//! lock graph: a spurious edge may report a cycle that a human then
+//! suppresses with a reason, but a real cycle is never missed because
+//! resolution was too clever.
 //!
 //! **Lock graph.** Nodes are normalized lock identities; an edge A → B
 //! means some execution path acquires B while holding A — either
@@ -18,7 +18,7 @@
 //! and flock(2) store/job locks, reported with the acquisition sites
 //! that close the cycle.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::syntax::{FileFacts, LockSite};
 
@@ -62,8 +62,6 @@ pub struct FnNode {
     pub name: String,
     /// Qualified name (`Scope::path::name`).
     pub qual: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
     /// Index range into the flattened facts (file index, fn index).
     pub file_idx: usize,
     /// Index of this function within its file's facts.
@@ -95,7 +93,6 @@ impl<'a> Workspace<'a> {
                     path: file.rel_path.clone(),
                     name: f.name.clone(),
                     qual: f.qual.clone(),
-                    line: f.line,
                     file_idx,
                     fn_idx,
                 });
@@ -105,8 +102,8 @@ impl<'a> Workspace<'a> {
         for node in &fns {
             let f = &files[node.file_idx].fns[node.fn_idx];
             let mut out: Vec<usize> = Vec::with_capacity(f.calls.len());
-            for call in &f.calls {
-                if let Some(targets) = by_name.get(call.callee.as_str()) {
+            for callee in &f.calls {
+                if let Some(targets) = by_name.get(callee.as_str()) {
                     out.extend_from_slice(targets);
                 }
             }
@@ -120,47 +117,6 @@ impl<'a> Workspace<'a> {
             by_name,
             callees,
         }
-    }
-
-    /// BFS from `roots` (indices into `fns`); returns, per function, the
-    /// predecessor on a shortest call chain from a root (`usize::MAX`
-    /// for roots themselves, `None` when unreachable).
-    pub fn reachable_from(&self, roots: &[usize]) -> Vec<Option<usize>> {
-        let mut pred: Vec<Option<usize>> = vec![None; self.fns.len()];
-        let mut queue = VecDeque::with_capacity(roots.len());
-        for &r in roots {
-            if pred[r].is_none() {
-                pred[r] = Some(usize::MAX);
-                queue.push_back(r);
-            }
-        }
-        while let Some(n) = queue.pop_front() {
-            for &c in &self.callees[n] {
-                if pred[c].is_none() {
-                    pred[c] = Some(n);
-                    queue.push_back(c);
-                }
-            }
-        }
-        pred
-    }
-
-    /// The call chain (`qual` names) from a root to `target`, given the
-    /// predecessor array from [`Workspace::reachable_from`].
-    pub fn chain_to(&self, pred: &[Option<usize>], target: usize) -> Vec<String> {
-        let mut chain = Vec::with_capacity(8);
-        let mut cur = target;
-        let mut hops = 0usize;
-        while hops < 64 {
-            chain.push(self.fns[cur].qual.clone());
-            match pred[cur] {
-                Some(p) if p != usize::MAX => cur = p,
-                _ => break,
-            }
-            hops += 1;
-        }
-        chain.reverse();
-        chain
     }
 
     /// Per-function may-acquire sets (lock-id indices), to fixpoint over
@@ -380,11 +336,10 @@ mod tests {
             ),
         ]);
         let ws = Workspace::build(&files);
-        let entry = ws.fns.iter().position(|f| f.name == "entry").unwrap();
-        let leaf = ws.fns.iter().position(|f| f.name == "leaf").unwrap();
-        let pred = ws.reachable_from(&[entry]);
-        assert!(pred[leaf].is_some());
-        assert_eq!(ws.chain_to(&pred, leaf), ["entry", "helper", "leaf"]);
+        let at = |name: &str| ws.fns.iter().position(|f| f.name == name).unwrap();
+        assert_eq!(ws.callees[at("entry")], [at("helper")]);
+        assert_eq!(ws.callees[at("helper")], [at("leaf")]);
+        assert!(ws.callees[at("leaf")].is_empty());
     }
 
     #[test]

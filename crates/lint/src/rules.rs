@@ -1,10 +1,9 @@
-//! The ten workspace rules: eight per-file checks (pure functions over
-//! a [`FileCtx`] pushing [`Finding`]s) and two workspace-level checks
-//! (`lock-order`, `panic-reachability`) that run over the
-//! [`crate::graph::Workspace`] built from every file's
-//! [`crate::syntax`] facts. The engine applies test-code exclusion,
-//! suppressions, and the baseline afterwards, so rules here report
-//! every match they see.
+//! The nine workspace rules: eight per-file checks (pure functions over
+//! a [`FileCtx`] pushing [`Finding`]s) and one workspace-level check
+//! (`lock-order`) that runs over the [`crate::graph::Workspace`] built
+//! from every file's [`crate::syntax`] facts. The engine applies
+//! test-code exclusion and suppressions afterwards, so rules here
+//! report every match they see.
 
 use crate::engine::{FileCtx, Finding, Severity};
 use crate::graph::{find_cycles, Workspace};
@@ -13,16 +12,16 @@ use crate::lexer::{TokKind, Token};
 /// A named per-file check with a fixed severity story (rules may emit
 /// both severities; the table's `check` decides per finding).
 pub struct Rule {
-    /// Kebab-case rule name, used in diagnostics, `allow(...)`, and the
-    /// baseline file.
+    /// Kebab-case rule name, used in diagnostics, `allow(...)`, and
+    /// `--rules`.
     pub name: &'static str,
     /// The check itself.
     pub check: fn(&FileCtx<'_>, &mut Vec<Finding>),
 }
 
 /// A workspace-level check over the call/lock graphs. Findings still
-/// point at one file/line, so suppressions and the baseline apply
-/// exactly as for per-file rules.
+/// point at one file/line, so suppressions apply exactly as for
+/// per-file rules.
 pub struct WorkspaceRule {
     /// Kebab-case rule name.
     pub name: &'static str,
@@ -67,16 +66,10 @@ pub const ALL_RULES: &[Rule] = &[
 ];
 
 /// Every workspace-level rule, in reporting order.
-pub const WORKSPACE_RULES: &[WorkspaceRule] = &[
-    WorkspaceRule {
-        name: "lock-order",
-        check: lock_order,
-    },
-    WorkspaceRule {
-        name: "panic-reachability",
-        check: panic_reachability,
-    },
-];
+pub const WORKSPACE_RULES: &[WorkspaceRule] = &[WorkspaceRule {
+    name: "lock-order",
+    check: lock_order,
+}];
 
 /// Every rule name, per-file rules first, in reporting order.
 pub fn rule_names() -> impl Iterator<Item = &'static str> {
@@ -112,8 +105,9 @@ const PRE_BRACKET_KEYWORDS: &[&str] = &[
 ];
 
 /// `.unwrap()` / `.expect()` / `panic!`-family macros anywhere, plus
-/// slice indexing on the serve request path. Warning severity: existing
-/// debt is baselined, new debt fails `--deny-warnings`.
+/// slice indexing on the serve request path. Warning severity: a site
+/// that cannot panic carries a suppression saying why; any other fails
+/// `--deny-warnings`.
 fn panic_surface(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     let code = ctx.code;
     for (i, t) in code.iter().enumerate() {
@@ -277,81 +271,77 @@ fn lock_discipline(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     if ctx.crate_name != "serve" && ctx.crate_name != "runner" {
         return;
     }
+    scan_with_guards(ctx, |i, guard| {
+        let t = &code[i];
+        let text = ctx.text(t);
+        let io_call = t.kind == TokKind::Ident
+            && IO_IDENTS.contains(&text)
+            && i >= 1
+            && ctx.code_text(i - 1) == "."
+            && ctx.code_text(i + 1) == "(";
+        if let (true, Some(guard)) = (io_call, guard) {
+            out.push(finding(
+                "lock-discipline",
+                Severity::Warning,
+                ctx,
+                t,
+                format!(
+                    ".{text}() while `{guard}` holds a lock guard blocks every \
+                     other thread on that mutex; drop the guard first"
+                ),
+            ));
+        }
+    });
+}
 
-    struct Guard {
-        name: String,
-        depth: i32,
-    }
-    let mut guards: Vec<Guard> = Vec::with_capacity(4);
+/// The lock-guard heuristic `lock-discipline` and
+/// `blocking-in-event-loop` share. Walks the file's code tokens treating
+/// an identifier bound by a `let` statement that calls `.lock()` as a
+/// live guard until its scope closes or it is `drop`ped, and calls
+/// `visit(i, guard)` for every token that is not a brace, a `let` or a
+/// `drop(` call, with the innermost live guard's name.
+fn scan_with_guards(ctx: &FileCtx<'_>, mut visit: impl FnMut(usize, Option<&str>)) {
+    let code = ctx.code;
+    // (binding name, brace depth it was bound at)
+    let mut guards: Vec<(String, i32)> = Vec::with_capacity(4);
     let mut depth = 0i32;
-    let mut i = 0usize;
-    while i < code.len() {
-        let text = ctx.code_text(i);
-        match text {
+    for i in 0..code.len() {
+        match ctx.code_text(i) {
             "{" => depth += 1,
             "}" => {
                 depth -= 1;
-                guards.retain(|g| g.depth <= depth);
+                guards.retain(|g| g.1 <= depth);
             }
             "let" if code[i].kind == TokKind::Ident => {
                 // Scan the statement for a `.lock()` call; bind the first
                 // ident after `let` (skipping `mut`) as a guard if found.
-                let mut name = None;
-                let mut k = i + 1;
-                if ctx.code_is_ident(k, "mut") {
-                    k += 1;
-                }
-                if code.get(k).is_some_and(|t| t.kind == TokKind::Ident) {
-                    name = Some(ctx.code_text(k).to_string());
-                }
+                let k = if ctx.code_is_ident(i + 1, "mut") {
+                    i + 2
+                } else {
+                    i + 1
+                };
+                let name = code.get(k).filter(|t| t.kind == TokKind::Ident);
                 let mut nest = 0i32;
                 let mut locks = false;
-                let mut j = i + 1;
-                while j < code.len() {
+                for j in i + 1..code.len() {
                     match ctx.code_text(j) {
                         "{" | "(" | "[" => nest += 1,
                         "}" | ")" | "]" => nest -= 1,
                         ";" if nest <= 0 => break,
-                        "lock" if ctx.code_text(j.wrapping_sub(1)) == "." => locks = true,
+                        "lock" if ctx.code_text(j - 1) == "." => locks = true,
                         _ => {}
                     }
-                    j += 1;
                 }
-                if locks {
-                    if let Some(name) = name {
-                        guards.push(Guard { name, depth });
-                    }
+                if let (true, Some(name)) = (locks, name) {
+                    guards.push((ctx.text(name).to_string(), depth));
                 }
             }
             "drop" if ctx.code_text(i + 1) == "(" => {
-                let dropped = ctx.code_text(i + 2).to_string();
-                guards.retain(|g| g.name != dropped);
+                let dropped = ctx.code_text(i + 2);
+                guards.retain(|g| g.0 != dropped);
             }
-            _ => {
-                let t = &code[i];
-                if t.kind == TokKind::Ident
-                    && IO_IDENTS.contains(&text)
-                    && i >= 1
-                    && ctx.code_text(i - 1) == "."
-                    && ctx.code_text(i + 1) == "("
-                {
-                    if let Some(g) = guards.last() {
-                        out.push(finding(
-                            "lock-discipline",
-                            Severity::Warning,
-                            ctx,
-                            t,
-                            format!(
-                                ".{text}() while `{}` holds a lock guard blocks every \
-                                 other thread on that mutex; drop the guard first",
-                                g.name
-                            ),
-                        ));
-                    }
-                }
-            }
+            _ => visit(i, guards.last().map(|g| g.0.as_str())),
         }
-        i += 1;
     }
 }
 
@@ -443,42 +433,33 @@ fn unsafe_audit(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 /// growth shows up directly in the benchmark's per-stage times.
 const HOT_PATHS: &[&str] = &["crates/sim/src/plan.rs", "crates/matrix/src/gemm.rs"];
 
-/// `Vec::new()` anywhere (warning; pre-existing debt lives in the
-/// baseline), plus — in the [`HOT_PATHS`] files only — `.push(...)` onto
-/// a local bound from `Vec::new()`, i.e. growth with no reserved
-/// capacity. Turbofish spellings (`Vec::<T>::new()`) are not matched;
-/// the workspace does not use them.
+/// In the [`HOT_PATHS`] files only: `.push(...)` onto a local bound
+/// from `Vec::new()`, i.e. growth with no reserved capacity. Turbofish
+/// spellings (`Vec::<T>::new()`) are not matched; the workspace does not
+/// use them.
 fn hot_path_alloc(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    let hot = HOT_PATHS.contains(&ctx.rel_path);
+    if !HOT_PATHS.contains(&ctx.rel_path) {
+        return;
+    }
     // Locals bound `let [mut] name = Vec::new()` (or reassigned from
     // one); pushes onto these are growth with no up-front reservation.
     let mut uncapped: Vec<String> = Vec::with_capacity(4);
     let code = ctx.code;
     for (i, t) in code.iter().enumerate() {
-        if t.kind != TokKind::Ident {
+        if t.kind != TokKind::Ident || i < 2 {
             continue;
         }
         match ctx.text(t) {
-            "Vec" if ctx.code_text(i + 1) == "::" && ctx.code_is_ident(i + 2, "new") => {
-                out.push(finding(
-                    "hot-path-alloc",
-                    Severity::Warning,
-                    ctx,
-                    t,
-                    "Vec::new() grows by reallocating; size it with \
-                     Vec::with_capacity, or suppress with a reason the \
-                     length is unknowable"
-                        .to_string(),
-                ));
-                if hot && i >= 2 && ctx.code_text(i - 1) == "=" {
-                    if let Some(name) = code.get(i - 2).filter(|p| p.kind == TokKind::Ident) {
-                        uncapped.push(ctx.text(name).to_string());
-                    }
+            "Vec"
+                if ctx.code_text(i + 1) == "::"
+                    && ctx.code_is_ident(i + 2, "new")
+                    && ctx.code_text(i - 1) == "=" =>
+            {
+                if let Some(name) = code.get(i - 2).filter(|p| p.kind == TokKind::Ident) {
+                    uncapped.push(ctx.text(name).to_string());
                 }
             }
-            "push"
-                if hot && i >= 2 && ctx.code_text(i - 1) == "." && ctx.code_text(i + 1) == "(" =>
-            {
+            "push" if ctx.code_text(i - 1) == "." && ctx.code_text(i + 1) == "(" => {
                 let recv = &code[i - 2];
                 if recv.kind == TokKind::Ident && uncapped.iter().any(|n| n == ctx.text(recv)) {
                     out.push(finding(
@@ -534,105 +515,55 @@ fn blocking_in_event_loop(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
         return;
     }
     let code = ctx.code;
-    struct Guard {
-        name: String,
-        depth: i32,
-    }
-    let mut guards: Vec<Guard> = Vec::with_capacity(4);
-    let mut depth = 0i32;
-    let mut i = 0usize;
-    while i < code.len() {
-        let text = ctx.code_text(i);
-        match text {
-            "{" => depth += 1,
-            "}" => {
-                depth -= 1;
-                guards.retain(|g| g.depth <= depth);
-            }
-            "let" if code[i].kind == TokKind::Ident => {
-                let mut name = None;
-                let mut k = i + 1;
-                if ctx.code_is_ident(k, "mut") {
-                    k += 1;
-                }
-                if code.get(k).is_some_and(|t| t.kind == TokKind::Ident) {
-                    name = Some(ctx.code_text(k).to_string());
-                }
-                let mut nest = 0i32;
-                let mut locks = false;
-                let mut j = i + 1;
-                while j < code.len() {
-                    match ctx.code_text(j) {
-                        "{" | "(" | "[" => nest += 1,
-                        "}" | ")" | "]" => nest -= 1,
-                        ";" if nest <= 0 => break,
-                        "lock" if ctx.code_text(j.wrapping_sub(1)) == "." => locks = true,
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                if locks {
-                    if let Some(name) = name {
-                        guards.push(Guard { name, depth });
-                    }
-                }
-            }
-            "drop" if ctx.code_text(i + 1) == "(" => {
-                let dropped = ctx.code_text(i + 2).to_string();
-                guards.retain(|g| g.name != dropped);
-            }
-            "sleep"
-                if ctx.code_text(i.wrapping_sub(1)) == "::"
-                    && ctx.code_is_ident(i.wrapping_sub(2), "thread") =>
-            {
-                out.push(finding(
-                    "blocking-in-event-loop",
-                    Severity::Error,
-                    ctx,
-                    &code[i],
-                    "thread::sleep stalls every connection on the event loop; \
-                     use the poll timeout instead"
-                        .to_string(),
-                ));
-            }
-            _ => {
-                let t = &code[i];
-                let is_method_call = t.kind == TokKind::Ident
-                    && i >= 1
-                    && ctx.code_text(i - 1) == "."
-                    && ctx.code_text(i + 1) == "(";
-                if is_method_call && EVENT_LOOP_BLOCKING_CALLS.contains(&text) {
-                    out.push(finding(
-                        "blocking-in-event-loop",
-                        Severity::Error,
-                        ctx,
-                        t,
-                        format!(
-                            ".{text}() blocks the event-loop thread; do single \
-                             non-blocking reads/writes after a readiness event"
-                        ),
-                    ));
-                }
-                if is_method_call && (text == "read" || text == "write") {
-                    if let Some(g) = guards.last() {
-                        out.push(finding(
-                            "blocking-in-event-loop",
-                            Severity::Error,
-                            ctx,
-                            t,
-                            format!(
-                                ".{text}() while `{}` holds a lock guard serializes \
-                                 the event loop against the workers; drop the guard \
-                                 before touching the socket",
-                                g.name
-                            ),
-                        ));
-                    }
-                }
-            }
+    scan_with_guards(ctx, |i, guard| {
+        let t = &code[i];
+        let text = ctx.text(t);
+        if text == "sleep"
+            && ctx.code_text(i.wrapping_sub(1)) == "::"
+            && ctx.code_is_ident(i.wrapping_sub(2), "thread")
+        {
+            out.push(finding(
+                "blocking-in-event-loop",
+                Severity::Error,
+                ctx,
+                t,
+                "thread::sleep stalls every connection on the event loop; \
+                 use the poll timeout instead"
+                    .to_string(),
+            ));
+            return;
         }
-        i += 1;
-    }
+        let is_method_call = t.kind == TokKind::Ident
+            && i >= 1
+            && ctx.code_text(i - 1) == "."
+            && ctx.code_text(i + 1) == "(";
+        if is_method_call && EVENT_LOOP_BLOCKING_CALLS.contains(&text) {
+            out.push(finding(
+                "blocking-in-event-loop",
+                Severity::Error,
+                ctx,
+                t,
+                format!(
+                    ".{text}() blocks the event-loop thread; do single \
+                     non-blocking reads/writes after a readiness event"
+                ),
+            ));
+        }
+        let socket_io = is_method_call && (text == "read" || text == "write");
+        if let (true, Some(guard)) = (socket_io, guard) {
+            out.push(finding(
+                "blocking-in-event-loop",
+                Severity::Error,
+                ctx,
+                t,
+                format!(
+                    ".{text}() while `{guard}` holds a lock guard serializes \
+                     the event loop against the workers; drop the guard \
+                     before touching the socket"
+                ),
+            ));
+        }
+    });
 }
 
 /// Looks for the inner attribute `#![forbid(unsafe_code)]` /
@@ -740,74 +671,5 @@ fn lock_order(ws: &Workspace<'_>, out: &mut Vec<Finding>) {
                  these locks in one global order"
             ),
         });
-    }
-}
-
-// --- panic-reachability (workspace) -------------------------------------
-
-/// The serve request path: every function defined in these files is a
-/// reachability root.
-const REQUEST_PATH_ROOTS: &[&str] = &["crates/serve/src/event.rs", "crates/serve/src/conn.rs"];
-
-/// Escalates panic sites (what `panic-surface` warns about) to errors
-/// when they are transitively reachable from the request path over the
-/// call graph; unreachable sites keep their per-file warning. The
-/// engine also honors `allow(panic-surface)` for this rule, so one
-/// justified suppression covers both.
-fn panic_reachability(ws: &Workspace<'_>, out: &mut Vec<Finding>) {
-    let roots: Vec<usize> = ws
-        .fns
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| REQUEST_PATH_ROOTS.contains(&f.path.as_str()))
-        .map(|(i, _)| i)
-        .collect();
-    if roots.is_empty() {
-        return;
-    }
-    let pred = ws.reachable_from(&roots);
-    for (i, node) in ws.fns.iter().enumerate() {
-        if pred[i].is_none() {
-            continue;
-        }
-        let f = &ws.files[node.file_idx].fns[node.fn_idx];
-        if f.panics.is_empty() {
-            continue;
-        }
-        let chain = fmt_chain(&ws.chain_to(&pred, i));
-        for p in &f.panics {
-            let what = match p.what.as_str() {
-                "unwrap" | "expect" => format!(".{}()", p.what),
-                "index" => "slice indexing".to_string(),
-                m => m.to_string(),
-            };
-            out.push(Finding {
-                rule: "panic-reachability",
-                severity: Severity::Error,
-                path: node.path.clone(),
-                line: p.line,
-                col: p.col,
-                message: format!(
-                    "{what} in `{}` can panic and is reachable from the serve \
-                     request path ({chain}); return a typed error or suppress \
-                     with a reason",
-                    node.qual
-                ),
-            });
-        }
-    }
-}
-
-/// `a -> b -> … -> z`, elided in the middle past six hops.
-fn fmt_chain(quals: &[String]) -> String {
-    if quals.len() <= 6 {
-        quals.join(" -> ")
-    } else {
-        format!(
-            "{} -> … {} calls … -> {}",
-            quals[..3].join(" -> "),
-            quals.len() - 5,
-            quals[quals.len() - 2..].join(" -> ")
-        )
     }
 }

@@ -15,10 +15,7 @@
 //! * **ordered lock pairs** — lock B acquired while lock A's guard is
 //!   still live (the edge material for the lock-order graph);
 //! * **calls under a held guard** — so the graph pass can propagate
-//!   "may acquire" sets interprocedurally;
-//! * **panic sites** — `.unwrap()` / `.expect()` / `panic!`-family
-//!   macros / serve-path slice indexing, mirrored from the
-//!   `panic-surface` rule so reachability can escalate them.
+//!   "may acquire" sets interprocedurally.
 //!
 //! Guard lifetimes reuse the heuristic the per-file rules already trust:
 //! a guard bound by `let` lives until its scope closes or it is
@@ -27,17 +24,6 @@
 //! as they are to the per-file rules.
 
 use crate::lexer::{TokKind, Token};
-
-/// A call site inside a function body.
-#[derive(Debug)]
-pub struct CallSite {
-    /// Simple (last-segment) callee name.
-    pub callee: String,
-    /// 1-based line of the callee token.
-    pub line: u32,
-    /// 1-based byte column of the callee token.
-    pub col: u32,
-}
 
 /// One lock acquisition site.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,19 +58,6 @@ pub struct HeldCall {
     pub col: u32,
 }
 
-/// A potential panic site (what `panic-surface` flags), kept as a fact
-/// so reachability analysis can escalate it.
-#[derive(Debug)]
-pub struct PanicSite {
-    /// What can panic: `unwrap`, `expect`, `panic!`, `unreachable!`,
-    /// `todo!`, `unimplemented!`, or `index`.
-    pub what: String,
-    /// 1-based line.
-    pub line: u32,
-    /// 1-based byte column.
-    pub col: u32,
-}
-
 /// Everything the workspace analyses need to know about one function.
 #[derive(Debug, Default)]
 pub struct FnFacts {
@@ -92,20 +65,15 @@ pub struct FnFacts {
     pub name: String,
     /// `Scope::path::name` — module and impl/trait scopes joined with `::`.
     pub qual: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
-    /// 1-based line of the body's closing brace.
-    pub end_line: u32,
-    /// Every call site in the body, in source order.
-    pub calls: Vec<CallSite>,
+    /// The simple (last-segment) callee name of every call in the body,
+    /// in source order.
+    pub calls: Vec<String>,
     /// Every lock acquisition in the body, in source order.
     pub acquires: Vec<LockSite>,
     /// Ordered held-pairs (`first` held while `second` acquired).
     pub pairs: Vec<OrderedPair>,
     /// Calls made while a guard was live.
     pub held_calls: Vec<HeldCall>,
-    /// Potential panic sites.
-    pub panics: Vec<PanicSite>,
 }
 
 /// The per-file fact set the graph pass consumes.
@@ -123,11 +91,6 @@ const NON_CALL_KEYWORDS: &[&str] = &[
     "else", "break", "continue", "where", "unsafe", "dyn", "impl", "use", "pub",
 ];
 
-/// Mirror of the `panic-surface` rule's pre-bracket keyword list.
-const PRE_BRACKET_KEYWORDS: &[&str] = &[
-    "return", "break", "else", "in", "mut", "ref", "const", "static", "as", "move", "yield",
-];
-
 /// Extracts the item tree and per-function facts from one file's code
 /// tokens. `test_ranges` are 1-based inclusive line ranges covered by
 /// `#[cfg(test)]` items; functions starting inside one are skipped.
@@ -137,12 +100,10 @@ pub fn extract(rel_path: &str, src: &str, code: &[Token], test_ranges: &[(u32, u
         fns: Vec::with_capacity(16),
     };
     let stem = file_stem(rel_path);
-    let in_serve = rel_path.starts_with("crates/serve/");
     let mut walker = Walker {
         src,
         code,
         stem,
-        in_serve,
         test_ranges,
         out: &mut facts,
     };
@@ -163,7 +124,6 @@ struct Walker<'a> {
     src: &'a str,
     code: &'a [Token],
     stem: &'a str,
-    in_serve: bool,
     test_ranges: &'a [(u32, u32)],
     out: &'a mut FileFacts,
 }
@@ -264,12 +224,9 @@ impl Walker<'_> {
                             } else {
                                 format!("{}::{}", scope.join("::"), name)
                             };
-                            let end_line = self.code.get(close).map_or(fn_line, |t| t.line);
                             let mut f = FnFacts {
                                 name,
                                 qual,
-                                line: fn_line,
-                                end_line,
                                 ..FnFacts::default()
                             };
                             self.body_facts(j + 1, close, &mut f);
@@ -465,11 +422,7 @@ impl Walker<'_> {
                 // a macro head (`name!`), and not `fn name(`.
                 let is_decl = i >= 1 && self.text(i - 1) == "fn";
                 if next_paren && !is_decl && !NON_CALL_KEYWORDS.contains(&text) && text != "drop" {
-                    f.calls.push(CallSite {
-                        callee: text.to_string(),
-                        line: tok.line,
-                        col: tok.col,
-                    });
+                    f.calls.push(text.to_string());
                     for g in &guards {
                         f.held_calls.push(HeldCall {
                             lock: g.site.clone(),
@@ -478,47 +431,6 @@ impl Walker<'_> {
                             col: tok.col,
                         });
                     }
-                }
-
-                // Panic sites, mirrored from panic-surface.
-                if (text == "unwrap" || text == "expect") && prev_dot && next_paren {
-                    let after_lock = i >= 4
-                        && self.text(i - 4) == "lock"
-                        && self.text(i - 3) == "("
-                        && self.text(i - 2) == ")";
-                    if !after_lock {
-                        f.panics.push(PanicSite {
-                            what: text.to_string(),
-                            line: tok.line,
-                            col: tok.col,
-                        });
-                    }
-                }
-                if matches!(text, "panic" | "unreachable" | "todo" | "unimplemented")
-                    && self.text(i + 1) == "!"
-                {
-                    f.panics.push(PanicSite {
-                        what: format!("{text}!"),
-                        line: tok.line,
-                        col: tok.col,
-                    });
-                }
-            }
-            // Serve-path slice indexing, mirrored from panic-surface.
-            if self.in_serve && tok.kind == TokKind::Punct && text == "[" && i >= 1 {
-                let prev = &self.code[i - 1];
-                let prev_text = self.text(i - 1);
-                let indexes = match prev.kind {
-                    TokKind::Ident => !PRE_BRACKET_KEYWORDS.contains(&prev_text),
-                    TokKind::Punct => matches!(prev_text, ")" | "]" | "?"),
-                    _ => false,
-                };
-                if indexes {
-                    f.panics.push(PanicSite {
-                        what: "index".to_string(),
-                        line: tok.line,
-                        col: tok.col,
-                    });
                 }
             }
             i += 1;
@@ -573,7 +485,7 @@ fn top() {}
         let quals: Vec<&str> = f.fns.iter().map(|f| f.qual.as_str()).collect();
         assert_eq!(quals, ["inner::S::method", "inner::helper", "top"]);
         assert_eq!(f.fns[0].calls.len(), 1);
-        assert_eq!(f.fns[0].calls[0].callee, "helper");
+        assert_eq!(f.fns[0].calls[0], "helper");
     }
 
     #[test]
@@ -639,7 +551,7 @@ fn f(&self, key: &str) {
     }
 
     #[test]
-    fn held_calls_and_panics_are_recorded() {
+    fn held_calls_are_recorded() {
         let src = "\
 fn f(&self, x: Option<u32>) {
     let g = self.state.lock();
@@ -654,8 +566,6 @@ fn f(&self, x: Option<u32>) {
         assert!(hc.iter().any(|h| h.callee == "compute"));
         // After drop(g) the unwrap is not under the guard.
         assert!(!hc.iter().any(|h| h.callee == "unwrap"));
-        let whats: Vec<&str> = f.fns[0].panics.iter().map(|p| p.what.as_str()).collect();
-        assert_eq!(whats, ["unwrap", "index"]);
     }
 
     #[test]

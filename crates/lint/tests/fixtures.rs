@@ -1,9 +1,9 @@
 //! Fixture tests: seed one violation of each rule into a source snippet
 //! and assert the engine reports it at the right `file:line`, and that
-//! suppressions, test-code exclusion, and the baseline behave.
+//! suppressions, the stale-allow check, and test-code exclusion behave.
 
 use tbstc_lint::engine::{lint_source_rules, LintOptions};
-use tbstc_lint::{lint_source, lint_workspace, update_baseline, Finding, Severity};
+use tbstc_lint::{lint_source, lint_workspace, Finding, Severity};
 
 fn rules_at(findings: &[Finding], rule: &str) -> Vec<(u32, u32)> {
     findings
@@ -216,17 +216,6 @@ fn f() {
 // --- hot-path-alloc -----------------------------------------------------
 
 #[test]
-fn hot_path_alloc_flags_vec_new_everywhere() {
-    let src = "fn f() -> Vec<u32> { let v = Vec::new(); v }\n";
-    let fs = lint_source("crates/core/src/f.rs", src);
-    assert_eq!(rules_at(&fs, "hot-path-alloc").len(), 1);
-    // with_capacity is the fix, not a finding; `Vec<u32>` in a type
-    // position is not a constructor.
-    let ok = "fn f() -> Vec<u32> { Vec::with_capacity(8) }\n";
-    assert!(lint_source("crates/core/src/f.rs", ok).is_empty());
-}
-
-#[test]
 fn hot_path_alloc_flags_uncapped_push_on_hot_paths_only() {
     let src = "\
 fn f(n: usize) -> Vec<u32> {
@@ -238,16 +227,13 @@ fn f(n: usize) -> Vec<u32> {
 }
 ";
     let hot = lint_source("crates/sim/src/plan.rs", src);
-    assert_eq!(rules_at(&hot, "hot-path-alloc"), [(2, 17), (4, 11)]);
-    // Off the hot path only the Vec::new itself is reported.
-    assert_eq!(
-        rules_at(
-            &lint_source("crates/sim/src/compute.rs", src),
-            "hot-path-alloc"
-        )
-        .len(),
-        1
-    );
+    assert_eq!(rules_at(&hot, "hot-path-alloc"), [(4, 11)]);
+    // Off the hot path the same growth is not reported.
+    assert!(rules_at(
+        &lint_source("crates/sim/src/compute.rs", src),
+        "hot-path-alloc"
+    )
+    .is_empty());
     // A with_capacity binding pushes freely even on the hot path.
     let ok = "\
 fn f(n: usize) -> Vec<u32> {
@@ -264,13 +250,18 @@ fn f(n: usize) -> Vec<u32> {
 #[test]
 fn hot_path_alloc_suppression_carries_reason() {
     let src = "\
-fn f() -> Vec<u32> {
-    // tbstc-lint: allow(hot-path-alloc) — output length is input-dependent
-    let v = Vec::new();
+fn f(it: impl Iterator<Item = u32>) -> Vec<u32> {
+    let mut v = Vec::new();
+    for x in it {
+        // tbstc-lint: allow(hot-path-alloc) — output length is input-dependent
+        v.push(x);
+    }
     v
 }
 ";
-    assert!(lint_source("crates/sim/src/plan.rs", src).is_empty());
+    let (fs, suppressed) = lint_source_rules("crates/sim/src/plan.rs", src, None);
+    assert!(fs.is_empty(), "{fs:?}");
+    assert_eq!(suppressed, 1);
 }
 
 // --- blocking-in-event-loop ---------------------------------------------
@@ -414,12 +405,76 @@ fn f(x: Option<u32>) -> u32 { x.unwrap() }
     assert_eq!(fs.len(), 1);
 }
 
-// --- workspace driver & baseline ----------------------------------------
+// --- stale suppressions -------------------------------------------------
+
+#[test]
+fn stale_allow_flags_a_suppression_that_silences_nothing() {
+    let src = "\
+fn f(x: Option<u32>) -> u32 {
+    // tbstc-lint: allow(panic-surface) — the unwrap below was fixed
+    x.unwrap_or(0)
+}
+";
+    let fs = lint_source("crates/core/src/f.rs", src);
+    assert_eq!(rules_at(&fs, "stale-allow"), [(2, 5)], "{fs:?}");
+    assert_eq!(fs.len(), 1, "{fs:?}");
+    assert_eq!(fs[0].severity, Severity::Warning);
+    assert!(fs[0].message.contains("allow(panic-surface)"), "{fs:?}");
+}
+
+#[test]
+fn stale_allow_flags_an_unknown_rule_name() {
+    let src = "\
+fn f(x: Option<u32>) -> u32 {
+    x.unwrap() // tbstc-lint: allow(panic-surfac) — typo
+}
+/// Docs may quote `// tbstc-lint: allow(anything)` without suppressing.
+fn g() {}
+";
+    let fs = lint_source("crates/core/src/f.rs", src);
+    // The typo suppresses nothing: the unwrap is still reported, and
+    // the allow itself is flagged, naming the valid rules.
+    assert_eq!(rules_at(&fs, "panic-surface"), [(2, 7)]);
+    assert_eq!(rules_at(&fs, "stale-allow"), [(2, 16)], "{fs:?}");
+    let stale = fs.iter().find(|f| f.rule == "stale-allow").unwrap();
+    assert!(stale.message.contains("allow(panic-surfac)"), "{stale:?}");
+    assert!(
+        stale.message.contains("valid rules: panic-surface,"),
+        "{stale:?}"
+    );
+}
+
+#[test]
+fn rule_filter_reports_stale_entries_only_for_rules_that_ran() {
+    let src = "\
+fn f(x: Option<u32>) -> u32 {
+    // tbstc-lint: allow(panic-surface) — stale
+    let a = x.unwrap_or(0);
+    // tbstc-lint: allow(determinism) — stale
+    let b = a + 1;
+    // tbstc-lint: allow(no-such-rule) — unknown
+    a + b
+}
+";
+    let stale = |only: Option<&[String]>| {
+        let (fs, _) = lint_source_rules("crates/core/src/f.rs", src, only);
+        assert!(fs.iter().all(|f| f.rule == "stale-allow"), "{fs:?}");
+        fs.iter().map(|f| f.line).collect::<Vec<_>>()
+    };
+    // Unfiltered, all three allows are stale.
+    assert_eq!(stale(None), [2, 4, 6]);
+    // Filtered, only the allows naming a rule that ran are checked: the
+    // determinism allow matched nothing because its rule was skipped,
+    // and an unknown name never runs.
+    assert_eq!(stale(Some(&["panic-surface".to_string()])), [2]);
+    assert!(stale(Some(&["lock-order".to_string()])).is_empty());
+}
+
+// --- workspace driver ---------------------------------------------------
 
 /// A one-file workspace under the temp dir whose only finding is a
-/// `panic-surface` warning on line 3, with `baseline` as its
-/// `lint-baseline.txt`.
-fn demo_workspace(tag: &str, baseline: &str) -> std::path::PathBuf {
+/// `panic-surface` warning on line 3 of `crates/demo/src/lib.rs`.
+fn demo_workspace(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("tbstc-lint-{tag}-{}", std::process::id()));
     let src_dir = dir.join("crates/demo/src");
     std::fs::create_dir_all(&src_dir).unwrap();
@@ -428,126 +483,58 @@ fn demo_workspace(tag: &str, baseline: &str) -> std::path::PathBuf {
         "#![forbid(unsafe_code)]\n//! Demo.\npub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
     )
     .unwrap();
-    std::fs::write(dir.join("lint-baseline.txt"), baseline).unwrap();
     dir
 }
-
-const DEMO_BASELINE: &str = "\
-panic-surface\tcrates/demo/src/lib.rs\tpub fn f(x: Option<u32>) -> u32 { x.unwrap() }
-panic-surface\tcrates/demo/src/gone.rs\tfixed long ago
-hot-path-alloc\tcrates/demo/src/gone.rs\tlet mut v = Vec::new();
-";
 
 fn only(rules: &[&str], root: &std::path::Path) -> LintOptions {
     LintOptions {
         root: root.to_path_buf(),
         rules: Some(rules.iter().map(|r| r.to_string()).collect()),
-        baseline: None,
     }
 }
 
 #[test]
-fn workspace_driver_applies_baseline_and_reports_stale() {
-    let dir = demo_workspace(
-        "fixture",
-        "# comment\n\
-         panic-surface\tcrates/demo/src/lib.rs\tpub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n\
-         panic-surface\tcrates/demo/src/gone.rs\tstale entry\n",
-    );
-
-    let report = lint_workspace(&LintOptions {
+fn workspace_driver_reports_files_findings_and_failure() {
+    let dir = demo_workspace("fixture");
+    let all = LintOptions {
         root: dir.clone(),
         rules: None,
-        baseline: None,
-    })
-    .unwrap();
+    };
+
+    let report = lint_workspace(&all).unwrap();
     assert_eq!(report.files_scanned, 1);
-    assert!(report.findings.is_empty(), "{:?}", report.findings);
-    assert_eq!(report.baselined.len(), 1);
-    assert_eq!(report.stale_baseline.len(), 1);
-    assert!(report.stale_baseline[0].contains("gone.rs"));
-    assert!(!report.fails(true));
-
-    // Without the baseline the same finding fails --deny-warnings.
-    std::fs::remove_file(dir.join("lint-baseline.txt")).unwrap();
-    let report = lint_workspace(&LintOptions {
-        root: dir.clone(),
-        rules: None,
-        baseline: None,
-    })
-    .unwrap();
-    assert_eq!(report.findings.len(), 1);
-    assert_eq!(report.findings[0].line, 3);
+    assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+    assert_eq!(
+        (report.findings[0].path.as_str(), report.findings[0].line),
+        ("crates/demo/src/lib.rs", 3)
+    );
     assert!(report.fails(true));
     assert!(!report.fails(false)); // warnings pass without --deny-warnings
 
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn rule_filter_reports_stale_entries_only_for_rules_that_ran() {
-    let dir = demo_workspace("filter-stale", DEMO_BASELINE);
-
-    // The hot-path-alloc entry matched nothing only because its rule
-    // was filtered out; the stale panic-surface entry is still reported.
-    let report = lint_workspace(&only(&["panic-surface"], &dir)).unwrap();
-    assert_eq!(report.baselined.len(), 1);
-    assert_eq!(
-        report.stale_baseline,
-        ["panic-surface\tcrates/demo/src/gone.rs\tfixed long ago"]
-    );
-
-    let report = lint_workspace(&only(&["determinism"], &dir)).unwrap();
-    assert!(
-        report.stale_baseline.is_empty(),
-        "{:?}",
-        report.stale_baseline
-    );
-
-    // Unfiltered, both gone.rs entries are stale.
-    let report = lint_workspace(&LintOptions {
-        root: dir.clone(),
-        rules: None,
-        baseline: None,
-    })
+    // An inline suppression with a reason accepts the finding.
+    std::fs::write(
+        dir.join("crates/demo/src/lib.rs"),
+        "#![forbid(unsafe_code)]\n//! Demo.\n\
+         // tbstc-lint: allow(panic-surface) — demo\n\
+         pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
+    )
     .unwrap();
-    assert_eq!(report.stale_baseline.len(), 2);
+    let report = lint_workspace(&all).unwrap();
+    assert!(report.findings.is_empty(), "{:?}", report.findings);
+    assert_eq!(report.suppressed, 1);
+    assert!(!report.fails(true));
 
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn unknown_rule_filter_is_an_error_naming_the_valid_rules() {
-    let dir = demo_workspace("filter-typo", DEMO_BASELINE);
+    let dir = demo_workspace("filter-typo");
     let err = lint_workspace(&only(&["panic-surface", "panic-surfac"], &dir)).unwrap_err();
     assert!(err.contains("`panic-surfac`"), "{err}");
     for rule in tbstc_lint::rules::rule_names() {
         assert!(err.contains(rule), "{rule} missing from: {err}");
     }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn update_baseline_refuses_a_rule_filter_and_drops_stale_entries() {
-    let dir = demo_workspace("update-baseline", DEMO_BASELINE);
-    let baseline = dir.join("lint-baseline.txt");
-
-    let err = update_baseline(&only(&["panic-surface"], &dir)).unwrap_err();
-    assert!(err.contains("--rules"), "{err}");
-    assert_eq!(std::fs::read_to_string(&baseline).unwrap(), DEMO_BASELINE);
-
-    // Unfiltered, the rewrite keeps the live entry and drops both stale ones.
-    let opts = LintOptions {
-        root: dir.clone(),
-        rules: None,
-        baseline: None,
-    };
-    assert_eq!(update_baseline(&opts).unwrap(), 1);
-    let report = lint_workspace(&opts).unwrap();
-    assert_eq!(report.baselined.len(), 1);
-    assert!(report.stale_baseline.is_empty());
-    assert!(!report.fails(true));
-
     std::fs::remove_dir_all(&dir).ok();
 }
 

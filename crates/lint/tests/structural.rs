@@ -1,6 +1,5 @@
-//! Fixture tests for the structural (workspace-level) analyses:
-//! `lock-order` cycle detection and `panic-reachability`
-//! classification.
+//! Fixture tests for the structural (workspace-level) analysis:
+//! `lock-order` cycle detection.
 
 use tbstc_lint::{lint_texts, Finding, Severity};
 
@@ -150,85 +149,4 @@ impl Jobs {
     // The cycle's witness edge in sweep.rs carries the allow; the other
     // direction alone is acyclic.
     assert!(rule(&findings, "lock-order").is_empty(), "{findings:?}");
-}
-
-// --- panic-reachability -------------------------------------------------
-
-const EVENT_ROOT: &str = "\
-fn run_loop() {
-    dispatch();
-}
-";
-
-#[test]
-fn panic_reachability_escalates_reachable_sites_and_spares_unreachable() {
-    let worker = "\
-pub fn dispatch() {
-    decode();
-}
-fn decode() {
-    let v: Option<u32> = None;
-    v.unwrap();
-}
-fn cold_path() {
-    let v: Option<u32> = None;
-    v.expect(\"never on the request path\");
-}
-";
-    let findings = lint_texts(
-        &[
-            ("crates/serve/src/event.rs", EVENT_ROOT),
-            ("crates/formats/src/codec.rs", worker),
-        ],
-        None,
-    );
-    let reach = rule(&findings, "panic-reachability");
-    assert_eq!(reach.len(), 1, "{findings:?}");
-    assert_eq!(reach[0].path, "crates/formats/src/codec.rs");
-    assert_eq!(reach[0].line, 6);
-    assert_eq!(reach[0].severity, Severity::Error);
-    // The message shows the call chain from the request path.
-    assert!(
-        reach[0].message.contains("run_loop -> dispatch -> decode"),
-        "{}",
-        reach[0].message
-    );
-    // The unreachable site keeps its panic-surface warning only.
-    let surface = rule(&findings, "panic-surface");
-    assert!(
-        surface.iter().any(|f| f.line == 10),
-        "cold_path keeps its warning: {findings:?}"
-    );
-    assert!(reach.iter().all(|f| f.line != 10));
-}
-
-#[test]
-fn panic_reachability_honors_panic_surface_suppressions() {
-    let worker = "\
-pub fn dispatch() {
-    let v: Option<u32> = None;
-    // tbstc-lint: allow(panic-surface) — input validated at the boundary
-    v.unwrap();
-}
-";
-    let findings = lint_texts(
-        &[
-            ("crates/serve/src/event.rs", EVENT_ROOT),
-            ("crates/formats/src/codec.rs", worker),
-        ],
-        None,
-    );
-    assert!(
-        rule(&findings, "panic-reachability").is_empty(),
-        "{findings:?}"
-    );
-    assert!(rule(&findings, "panic-surface").is_empty());
-}
-
-#[test]
-fn panic_reachability_needs_a_request_path_root() {
-    // No event.rs/conn.rs in the set: nothing is reachable.
-    let worker = "pub fn dispatch() { x.unwrap(); }\n";
-    let findings = lint_texts(&[("crates/formats/src/codec.rs", worker)], None);
-    assert!(rule(&findings, "panic-reachability").is_empty());
 }

@@ -76,8 +76,8 @@ impl Plan {
     /// every worker a task (or one task per point and layer, if there are
     /// fewer of those than workers).
     pub(crate) fn new(fresh: &[SimJob], workers: usize) -> Self {
-        // tbstc-lint: allow(hot-path-alloc) — the group count is known
-        // only after the scan; it is at most models × seeds, a handful.
+        // The group count is known only after the scan; it is at most
+        // models × seeds, a handful.
         let mut groups: Vec<Group> = Vec::new();
         let mut group_of = Vec::with_capacity(fresh.len());
         for (p, job) in fresh.iter().enumerate() {
@@ -91,8 +91,7 @@ impl Plan {
                         spec: job.model,
                         model: job.model.build(),
                         seed: job.seed,
-                        // tbstc-lint: allow(hot-path-alloc) — the sibling
-                        // count is known only after the scan.
+                        // The sibling count is known only after the scan.
                         points: Vec::new(),
                     });
                     groups.len() - 1

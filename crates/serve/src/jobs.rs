@@ -61,7 +61,6 @@ impl DurableQueue {
             if let Some(key) = q.pop_front() {
                 return Some(key);
             }
-            // tbstc-lint: allow(lock-order) — `.load` here is AtomicBool::load; the name-based call graph aliases it with store/cache `load` fns
             if self.closed.load(Ordering::SeqCst) || should_stop() {
                 return None;
             }
@@ -113,7 +112,6 @@ impl DurableQueue {
         self.cancels
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            // tbstc-lint: allow(lock-order) — HashSet::remove on the guard; the name-based call graph aliases it with DurableQueue::remove
             .remove(key);
     }
 

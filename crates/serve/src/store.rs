@@ -413,20 +413,17 @@ impl ResultStore {
         let path = self.memo_path();
         let text = match fs::read_to_string(&path) {
             Ok(t) => t,
-            // tbstc-lint: allow(hot-path-alloc) — empty vec, never grows
             Err(_) => return (Vec::new(), 0),
         };
         let mut lines = text.lines();
         match lines.next() {
             Some(MEMO_HEADER) => {}
-            // tbstc-lint: allow(hot-path-alloc) — empty vec, never grows
             None => return (Vec::new(), 0),
             Some(_) => {
                 eprintln!(
                     "tbstc-serve: warning: {} has an unknown header — ignoring the memo cache",
                     path.display()
                 );
-                // tbstc-lint: allow(hot-path-alloc) — empty vec, never grows
                 return (Vec::new(), 1);
             }
         }
