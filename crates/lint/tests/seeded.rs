@@ -41,13 +41,14 @@ const SEEDS: &[Seed] = &[
             ),
         ],
     },
-    // A poisoned queue lock panics every later `depth()` caller.
+    // A poisoned cancel-set lock panics the durable controller at its
+    // next `cancel_requested` check.
     Seed {
         rule: "lock-discipline",
         path: "crates/serve/src/jobs.rs",
         edits: &[(
-            "            .unwrap_or_else(PoisonError::into_inner)\n            .len()",
-            "            .unwrap()\n            .len()",
+            "            .unwrap_or_else(PoisonError::into_inner)\n            .contains(key)",
+            "            .unwrap()\n            .contains(key)",
         )],
     },
     Seed {

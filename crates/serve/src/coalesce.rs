@@ -1,18 +1,25 @@
-//! Request coalescing: single-flight per content address.
+//! Request coalescing and admission: single-flight per content address.
 //!
 //! The dispatcher sits between the event loop and the engine. A spec
 //! is identified by its FNV-1a-128 content address
 //! ([`tbstc::jobspec::JobSpec::cache_key`]). While a key is queued or
-//! executing, further requests for the same key *attach as waiters*
-//! instead of taking admission slots; one execution fans its response
-//! out to every waiter. Workers pick up distinct jobs one at a time in
-//! FIFO order.
+//! executing, further requests for the same key *attach as waiters*;
+//! one execution fans its response out to every waiter. Workers pick
+//! up distinct jobs one at a time in FIFO order.
+//!
+//! The dispatcher is also the admission queue: it admits at most
+//! `queue_capacity` distinct keys (queued plus executing) and rejects
+//! further new keys, which the server answers `429`. A waiter never
+//! needs capacity. A panicking executor cannot strand its key: the
+//! worker catches the unwind, removes the key and answers every waiter
+//! `500`, so capacity is always returned and the worker lives on.
 //!
 //! Workers are plain threads (this module is *not* on the event loop's
 //! no-blocking path); responses travel back via
 //! [`crate::event::Completions`], which wakes the poll loop.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -20,8 +27,7 @@ use std::time::{Duration, Instant};
 use tbstc::jobspec::JobSpec;
 
 use crate::event::{Completion, Completions, Token};
-use crate::http::Response;
-use crate::queue::{AdmissionQueue, OwnedTicket};
+use crate::http::{error_body, Response};
 
 /// A deduplicated job handed to the executor.
 #[derive(Debug)]
@@ -34,7 +40,7 @@ pub struct QueuedJob {
 
 /// Executes one deduplicated spec. Implemented by the server (engine +
 /// store + metrics) and by test fakes.
-pub trait BatchExecutor: Send + Sync {
+pub trait Executor: Send + Sync {
     /// Runs `job` and returns its response.
     fn execute(&self, job: &QueuedJob) -> Response;
 }
@@ -51,31 +57,27 @@ pub enum Enqueue {
     /// Attached to an identical in-flight or queued job — no new slot,
     /// no new execution.
     Coalesced,
-    /// Admission queue full or closed: answer 429.
+    /// At capacity or closed: answer 429.
     Rejected,
 }
 
-#[derive(Debug)]
-struct PendingJob {
-    spec: JobSpec,
-    waiters: Vec<(Token, Instant)>,
-    ticket: OwnedTicket,
-}
+type Waiters = Vec<(Token, Instant)>;
 
 #[derive(Default)]
 struct DispatchState {
-    queued: BTreeMap<String, PendingJob>,
+    /// Admitted keys no worker has picked up yet → (spec, waiters).
+    queued: BTreeMap<String, (JobSpec, Waiters)>,
     /// FIFO pickup order over `queued` keys.
     order: VecDeque<String>,
     /// Executing keys → waiters (late arrivals attach here too).
-    inflight: BTreeMap<String, Vec<(Token, Instant)>>,
+    inflight: BTreeMap<String, Waiters>,
     closed: bool,
 }
 
 struct Inner {
     state: Mutex<DispatchState>,
     cv: Condvar,
-    executor: Arc<dyn BatchExecutor>,
+    executor: Arc<dyn Executor>,
     completions: Arc<Completions>,
     finish: Arc<FinishFn>,
     hold: Duration,
@@ -87,20 +89,24 @@ impl Inner {
     }
 }
 
-/// The coalescing dispatcher: owns the worker threads.
+/// The coalescing dispatcher: owns the worker threads and the admission
+/// count.
 pub struct Dispatcher {
     inner: Arc<Inner>,
     threads: Vec<thread::JoinHandle<()>>,
+    capacity: usize,
 }
 
 impl Dispatcher {
-    /// Starts `workers` worker threads. `hold` artificially extends
-    /// each job (the `--hold-ms` testing knob); `finish` is invoked
-    /// once per delivered waiter.
+    /// Starts `workers` worker threads admitting at most
+    /// `queue_capacity` distinct keys (both clamped to ≥ 1). `hold`
+    /// artificially extends each job (the `--hold-ms` testing knob);
+    /// `finish` is invoked once per delivered waiter.
     pub fn start(
         workers: usize,
+        queue_capacity: usize,
         hold: Duration,
-        executor: Arc<dyn BatchExecutor>,
+        executor: Arc<dyn Executor>,
         completions: Arc<Completions>,
         finish: Arc<FinishFn>,
     ) -> Self {
@@ -123,20 +129,17 @@ impl Dispatcher {
                 threads.push(handle);
             }
         }
-        Self { inner, threads }
+        Self {
+            inner,
+            threads,
+            capacity: queue_capacity.max(1),
+        }
     }
 
     /// Submits a job from the event loop. Never blocks: either attaches
     /// to an identical in-flight/queued job, admits a new one, or
     /// rejects.
-    pub fn submit(
-        &self,
-        queue: &Arc<AdmissionQueue>,
-        key: &str,
-        spec: JobSpec,
-        token: Token,
-        started: Instant,
-    ) -> Enqueue {
+    pub fn submit(&self, key: &str, spec: JobSpec, token: Token, started: Instant) -> Enqueue {
         let mut s = self.inner.guard();
         if s.closed {
             return Enqueue::Rejected;
@@ -145,40 +148,37 @@ impl Dispatcher {
             waiters.push((token, started));
             return Enqueue::Coalesced;
         }
-        if let Some(pending) = s.queued.get_mut(key) {
-            pending.waiters.push((token, started));
+        if let Some((_, waiters)) = s.queued.get_mut(key) {
+            waiters.push((token, started));
             return Enqueue::Coalesced;
         }
-        let Some(ticket) = queue.try_enter_owned() else {
+        if s.queued.len() + s.inflight.len() >= self.capacity {
             return Enqueue::Rejected;
-        };
-        s.queued.insert(
-            key.to_string(),
-            PendingJob {
-                spec,
-                waiters: vec![(token, started)],
-                ticket,
-            },
-        );
+        }
+        s.queued
+            .insert(key.to_string(), (spec, vec![(token, started)]));
         s.order.push_back(key.to_string());
         drop(s);
         self.inner.cv.notify_one();
         Enqueue::Queued
     }
 
-    /// Queued + in-flight distinct jobs (for the depth gauge).
-    pub fn depth(&self) -> usize {
+    /// The admission capacity in distinct keys.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// `(queued, executing)` distinct keys right now (the depth and
+    /// in-flight gauges).
+    pub fn depth(&self) -> (usize, usize) {
         let s = self.inner.guard();
-        s.queued.len() + s.inflight.len()
+        (s.queued.len(), s.inflight.len())
     }
 
     /// Stops accepting work, wakes the workers, and joins them after
     /// they finish everything already queued.
     pub fn close_and_join(self) {
-        {
-            let mut s = self.inner.guard();
-            s.closed = true;
-        }
+        self.inner.guard().closed = true;
         self.inner.cv.notify_all();
         for handle in self.threads {
             let _ = handle.join();
@@ -188,28 +188,24 @@ impl Dispatcher {
 
 /// One worker: pick up the FIFO head, execute, deliver, repeat.
 fn worker_loop(inner: &Inner) {
-    while let Some((job, ticket)) = next_job(inner) {
-        run_job(inner, job, ticket);
+    while let Some(job) = next_job(inner) {
+        run_job(inner, &job);
     }
 }
 
 /// Blocks until work is queued (or the dispatcher closes and drains),
 /// then moves the FIFO head from queued to in-flight.
-fn next_job(inner: &Inner) -> Option<(QueuedJob, OwnedTicket)> {
+fn next_job(inner: &Inner) -> Option<QueuedJob> {
     let mut s = inner.guard();
     loop {
         if let Some(key) = s.order.pop_front() {
             // Every ordered key is queued; skip one that is not rather
             // than stall the worker.
-            let Some(pending) = s.queued.remove(&key) else {
+            let Some((spec, waiters)) = s.queued.remove(&key) else {
                 continue;
             };
-            s.inflight.insert(key.clone(), pending.waiters);
-            let job = QueuedJob {
-                key,
-                spec: pending.spec,
-            };
-            return Some((job, pending.ticket));
+            s.inflight.insert(key.clone(), waiters);
+            return Some(QueuedJob { key, spec });
         }
         if s.closed {
             return None;
@@ -218,13 +214,17 @@ fn next_job(inner: &Inner) -> Option<(QueuedJob, OwnedTicket)> {
     }
 }
 
-/// Executes one job and fans its response out to every waiter.
-fn run_job(inner: &Inner, job: QueuedJob, mut ticket: OwnedTicket) {
-    ticket.begin();
+/// Executes one job and fans its response out to every waiter. A
+/// panicking executor costs this job a `500`, not the worker: the key
+/// leaves `inflight` either way, which returns its admission slot.
+fn run_job(inner: &Inner, job: &QueuedJob) {
     if !inner.hold.is_zero() {
         thread::sleep(inner.hold);
     }
-    let response = inner.executor.execute(&job);
+    let response =
+        catch_unwind(AssertUnwindSafe(|| inner.executor.execute(job))).unwrap_or_else(|_| {
+            Response::new(500).json(error_body("internal error: job execution panicked"))
+        });
     let waiters = inner.guard().inflight.remove(&job.key).unwrap_or_default();
     let delivery: Vec<Completion> = waiters
         .into_iter()
@@ -237,10 +237,6 @@ fn run_job(inner: &Inner, job: QueuedJob, mut ticket: OwnedTicket) {
         })
         .collect();
     inner.completions.push_all(delivery);
-    // The ticket drops here: admission capacity is released only after
-    // the responses are queued for delivery.
-    drop(ticket);
-    inner.cv.notify_all();
 }
 
 #[cfg(test)]
@@ -258,19 +254,21 @@ mod tests {
     }
 
     fn token() -> Token {
-        // Tokens are opaque; any value works here since nothing drains
-        // the completions queue in these tests.
+        // Tokens are opaque; any value works here since the tests read
+        // completions by response, not by token.
         Token::test_token(0, 0, 0)
     }
 
-    /// Executor that blocks until released, recording every call.
+    /// Executor that blocks until released, recording every call. It
+    /// panics once, on the first call for `panic_key`.
     struct GatedExec {
         calls: AtomicUsize,
         keys: Mutex<Vec<String>>,
         gate: Mutex<mpsc::Receiver<()>>,
+        panic_key: Mutex<Option<String>>,
     }
 
-    impl BatchExecutor for GatedExec {
+    impl Executor for GatedExec {
         fn execute(&self, job: &QueuedJob) -> Response {
             self.calls.fetch_add(1, Ordering::SeqCst);
             self.keys
@@ -282,36 +280,50 @@ mod tests {
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .recv_timeout(Duration::from_secs(5));
+            let mut panic_key = self
+                .panic_key
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            if panic_key.as_deref() == Some(job.key.as_str()) {
+                *panic_key = None;
+                drop(panic_key);
+                panic!("executor bug on {}", job.key);
+            }
             Response::new(200).text(format!("done:{}\n", job.key))
         }
     }
 
-    fn harness(
-        workers: usize,
-        capacity: usize,
-    ) -> (
-        Dispatcher,
-        Arc<AdmissionQueue>,
-        Arc<GatedExec>,
-        mpsc::Sender<()>,
-    ) {
+    struct Harness {
+        dispatcher: Dispatcher,
+        exec: Arc<GatedExec>,
+        gate: mpsc::Sender<()>,
+        completions: Arc<Completions>,
+    }
+
+    fn harness(workers: usize, capacity: usize) -> Harness {
         let (waker, _rx) = waker_pair().expect("waker");
         let completions = Arc::new(Completions::new(waker));
-        let (gate_tx, gate_rx) = mpsc::channel();
+        let (gate, gate_rx) = mpsc::channel();
         let exec = Arc::new(GatedExec {
             calls: AtomicUsize::new(0),
             keys: Mutex::new(Vec::new()),
             gate: Mutex::new(gate_rx),
+            panic_key: Mutex::new(None),
         });
-        let queue = Arc::new(AdmissionQueue::new(capacity, workers));
         let dispatcher = Dispatcher::start(
             workers,
+            capacity,
             Duration::ZERO,
-            Arc::clone(&exec) as Arc<dyn BatchExecutor>,
-            completions,
+            Arc::clone(&exec) as Arc<dyn Executor>,
+            Arc::clone(&completions),
             Arc::new(|_, _| {}),
         );
-        (dispatcher, queue, exec, gate_tx)
+        Harness {
+            dispatcher,
+            exec,
+            gate,
+            completions,
+        }
     }
 
     fn wait_until(deadline_ms: u64, cond: impl Fn() -> bool) {
@@ -324,104 +336,132 @@ mod tests {
         assert!(cond(), "condition not reached in {deadline_ms}ms");
     }
 
+    impl Harness {
+        /// Submits the spec for `seed`.
+        fn submit(&self, seed: u64) -> Enqueue {
+            let s = spec(seed);
+            self.dispatcher
+                .submit(&s.cache_key(), s, token(), Instant::now())
+        }
+
+        fn calls(&self) -> usize {
+            self.exec.calls.load(Ordering::SeqCst)
+        }
+
+        /// Lets one gated execution finish.
+        fn release(&self) {
+            self.gate.send(()).expect("release one job");
+        }
+
+        /// Waits for `n` delivered responses and returns their statuses.
+        fn delivered(&self, n: usize) -> Vec<u16> {
+            let mut got = Vec::new();
+            for _ in 0..2000 {
+                let batch = self.completions.drain();
+                got.extend(batch.into_iter().map(|c| c.response.status()));
+                if got.len() >= n {
+                    break;
+                }
+                thread::sleep(Duration::from_millis(1));
+            }
+            assert_eq!(got.len(), n, "delivered responses: {got:?}");
+            got
+        }
+    }
+
     #[test]
     fn identical_concurrent_specs_execute_exactly_once() {
-        let (dispatcher, queue, exec, gate) = harness(1, 16);
+        let h = harness(1, 16);
         // Occupy the single worker with a blocker job.
-        let blocker = spec(999);
-        let key_b = blocker.cache_key();
-        assert_eq!(
-            dispatcher.submit(&queue, &key_b, blocker, token(), Instant::now()),
-            Enqueue::Queued
-        );
-        wait_until(2000, || exec.calls.load(Ordering::SeqCst) == 1);
+        assert_eq!(h.submit(999), Enqueue::Queued);
+        wait_until(2000, || h.calls() == 1);
 
         // N identical submissions while the worker is busy: one queues,
         // the rest coalesce onto it.
-        let shared = spec(7);
-        let key_s = shared.cache_key();
         let n = 8;
-        let mut outcomes = Vec::with_capacity(n);
-        for _ in 0..n {
-            outcomes.push(dispatcher.submit(&queue, &key_s, spec(7), token(), Instant::now()));
-        }
+        let outcomes: Vec<Enqueue> = (0..n).map(|_| h.submit(7)).collect();
         let queued = outcomes.iter().filter(|o| **o == Enqueue::Queued).count();
         let coalesced = outcomes
             .iter()
             .filter(|o| **o == Enqueue::Coalesced)
             .count();
         assert_eq!((queued, coalesced), (1, n - 1));
+        assert_eq!(h.dispatcher.depth(), (1, 1));
 
         // Release the blocker, then the shared job.
-        gate.send(()).expect("release blocker");
-        wait_until(2000, || exec.calls.load(Ordering::SeqCst) == 2);
-        gate.send(()).expect("release shared");
-        wait_until(2000, || dispatcher.depth() == 0);
+        h.release();
+        wait_until(2000, || h.calls() == 2);
+        h.release();
+        wait_until(2000, || h.dispatcher.depth() == (0, 0));
         // Exactly two executions total: blocker + ONE for the N
         // identical specs.
-        assert_eq!(exec.calls.load(Ordering::SeqCst), 2);
-        dispatcher.close_and_join();
-        queue.wait_idle();
+        assert_eq!(h.calls(), 2);
+        h.dispatcher.close_and_join();
     }
 
     #[test]
     fn distinct_jobs_run_one_call_each_in_fifo_order() {
-        let (dispatcher, queue, exec, gate) = harness(1, 16);
-        let blocker = spec(999);
-        let key_b = blocker.cache_key();
-        dispatcher.submit(&queue, &key_b, blocker, token(), Instant::now());
-        wait_until(2000, || exec.calls.load(Ordering::SeqCst) == 1);
+        let h = harness(1, 16);
+        h.submit(999);
+        wait_until(2000, || h.calls() == 1);
 
         // Four distinct specs queue behind the blocker.
-        let mut expected = vec![key_b];
         for seed in 0..4 {
-            let s = spec(seed);
-            let key = s.cache_key();
-            assert_eq!(
-                dispatcher.submit(&queue, &key, s, token(), Instant::now()),
-                Enqueue::Queued
-            );
-            expected.push(key);
+            assert_eq!(h.submit(seed), Enqueue::Queued);
         }
+        let expected: Vec<String> = [999, 0, 1, 2, 3]
+            .into_iter()
+            .map(|seed| spec(seed).cache_key())
+            .collect();
         for _ in 0..expected.len() {
-            gate.send(()).expect("release one job");
+            h.release();
         }
-        wait_until(2000, || dispatcher.depth() == 0);
-        let keys = exec
-            .keys
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        assert_eq!(keys, expected, "one call per job, in submission order");
-        dispatcher.close_and_join();
-        queue.wait_idle();
+        wait_until(2000, || h.dispatcher.depth() == (0, 0));
+        let keys = h.exec.keys.lock().unwrap_or_else(PoisonError::into_inner);
+        assert_eq!(*keys, expected, "one call per job, in submission order");
+        drop(keys);
+        h.dispatcher.close_and_join();
     }
 
     #[test]
     fn full_queue_rejects_new_keys_but_still_coalesces() {
-        let (dispatcher, queue, exec, gate) = harness(1, 1);
-        let a = spec(1);
-        let key_a = a.cache_key();
-        assert_eq!(
-            dispatcher.submit(&queue, &key_a, a, token(), Instant::now()),
-            Enqueue::Queued
-        );
-        wait_until(2000, || exec.calls.load(Ordering::SeqCst) == 1);
+        let h = harness(1, 1);
+        assert_eq!(h.submit(1), Enqueue::Queued);
+        wait_until(2000, || h.calls() == 1);
         // Distinct key: no capacity left.
-        let b = spec(2);
-        let key_b = b.cache_key();
-        assert_eq!(
-            dispatcher.submit(&queue, &key_b, b, token(), Instant::now()),
-            Enqueue::Rejected
-        );
+        assert_eq!(h.submit(2), Enqueue::Rejected);
         // Identical key: attaches without needing capacity.
-        assert_eq!(
-            dispatcher.submit(&queue, &key_a, spec(1), token(), Instant::now()),
-            Enqueue::Coalesced
-        );
-        gate.send(()).expect("release");
-        wait_until(2000, || dispatcher.depth() == 0);
-        dispatcher.close_and_join();
-        queue.wait_idle();
+        assert_eq!(h.submit(1), Enqueue::Coalesced);
+        h.release();
+        wait_until(2000, || h.dispatcher.depth() == (0, 0));
+        // The finished key returned its slot.
+        assert_eq!(h.submit(2), Enqueue::Queued);
+        h.release();
+        h.dispatcher.close_and_join();
+    }
+
+    #[test]
+    fn panicking_executor_answers_500_and_returns_its_slot() {
+        let h = harness(1, 1);
+        *h.exec
+            .panic_key
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Some(spec(1).cache_key());
+        assert_eq!(h.submit(1), Enqueue::Queued);
+        assert_eq!(h.submit(1), Enqueue::Coalesced);
+        h.release();
+        assert_eq!(h.delivered(2), [500, 500], "every waiter gets the 500");
+        wait_until(2000, || h.dispatcher.depth() == (0, 0));
+
+        // The key is admitted afresh, not coalesced onto the dead job,
+        // and the surviving worker runs it and a distinct key after it.
+        assert_eq!(h.submit(1), Enqueue::Queued);
+        h.release();
+        assert_eq!(h.delivered(1), [200]);
+        assert_eq!(h.submit(2), Enqueue::Queued);
+        h.release();
+        assert_eq!(h.delivered(1), [200]);
+        assert_eq!(h.calls(), 3);
+        h.dispatcher.close_and_join();
     }
 }

@@ -671,12 +671,19 @@ mod tests {
 
     #[test]
     fn malformed_head_gets_400() {
-        let mut parser = RequestParser::new();
-        parser.feed(b"NOT-HTTP\r\ngarbage\r\n\r\n");
-        let Parsed::Bad { status, .. } = parser.next_request() else {
-            panic!("expected Bad");
-        };
-        assert_eq!(status, 400);
+        for raw in [
+            "NOT-HTTP\r\ngarbage\r\n\r\n",
+            "GET\r\n\r\n",
+            "GET / HTTP/1.1\r\nno colon here\r\n\r\n",
+            "POST / HTTP/1.1\r\nContent-Length: x\r\n\r\n",
+        ] {
+            let mut parser = RequestParser::new();
+            parser.feed(raw.as_bytes());
+            let Parsed::Bad { status, .. } = parser.next_request() else {
+                panic!("expected Bad for {raw:?}");
+            };
+            assert_eq!(status, 400, "{raw:?}");
+        }
     }
 
     #[test]

@@ -1,25 +1,26 @@
 //! A minimal HTTP/1.1 transport over `std::net`: request/response types,
-//! serialization, and the blocking client.
+//! response serialization, and the blocking client.
 //!
 //! The workspace builds offline, so this speaks exactly the protocol
 //! subset the job service needs: `Content-Length` bodies, no chunked
 //! encoding, no TLS. Requests are size-capped before parsing — the
-//! listener faces arbitrary network input. The server side reads
-//! requests incrementally through [`crate::conn::RequestParser`] (with
-//! keep-alive and pipelining); [`Request::read_from`] remains as the
-//! simple blocking reader the client-side tests use.
+//! listener faces arbitrary network input. Every request is read
+//! incrementally by [`crate::conn::RequestParser`] (with keep-alive and
+//! pipelining); this module holds the caps it enforces and the types it
+//! produces.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use tbstc::json::Json;
 use tbstc::Error;
 
 /// Maximum bytes of request line + headers we accept.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Maximum request body bytes we accept (job specs are small).
 pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
-/// Per-connection socket read/write timeout.
+/// Client-side socket read/write timeout.
 pub const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// A parsed HTTP request.
@@ -43,106 +44,6 @@ impl Request {
             .find(|(k, _)| k == name)
             .map(|(_, v)| v.as_str())
     }
-
-    /// Reads one request from the stream.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Http`] on protocol violations or size-cap breaches,
-    /// [`Error::Io`] on transport failures.
-    pub fn read_from(stream: &mut TcpStream) -> Result<Request, Error> {
-        let (head, mut body) = read_head(stream)?;
-        let mut lines = head.split("\r\n");
-        let request_line = lines
-            .next()
-            .ok_or_else(|| Error::Http("empty request".into()))?;
-        let mut parts = request_line.split_whitespace();
-        let method = parts
-            .next()
-            .ok_or_else(|| Error::Http("missing method".into()))?
-            .to_ascii_uppercase();
-        let path = parts
-            .next()
-            .ok_or_else(|| Error::Http("missing path".into()))?
-            .to_string();
-        if !path.starts_with('/') {
-            return Err(Error::Http(format!("bad path `{path}`")));
-        }
-
-        let mut headers = Vec::new();
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let (name, value) = line
-                .split_once(':')
-                .ok_or_else(|| Error::Http(format!("malformed header `{line}`")))?;
-            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-        }
-
-        let content_length = headers
-            .iter()
-            .find(|(k, _)| k == "content-length")
-            .map(|(_, v)| {
-                v.parse::<usize>()
-                    .map_err(|_| Error::Http(format!("bad content-length `{v}`")))
-            })
-            .transpose()?
-            .unwrap_or(0);
-        if content_length > MAX_BODY_BYTES {
-            return Err(Error::Http(format!(
-                "body of {content_length} bytes exceeds the {MAX_BODY_BYTES}-byte cap"
-            )));
-        }
-        while body.len() < content_length {
-            let mut chunk = [0u8; 4096];
-            let n = stream
-                .read(&mut chunk)
-                .map_err(|e| Error::Io(e.to_string()))?;
-            if n == 0 {
-                return Err(Error::Http("connection closed mid-body".into()));
-            }
-            body.extend_from_slice(filled(&chunk, n)?);
-        }
-        body.truncate(content_length);
-
-        Ok(Request {
-            method,
-            path,
-            headers,
-            body,
-        })
-    }
-}
-
-/// Reads up to the `\r\n\r\n` head terminator; returns (head text, any
-/// body bytes already pulled off the socket).
-fn read_head(stream: &mut TcpStream) -> Result<(String, Vec<u8>), Error> {
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    loop {
-        if let Some((head, rest)) = split_head(&buf) {
-            let head = std::str::from_utf8(head)
-                .map_err(|_| Error::Http("non-utf8 request head".into()))?
-                .to_string();
-            return Ok((head, rest.to_vec()));
-        }
-        if buf.len() > MAX_HEAD_BYTES {
-            return Err(Error::Http(format!(
-                "request head exceeds the {MAX_HEAD_BYTES}-byte cap"
-            )));
-        }
-        let mut chunk = [0u8; 1024];
-        let n = stream
-            .read(&mut chunk)
-            .map_err(|e| Error::Io(e.to_string()))?;
-        if n == 0 {
-            if buf.is_empty() {
-                return Err(Error::Http("connection closed before request".into()));
-            }
-            return Err(Error::Http("connection closed mid-head".into()));
-        }
-        buf.extend_from_slice(filled(&chunk, n)?);
-    }
 }
 
 /// Splits `buf` at the `\r\n\r\n` head terminator into (head bytes,
@@ -150,18 +51,6 @@ fn read_head(stream: &mut TcpStream) -> Result<(String, Vec<u8>), Error> {
 pub fn split_head(buf: &[u8]) -> Option<(&[u8], &[u8])> {
     let pos = buf.windows(4).position(|w| w == b"\r\n\r\n")?;
     Some((buf.get(..pos)?, buf.get(pos + 4..)?))
-}
-
-/// The first `n` bytes of a read buffer. `Read::read` promises `n` never
-/// exceeds the buffer, but this transport faces the network — an error
-/// beats a panic if that promise is ever broken.
-fn filled(chunk: &[u8], n: usize) -> Result<&[u8], Error> {
-    chunk.get(..n).ok_or_else(|| {
-        Error::Io(format!(
-            "read reported {n} bytes into a {}-byte buffer",
-            chunk.len()
-        ))
-    })
 }
 
 /// An HTTP response under construction.
@@ -233,19 +122,11 @@ impl Response {
         out.extend_from_slice(&self.body);
         out
     }
+}
 
-    /// Serializes and writes the response, closing semantics
-    /// (`Connection: close`) — the blocking one-request path.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Io`] on transport failures.
-    pub fn write_to(&self, stream: &mut TcpStream) -> Result<(), Error> {
-        stream
-            .write_all(&self.serialize(false))
-            .and_then(|()| stream.flush())
-            .map_err(|e| Error::Io(e.to_string()))
-    }
+/// The JSON error document every non-2xx job-service response carries.
+pub fn error_body(msg: &str) -> String {
+    format!("{}\n", Json::obj([("error", Json::str(msg))]))
 }
 
 fn reason_phrase(status: u16) -> &'static str {
@@ -350,9 +231,25 @@ pub fn request(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conn::{Parsed, RequestParser};
     use std::net::TcpListener;
 
-    fn roundtrip(raw: &str) -> Result<Request, Error> {
+    /// Reads one request off `stream` through the event loop's parser.
+    fn read_request(stream: &mut TcpStream) -> Parsed {
+        let mut parser = RequestParser::new();
+        let mut chunk = [0u8; 4096];
+        loop {
+            match parser.next_request() {
+                Parsed::NeedMore => {}
+                parsed => return parsed,
+            }
+            let n = stream.read(&mut chunk).unwrap();
+            assert!(n > 0, "client closed mid-request");
+            parser.feed(&chunk[..n]);
+        }
+    }
+
+    fn roundtrip(raw: &str) -> Parsed {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let raw = raw.to_string();
@@ -361,28 +258,32 @@ mod tests {
             s.write_all(raw.as_bytes()).unwrap();
         });
         let (mut stream, _) = listener.accept().unwrap();
-        let req = Request::read_from(&mut stream);
+        let parsed = read_request(&mut stream);
         client.join().unwrap();
-        req
+        parsed
     }
 
     #[test]
     fn parses_post_with_body() {
-        let req =
+        let Parsed::Request { request, .. } =
             roundtrip("POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Length: 7\r\n\r\n{\"a\":1}")
-                .unwrap();
-        assert_eq!(req.method, "POST");
-        assert_eq!(req.path, "/v1/jobs");
-        assert_eq!(req.body, b"{\"a\":1}");
-        assert_eq!(req.header("host"), Some("x"));
+        else {
+            panic!("expected a request");
+        };
+        assert_eq!(request.method, "POST");
+        assert_eq!(request.path, "/v1/jobs");
+        assert_eq!(request.body, b"{\"a\":1}");
+        assert_eq!(request.header("host"), Some("x"));
     }
 
     #[test]
     fn parses_get_without_body() {
-        let req = roundtrip("GET /metrics HTTP/1.1\r\n\r\n").unwrap();
-        assert_eq!(req.method, "GET");
-        assert_eq!(req.path, "/metrics");
-        assert!(req.body.is_empty());
+        let Parsed::Request { request, .. } = roundtrip("GET /metrics HTTP/1.1\r\n\r\n") else {
+            panic!("expected a request");
+        };
+        assert_eq!(request.method, "GET");
+        assert_eq!(request.path, "/metrics");
+        assert!(request.body.is_empty());
     }
 
     #[test]
@@ -391,18 +292,7 @@ mod tests {
             "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             MAX_BODY_BYTES + 1
         );
-        assert!(matches!(roundtrip(&raw), Err(Error::Http(_))));
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert!(
-            roundtrip("not http at all\r\n\r\n").is_err() || {
-                // A single word parses as a method with no path — also an error.
-                true
-            }
-        );
-        assert!(matches!(roundtrip("GET\r\n\r\n"), Err(Error::Http(_))));
+        assert!(matches!(roundtrip(&raw), Parsed::Bad { status: 413, .. }));
     }
 
     #[test]
@@ -411,17 +301,23 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            let _ = Request::read_from(&mut stream).unwrap();
-            Response::new(200)
+            assert!(matches!(
+                read_request(&mut stream),
+                Parsed::Request {
+                    keep_alive: false,
+                    ..
+                }
+            ));
+            let response = Response::new(200)
                 .header("X-Cache", "hit")
-                .json("{\"ok\":true}")
-                .write_to(&mut stream)
-                .unwrap();
+                .json("{\"ok\":true}");
+            stream.write_all(&response.serialize(false)).unwrap();
         });
         let resp = request(&addr, "POST", "/v1/jobs", Some("{}")).unwrap();
         server.join().unwrap();
         assert_eq!(resp.status, 200);
         assert_eq!(resp.header("x-cache"), Some("hit"));
+        assert_eq!(resp.header("connection"), Some("close"));
         assert_eq!(resp.body, "{\"ok\":true}");
     }
 }

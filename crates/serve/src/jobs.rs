@@ -81,14 +81,6 @@ impl DurableQueue {
         q.len() != before
     }
 
-    /// Number of keys waiting (for gauges and tests).
-    pub fn depth(&self) -> usize {
-        self.queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
-
     /// Marks `key` cancelled in this process; the executor checks
     /// between chunks via [`DurableQueue::cancel_requested`].
     pub fn request_cancel(&self, key: &str) {
@@ -121,11 +113,6 @@ impl DurableQueue {
         self.closed.store(true, Ordering::SeqCst);
         self.wake.notify_all();
     }
-
-    /// Whether [`DurableQueue::close`] has run.
-    pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::SeqCst)
-    }
 }
 
 #[cfg(test)]
@@ -141,9 +128,9 @@ mod tests {
         assert!(q.submit("a"));
         assert!(q.submit("b"));
         assert!(!q.submit("a"), "duplicate key must not enqueue twice");
-        assert_eq!(q.depth(), 2);
         assert_eq!(q.next(NEVER).as_deref(), Some("a"));
         assert_eq!(q.next(NEVER).as_deref(), Some("b"));
+        assert_eq!(q.next(&|| true), None, "exactly two keys were queued");
     }
 
     #[test]
@@ -168,7 +155,7 @@ mod tests {
         q.close();
         assert_eq!(consumer.join().unwrap(), None);
         assert!(!q.submit("late"), "closed queue drops submissions");
-        assert!(q.is_closed());
+        assert_eq!(q.next(NEVER), None, "the late key never queued");
     }
 
     #[test]

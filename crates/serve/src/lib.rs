@@ -10,11 +10,12 @@
 //! anywhere on the hot path (enforced by the `blocking-in-event-loop`
 //! lint rule). Properties the rest of the workspace leans on:
 //!
-//! * **Admission control** — a bounded queue ([`queue::AdmissionQueue`])
-//!   turns overload into `429 Too Many Requests` + `Retry-After` instead
-//!   of unbounded memory growth; in-flight jobs are never dropped.
-//! * **Coalescing** — identical in-flight specs share one execution
-//!   (single-flight keyed by the content address, [`coalesce`]).
+//! * **Admission control and coalescing** — one structure, the
+//!   dispatcher ([`coalesce::Dispatcher`]), holds every queued and
+//!   executing job. Identical specs share one execution (single-flight
+//!   keyed by the content address); past `queue_capacity` distinct keys
+//!   a new key gets `429 Too Many Requests` + `Retry-After` instead of
+//!   unbounded memory growth; in-flight jobs are never dropped.
 //! * **Persistent, content-addressed results** — the response body for a
 //!   job is stored under a hash of its canonicalized spec
 //!   ([`store::ResultStore`], sharded by key prefix on disk), with a
@@ -49,16 +50,14 @@ pub mod http;
 pub mod jobs;
 pub mod lru;
 pub mod metrics;
-pub mod queue;
 pub mod server;
 pub mod signal;
 pub mod store;
 
-pub use coalesce::{BatchExecutor, Dispatcher, Enqueue, QueuedJob};
+pub use coalesce::{Dispatcher, Enqueue, Executor, QueuedJob};
 pub use event::{poll_fds, PollFd, Waker, POLLERR, POLLHUP, POLLIN, POLLOUT};
 pub use jobs::DurableQueue;
 pub use lru::ShardedLru;
 pub use metrics::{Gauges, Metrics};
-pub use queue::{AdmissionQueue, OwnedTicket};
 pub use server::{Handle, Running, ServeConfig, Server};
 pub use store::{MemoEntry, ResultStore};

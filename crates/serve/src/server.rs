@@ -14,8 +14,8 @@
 //!    `X-Cache: hit` and the *exact bytes* of the original response,
 //! 3. otherwise hand the spec to the coalescing dispatcher
 //!    ([`crate::coalesce`]): an identical in-flight spec shares its
-//!    execution (single-flight); a full admission queue is 429 with a
-//!    `Retry-After` estimate,
+//!    execution (single-flight); a dispatcher at capacity (or a server
+//!    shutting down) is 429 with a `Retry-After` estimate,
 //! 4. a worker picks up the FIFO head, runs it on the
 //!    bandwidth-matched [`SweepRunner`], persists the body, and answers
 //!    every waiter `X-Cache: miss` through the completion queue.
@@ -39,13 +39,12 @@ use tbstc::prelude::*;
 use tbstc::runner::{available_workers, ChunkControl};
 use tbstc::sim::{HwConfig, ModelResult};
 
-use crate::coalesce::{BatchExecutor, Dispatcher, Enqueue, FinishFn, QueuedJob};
+use crate::coalesce::{Dispatcher, Enqueue, Executor, FinishFn, QueuedJob};
 use crate::event::{self, Action, Completions, LoopOptions, RouteEvent, Token};
-use crate::http::{Request, Response};
+use crate::http::{error_body, Request, Response};
 use crate::jobs::DurableQueue;
 use crate::lru::ShardedLru;
 use crate::metrics::{Gauges, Metrics};
-use crate::queue::AdmissionQueue;
 use crate::signal;
 use crate::store::{MemoEntry, ResultStore};
 
@@ -98,13 +97,12 @@ impl Default for ServeConfig {
     }
 }
 
-/// Shared server state (metrics, queue, caches, engines).
+/// Shared server state (metrics, caches, engines, durable queue).
 #[derive(Debug)]
 pub struct State {
     cfg: ServeConfig,
     /// Service counters.
     pub metrics: Metrics,
-    queue: Arc<AdmissionQueue>,
     store: ResultStore,
     /// The bounded in-memory hot tier above the on-disk store.
     hot: ShardedLru,
@@ -140,7 +138,6 @@ impl State {
             .memo_corrupt_lines
             .store(corrupt_lines, Ordering::Relaxed);
         Ok(State {
-            queue: Arc::new(AdmissionQueue::new(cfg.queue_capacity, cfg.job_workers)),
             metrics,
             store,
             hot: ShardedLru::default(),
@@ -228,9 +225,10 @@ impl State {
             || (self.cfg.watch_signals && signal::shutdown_requested())
     }
 
-    /// Renders the `/metrics` exposition with live gauges.
-    pub fn render_metrics(&self) -> String {
-        let (waiting, executing) = self.queue.depth();
+    /// Renders the `/metrics` exposition with live gauges; `depth` is
+    /// the dispatcher's `(queued, executing)` pair.
+    pub fn render_metrics(&self, depth: (usize, usize)) -> String {
+        let (waiting, executing) = depth;
         let (memo_hits, memo_misses) = self.memo_totals();
         self.metrics.render(&Gauges {
             queue_depth: waiting,
@@ -242,10 +240,10 @@ impl State {
         })
     }
 
-    fn retry_after_secs(&self) -> u64 {
+    fn retry_after_secs(&self, depth: (usize, usize)) -> u64 {
         // Rough drain time for the backlog ahead of a retry: mean job
         // latency × queue rounds per worker, clamped to something polite.
-        let (waiting, executing) = self.queue.depth();
+        let (waiting, executing) = depth;
         let backlog = (waiting + executing) as f64;
         let rounds = (backlog / self.cfg.job_workers.max(1) as f64).ceil();
         let mean = self.metrics.mean_latency_s(1.0);
@@ -311,7 +309,6 @@ impl Handle {
     /// their progress persists for the next process to resume.
     pub fn shutdown(&self) {
         self.state.shutdown.store(true, Ordering::SeqCst);
-        self.state.queue.close();
         self.state.durable.close();
     }
 
@@ -408,7 +405,7 @@ impl Server {
             }
         };
         let completions = Arc::new(Completions::new(waker));
-        let executor: Arc<dyn BatchExecutor> = Arc::new(EngineExecutor {
+        let executor: Arc<dyn Executor> = Arc::new(EngineExecutor {
             state: Arc::clone(&state),
         });
         let finish: Arc<FinishFn> = {
@@ -424,6 +421,7 @@ impl Server {
         };
         let dispatcher = Dispatcher::start(
             state.cfg.job_workers,
+            state.cfg.queue_capacity,
             Duration::from_millis(state.cfg.hold_ms),
             executor,
             Arc::clone(&completions),
@@ -472,7 +470,6 @@ impl Server {
             );
         }
         drop(self.listener);
-        state.queue.close();
         state.durable.close();
         if !state.cfg.quiet {
             eprintln!("tbstc-serve: shutting down — draining in-flight jobs");
@@ -482,7 +479,6 @@ impl Server {
         // progress checkpointed; the controller joins before the memo
         // flush so its appended entries merge into the final file.
         dispatcher.close_and_join();
-        state.queue.wait_idle();
         if let Some(controller) = controller {
             let _ = controller.join();
         }
@@ -512,10 +508,6 @@ impl Server {
     }
 }
 
-fn error_body(msg: &str) -> String {
-    format!("{}\n", Json::obj([("error", Json::str(msg))]))
-}
-
 /// Routes one event-loop event to a response or a dispatcher handoff.
 fn route_event(
     state: &Arc<State>,
@@ -543,7 +535,7 @@ fn route(state: &Arc<State>, dispatcher: &Dispatcher, request: &Request, token: 
                 .metrics
                 .requests_metrics
                 .fetch_add(1, Ordering::Relaxed);
-            Action::Reply(Response::new(200).text(state.render_metrics()))
+            Action::Reply(Response::new(200).text(state.render_metrics(dispatcher.depth())))
         }
         ("GET", "/healthz") => {
             state.metrics.requests_other.fetch_add(1, Ordering::Relaxed);
@@ -796,8 +788,13 @@ fn handle_job(
     }
 
     // Tier 2: compute, under admission control, coalesced with any
-    // identical in-flight spec.
-    match dispatcher.submit(&state.queue, &key, spec, token, started) {
+    // identical in-flight spec. A server shutting down admits nothing.
+    let outcome = if state.shutting_down() {
+        Enqueue::Rejected
+    } else {
+        dispatcher.submit(&key, spec, token, started)
+    };
+    match outcome {
         Enqueue::Queued => Action::Pending,
         Enqueue::Coalesced => {
             state.metrics.jobs_coalesced.fetch_add(1, Ordering::Relaxed);
@@ -805,13 +802,13 @@ fn handle_job(
         }
         Enqueue::Rejected => {
             state.metrics.jobs_rejected.fetch_add(1, Ordering::Relaxed);
-            let retry = state.retry_after_secs();
+            let retry = state.retry_after_secs(dispatcher.depth());
             Action::Reply(
                 Response::new(429)
                     .header("Retry-After", retry.to_string())
                     .json(error_body(&format!(
                         "admission queue full ({} jobs); retry in ~{retry}s",
-                        state.queue.capacity()
+                        dispatcher.capacity()
                     ))),
             )
         }
@@ -985,11 +982,7 @@ fn execute_durable(state: &Arc<State>, key: &str) {
                 catch_unwind(AssertUnwindSafe(|| format!("{}\n", spec.execute(&engine))));
             match executed {
                 Ok(body) => {
-                    if let Err(e) = state.store.put(key, &body) {
-                        eprintln!("tbstc-serve: warning: cannot cache job {key}: {e}");
-                    }
-                    state.hot.put(key, &body);
-                    state.metrics.disk_misses.fetch_add(1, Ordering::Relaxed);
+                    persist_result(state, key, &body);
                     let _ = state
                         .store
                         .put_job_status(&status.with_state(JobState::Done));
@@ -1017,13 +1010,24 @@ fn finish_cancel(state: &Arc<State>, key: &str, status: &JobStatus) {
     state.metrics.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
 }
 
+/// Persists a freshly computed body into both cache tiers and counts the
+/// disk miss it answered. A failed disk write only warns: the response
+/// still goes out, and the hot tier serves repeats until eviction.
+fn persist_result(state: &State, key: &str, body: &str) {
+    if let Err(e) = state.store.put(key, body) {
+        eprintln!("tbstc-serve: warning: cannot cache job {key}: {e}");
+    }
+    state.hot.put(key, body);
+    state.metrics.disk_misses.fetch_add(1, Ordering::Relaxed);
+}
+
 /// The dispatcher's executor: runs one deduplicated job on the
 /// bandwidth-matched engine and persists its result.
 struct EngineExecutor {
     state: Arc<State>,
 }
 
-impl BatchExecutor for EngineExecutor {
+impl Executor for EngineExecutor {
     /// Executes one deduplicated job: fleet-wide claim, engine lookup,
     /// guarded execution, persistence into both cache tiers.
     fn execute(&self, job: &QueuedJob) -> Response {
@@ -1072,11 +1076,7 @@ impl BatchExecutor for EngineExecutor {
                     .json(error_body("internal error: job execution panicked"));
             }
         };
-        if let Err(e) = state.store.put(&job.key, &response_body) {
-            eprintln!("tbstc-serve: warning: cannot cache job {}: {e}", job.key);
-        }
-        state.hot.put(&job.key, &response_body);
-        state.metrics.disk_misses.fetch_add(1, Ordering::Relaxed);
+        persist_result(state, &job.key, &response_body);
         Response::new(200)
             .header("X-Cache", "miss")
             .header("X-Job-Key", job.key.clone())

@@ -454,11 +454,6 @@ impl ResultStore {
         (out, corrupt)
     }
 
-    /// [`ResultStore::load_memo_counting`] without the count.
-    pub fn load_memo(&self) -> Vec<MemoEntry> {
-        self.load_memo_counting().0
-    }
-
     /// The durable job-status path for `key`: `jobs/<key>.json`.
     fn job_status_path(&self, key: &str) -> Option<PathBuf> {
         Self::valid_key(key).then(|| self.dir.join("jobs").join(format!("{key}.json")))
@@ -691,7 +686,7 @@ mod tests {
         let store = tmp_store("memo");
         let entries = vec![sample_entry(0), sample_entry(1)];
         store.save_memo(&entries).unwrap();
-        let mut back = store.load_memo();
+        let mut back = store.load_memo_counting().0;
         back.sort_by_key(|e| e.job.seed);
         assert_eq!(back, entries);
         let _ = fs::remove_dir_all(store.dir());
@@ -707,7 +702,7 @@ mod tests {
         let text = fs::read_to_string(&path).unwrap();
         fs::write(&path, &text[..text.len() - 40]).unwrap();
 
-        let back = store.load_memo();
+        let back = store.load_memo_counting().0;
         assert_eq!(back.len(), 2, "entries before the tear survive");
         let _ = fs::remove_dir_all(store.dir());
     }
@@ -748,7 +743,7 @@ mod tests {
         let mut sorted = lines[1..].to_vec();
         sorted.sort_unstable();
         assert_eq!(lines[1..], sorted[..], "flush leaves a sorted file");
-        let mut back = store.load_memo();
+        let mut back = store.load_memo_counting().0;
         back.sort_by_key(|e| e.job.seed);
         assert_eq!(back, vec![a, b]);
         let _ = fs::remove_dir_all(store.dir());
@@ -827,14 +822,14 @@ mod tests {
     fn garbage_memo_file_loads_empty() {
         let store = tmp_store("garbage");
         fs::write(store.memo_path(), "not a memo file\n").unwrap();
-        assert!(store.load_memo().is_empty());
+        assert!(store.load_memo_counting().0.is_empty());
         let _ = fs::remove_dir_all(store.dir());
     }
 
     #[test]
     fn missing_memo_file_loads_empty() {
         let store = tmp_store("missing");
-        assert!(store.load_memo().is_empty());
+        assert!(store.load_memo_counting().0.is_empty());
         let _ = fs::remove_dir_all(store.dir());
     }
 }

@@ -124,6 +124,20 @@ fn full_queue_rejects_with_429_without_dropping_in_flight_work() {
         .expect("Retry-After is integral seconds");
     assert!((1..=60).contains(&retry_after));
 
+    // Still inside the hold: the admitted job is executing, none waits.
+    let held = request(&addr, "GET", "/metrics", None).unwrap();
+    let gauges: Vec<&str> = held
+        .body
+        .lines()
+        .filter(|l| l.starts_with("tbstc_queue_depth ") || l.starts_with("tbstc_jobs_in_flight "))
+        .collect();
+    assert_eq!(
+        gauges,
+        ["tbstc_queue_depth 0", "tbstc_jobs_in_flight 1"],
+        "{}",
+        held.body
+    );
+
     let done = slow.join().unwrap();
     assert_eq!(done.status, 200, "in-flight job survives the rejection");
     assert_eq!(done.header("x-cache"), Some("miss"));
