@@ -5,6 +5,12 @@
 //! Pareto-efficient set marked. Paper result: TB-STC's points dominate
 //! the frontier.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "a bench aborts on a broken setup; the panic lints guard library code"
+)]
+
 use tbstc::experiments::{pareto_frontier, AccuracyCurve, ParetoPoint};
 use tbstc::prelude::*;
 use tbstc::sparsity::criteria::Criterion;

@@ -5,6 +5,12 @@
 //! TS < RS < TBS < US, and accuracy rises with mask-space — TBS reaches
 //! near-US accuracy at a much smaller mask-space.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "a bench aborts on a broken setup; the panic lints guard library code"
+)]
+
 use tbstc::sparsity::mask_space::mask_space_row;
 use tbstc::sparsity::PatternKind;
 use tbstc::train::sparse::accuracy_table;

@@ -5,6 +5,12 @@
 //! HighLight / RM-STC of 1.55× / 1.29× / 1.21× / 1.06×, and 1.41× EDP
 //! over HighLight, 1.75× EDP over RM-STC.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "a bench aborts on a broken setup; the panic lints guard library code"
+)]
+
 use tbstc::models::{bert_base, resnet50};
 use tbstc::prelude::*;
 use tbstc_bench::{banner, geomean, paper_vs_measured, section};

@@ -12,6 +12,12 @@
 //! deterministic; the retraining curves of tiny proxies are too noisy to
 //! select operating points from — see EXPERIMENTS.md).
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "a bench aborts on a broken setup; the panic lints guard library code"
+)]
+
 use tbstc::experiments::AccuracyCurve;
 use tbstc::prelude::*;
 use tbstc::sparsity::criteria::Criterion;

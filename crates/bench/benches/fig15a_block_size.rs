@@ -4,6 +4,12 @@
 //! while accuracy drops (94.91 % → 93.82 % from block 8 to the largest),
 //! so the paper selects block size 8.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "a bench aborts on a broken setup; the panic lints guard library code"
+)]
+
 use tbstc::models::bert_base;
 use tbstc::prelude::*;
 use tbstc::train::oneshot::SyntheticLlm;

@@ -4,6 +4,12 @@
 //! 1.39× speedup on ResNet-50 / BERT with almost negligible accuracy loss
 //! (0.13 / 0.41 pts).
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "a bench aborts on a broken setup; the panic lints guard library code"
+)]
+
 use tbstc::matrix::quant::QuantizedMatrix;
 use tbstc::models::{bert_base, resnet50};
 use tbstc::prelude::*;

@@ -4,6 +4,12 @@
 //! tasks; speedup grows with bandwidth up to ~256 GB/s, beyond which it
 //! is compute-limited and stops scaling.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "a bench aborts on a broken setup; the panic lints guard library code"
+)]
+
 use tbstc::models::bert_base;
 use tbstc::prelude::*;
 use tbstc_bench::{banner, paper_vs_measured, section};

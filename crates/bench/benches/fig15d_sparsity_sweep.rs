@@ -5,6 +5,12 @@
 //! bandwidth provision) wins at ~95 %+ sparsity; TB-STC is better by
 //! 1.32× on average across the 30–90 % range where DNNs live.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "a bench aborts on a broken setup; the panic lints guard library code"
+)]
+
 use tbstc::models::gcn_layer;
 use tbstc::prelude::*;
 use tbstc_bench::{banner, geomean, paper_vs_measured, section};

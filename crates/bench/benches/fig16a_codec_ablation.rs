@@ -5,6 +5,12 @@
 //! architectures trail TB-STC by more than 1.44×, and §V's bandwidth
 //! utilization gain is 1.47× on average.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "a bench aborts on a broken setup; the panic lints guard library code"
+)]
+
 use tbstc::models::resnet50;
 use tbstc::prelude::*;
 use tbstc::sim::memory::{simulate_memory, FormatOverride};

@@ -5,6 +5,12 @@
 //! non-scheduled execution, and SIGMA's element-level FAN reduction
 //! network yields 1.61× worse normalized EDP than the DVPE.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "a bench aborts on a broken setup; the panic lints guard library code"
+)]
+
 use tbstc::models::{bert_base, resnet50};
 use tbstc::prelude::*;
 use tbstc::sim::compute::{simulate_compute, SchedulePolicy};

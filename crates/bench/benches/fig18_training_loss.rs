@@ -4,6 +4,12 @@
 //! training; its wall-clock is shorter than US training because TB-STC
 //! accelerates part of the TBS pass while the US search space is larger.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "a bench aborts on a broken setup; the panic lints guard library code"
+)]
+
 use tbstc::prelude::*;
 use tbstc::sparsity::PatternKind;
 use tbstc_bench::{banner, paper_vs_measured, section};

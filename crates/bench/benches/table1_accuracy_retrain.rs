@@ -9,6 +9,12 @@
 //! Tasks are capacity-bound teacher–student proxies (DESIGN.md explains
 //! the substitution); each cell averages over seeds.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "a bench aborts on a broken setup; the panic lints guard library code"
+)]
+
 use tbstc::runner::{available_workers, parallel_map};
 use tbstc::sparsity::PatternKind;
 use tbstc::train::sparse::SparseTrainer;

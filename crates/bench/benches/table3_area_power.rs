@@ -4,6 +4,12 @@
 //! Paper result: 1.47 mm² / 200.59 mW total; DVPE array 97.28 % of area
 //! and 98.57 % of power; integration adds 12.96 mm² = 1.57 % of an A100.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "a bench aborts on a broken setup; the panic lints guard library code"
+)]
+
 use tbstc::energy::table3::{a100_integration_overhead, table3_rows};
 use tbstc_bench::{banner, paper_vs_measured, section};
 

@@ -5,7 +5,6 @@
 //! the same rows/series the paper reports, followed by a
 //! paper-vs-measured comparison line for each headline number.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod loadgen;

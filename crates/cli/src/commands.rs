@@ -35,7 +35,7 @@ USAGE:
   tbstc-cli jobs     list|status|cancel|resume [KEY] [--addr 127.0.0.1:7878]
   tbstc-cli loadgen  [--addr HOST:PORT] [--connections 64] [--requests 512]
                      [--specs 16] [--zipf 1.1] [--seed 1] [--min-rps 0] [--json]
-  tbstc-cli lint     [--deny-warnings] [--json] [--rules a,b] [--root DIR]
+  tbstc-cli lint     [--deny-warnings] [--json] [--root DIR]
   tbstc-cli table3
   tbstc-cli models
   tbstc-cli help
@@ -87,16 +87,14 @@ inline as `arch_spec` to a server) to simulate your own architecture.
 body the server returns, instead of the human tables.
 
 `lint` runs the workspace's own static analyzer (tbstc-lint) over
-crates/*/src: eight per-file rules (panic-surface, determinism,
-lock-discipline, crate-hygiene, unsafe-audit, hot-path-alloc,
+crates/*/src: four per-file rules (lock-discipline, hot-path-alloc,
 blocking-in-event-loop, store-lock-discipline) plus one
 workspace-wide structural rule (lock-order deadlock-cycle detection
 over the lock-acquisition graph) with file:line:col output.
 Errors always fail; warnings fail only with --deny-warnings (CI's
-mode). Accept a finding in place with a
-`// tbstc-lint: allow(<rule>) — reason` comment; an allow that
-silences nothing, or names no rule, is itself a stale-allow warning.
---rules runs only the named rules; an unknown name is an error.
+mode). There is no suppression: fix the code or the rule. The panic,
+determinism and unsafe policies are clippy/rustc lints
+(`cargo clippy --all-targets -- -D warnings`).
 ";
 
 /// Dispatches a parsed command line.
@@ -985,6 +983,15 @@ fn loadgen(args: &ParsedArgs) -> Result<String, ArgError> {
 }
 
 fn lint(args: &ParsedArgs) -> Result<String, ArgError> {
+    if let Some(unknown) = args
+        .options
+        .keys()
+        .find(|k| !matches!(k.as_str(), "deny-warnings" | "json" | "root"))
+    {
+        return Err(ArgError(format!(
+            "lint: unknown option --{unknown}; options are --deny-warnings, --json, --root"
+        )));
+    }
     let root = match args.options.get("root") {
         Some(r) => std::path::PathBuf::from(r),
         None => {
@@ -999,12 +1006,7 @@ fn lint(args: &ParsedArgs) -> Result<String, ArgError> {
             }
         }
     };
-    let rules = args
-        .options
-        .get("rules")
-        .map(|r| r.split(',').map(|s| s.trim().to_string()).collect());
-    let opts = tbstc_lint::LintOptions { root, rules };
-    let report = tbstc_lint::lint_workspace(&opts).map_err(ArgError)?;
+    let report = tbstc_lint::lint_workspace(&root).map_err(ArgError)?;
     let deny = args.str_or("deny-warnings", "false") == "true";
     let rendered = if args.str_or("json", "false") == "true" {
         tbstc_lint::render_json(&report)
@@ -1270,9 +1272,11 @@ mod tests {
 
     #[test]
     fn lint_rejects_unknown_rules() {
+        // Every rule always runs (and panic-surface is a clippy lint, not
+        // a lint rule): a rule filter must fail, not be ignored.
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-        let err = run_line(&["lint", "--rules", "panic-surfac", "--root", root]).unwrap_err();
-        assert!(err.0.contains("valid rules: panic-surface,"), "{}", err.0);
+        let err = run_line(&["lint", "--rules", "panic-surface", "--root", root]).unwrap_err();
+        assert!(err.0.contains("unknown option --rules"), "{}", err.0);
     }
 
     #[test]

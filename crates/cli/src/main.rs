@@ -8,12 +8,10 @@
 //! tbstc-cli sweep    [--models ...] [--archs ...] [--sparsities ...] [--json]
 //! tbstc-cli serve    [--addr 127.0.0.1:7878] [--cache-dir .tbstc-cache] [--oneshot --job FILE]
 //! tbstc-cli submit   --job FILE [--addr 127.0.0.1:7878]
-//! tbstc-cli lint     [--deny-warnings] [--json] [--rules a,b] [--root DIR]
+//! tbstc-cli lint     [--deny-warnings] [--json] [--root DIR]
 //! tbstc-cli table3
 //! tbstc-cli models
 //! ```
-
-#![forbid(unsafe_code)]
 
 mod args;
 mod commands;

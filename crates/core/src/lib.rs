@@ -43,7 +43,6 @@
 //! assert_eq!(report.results.len(), 4);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use tbstc_dram as dram;

@@ -116,7 +116,10 @@ fn interpreted_specs_are_bit_identical_to_native() {
 
 /// Builds a valid spec from bounded integer choices — every combination
 /// this produces must pass `ArchSpec::validate`.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one parameter per proptest choice"
+)]
 fn spec_from_choices(
     name_i: usize,
     pattern_i: usize,

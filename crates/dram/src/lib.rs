@@ -30,7 +30,6 @@
 //! assert!(res.bandwidth_utilization() > 0.9);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod timing;

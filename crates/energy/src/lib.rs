@@ -25,7 +25,6 @@
 //! assert!((t.total_power_mw() - 200.59).abs() < 4.0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod components;

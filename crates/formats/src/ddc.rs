@@ -72,10 +72,13 @@ impl DdcBlock {
     /// field does; the full offset is tracked separately in software.
     pub fn info_word(&self, n_candidates: &[usize]) -> u16 {
         let dim_bit = u16::from(self.dim == SparsityDim::Independent) << 15;
+        #[expect(
+            clippy::expect_used,
+            reason = "`n` was drawn from this ladder at encode time; a foreign ladder is a caller bug"
+        )]
         let ratio = n_candidates
             .iter()
             .position(|&c| c == self.n)
-            // tbstc-lint: allow(panic-surface) — `n` was drawn from this ladder at encode time; a foreign ladder is a caller bug
             .expect("block N must be a configured candidate") as u16;
         dim_bit | (ratio << 12) | ((self.offset & 0x0FFF) as u16)
     }

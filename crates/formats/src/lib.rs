@@ -21,7 +21,6 @@
 //! Every format round-trips: `decode(encode(w)) == w` for any masked
 //! matrix (tested per format and in the cross-format property tests).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod access;

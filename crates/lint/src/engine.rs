@@ -1,18 +1,10 @@
-//! The rule engine: file walking, test-code exclusion, inline
-//! suppressions, the workspace graph pass, and human/JSON rendering.
+//! The rule engine: file walking, test-code exclusion, the workspace
+//! graph pass, and human/JSON rendering.
 //!
-//! A finding travels through two gates before it fails a build:
-//!
-//! 1. **test-code exclusion** — tokens inside `#[cfg(test)]` items are
-//!    invisible to every rule (tests may `unwrap()` freely),
-//! 2. **inline suppression** — a `// tbstc-lint: allow(<rule>) — reason`
-//!    comment on the same line, or alone on the line above, silences
-//!    that rule there (the comment doubles as the justification).
-//!
-//! A suppression is the one way to accept a finding, so suppressions
-//! are checked too: an `allow(...)` that silenced nothing, or that names
-//! no rule, is itself a `stale-allow` warning at the comment. Under a
-//! `--rules` filter only allows naming a rule that ran are checked.
+//! Tokens inside `#[cfg(test)]` items are invisible to every rule
+//! (tests may block or allocate freely). Every other finding fails the
+//! lint: the five rules have no suppression mechanism, so a false
+//! positive is fixed in the rule or in the code it flags.
 //!
 //! Every run reads and analyzes every file (lexing, per-file rules,
 //! fact extraction), then runs the workspace rule (`lock-order`) over
@@ -73,22 +65,11 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Options for a workspace lint run.
-#[derive(Debug, Clone, Default)]
-pub struct LintOptions {
-    /// Workspace root (the directory containing `crates/`).
-    pub root: PathBuf,
-    /// Only run these rules (by name). `None` = all rules.
-    pub rules: Option<Vec<String>>,
-}
-
 /// The outcome of a workspace lint run.
 #[derive(Debug, Clone, Default)]
 pub struct LintReport {
-    /// Findings that passed every gate (these fail the build).
+    /// Findings outside test code (these fail the build).
     pub findings: Vec<Finding>,
-    /// Count of findings silenced by inline `allow(...)` comments.
-    pub suppressed: usize,
     /// `.rs` files scanned.
     pub files_scanned: usize,
 }
@@ -122,12 +103,8 @@ pub struct FileCtx<'a> {
     pub crate_name: &'a str,
     /// The file's source text.
     pub src: &'a str,
-    /// Every token, comments included.
-    pub tokens: &'a [Token],
     /// Code tokens only (comments stripped) — what rules match against.
     pub code: &'a [Token],
-    /// Whether this file is a crate root (`src/lib.rs` / `src/main.rs`).
-    pub is_crate_root: bool,
 }
 
 impl FileCtx<'_> {
@@ -149,129 +126,20 @@ impl FileCtx<'_> {
     }
 }
 
-/// The rule name of the check on suppressions themselves: an
-/// `allow(...)` that silenced nothing or names no rule.
-const STALE_ALLOW: &str = "stale-allow";
-
-/// One rule named by a `// tbstc-lint: allow(...)` comment.
-struct Allow {
-    /// The rule name as written.
-    rule: String,
-    /// 1-based line of the comment (where a stale allow is reported).
-    line: u32,
-    /// 1-based byte column of the comment.
-    col: u32,
-    /// The code line a standalone comment also covers; `None` for a
-    /// trailing comment, which covers only its own line.
-    next_line: Option<u32>,
-    /// Whether it silenced at least one finding.
-    used: bool,
-}
-
-/// What the engine learned about one file: its gated per-file findings
-/// plus the gates the workspace pass applies to its own findings.
-struct FileAnalysis {
-    /// Workspace-relative path, forward slashes.
-    rel_path: String,
-    /// Per-file findings after test exclusion and suppressions.
-    findings: Vec<Finding>,
-    /// Findings silenced by inline `allow(...)` comments.
-    suppressed: usize,
-    /// Every rule the file's `allow(...)` comments name.
-    allows: Vec<Allow>,
-    /// `#[cfg(test)]` line ranges, 1-based inclusive.
-    test_ranges: Vec<(u32, u32)>,
-}
-
-impl FileAnalysis {
-    /// Passes a finding in this file through test exclusion and the
-    /// suppressions, marking every allow that covers it as used. Returns
-    /// the finding when it survives both gates.
-    fn gate(&mut self, f: Finding) -> Option<Finding> {
-        if self
-            .test_ranges
-            .iter()
-            .any(|&(lo, hi)| f.line >= lo && f.line <= hi)
-        {
-            return None; // test code is out of scope, silently
-        }
-        let mut allowed = false;
-        for a in &mut self.allows {
-            if a.rule == f.rule && (a.line == f.line || a.next_line == Some(f.line)) {
-                a.used = true;
-                allowed = true;
-            }
-        }
-        if allowed {
-            self.suppressed += 1;
-            None
-        } else {
-            Some(f)
-        }
-    }
-
-    /// Pushes a `stale-allow` warning for each allow that silenced
-    /// nothing, limited to the rules that ran (a name no rule has never
-    /// runs, so only an unfiltered run reports it).
-    fn stale_allows(&self, only: Option<&[String]>, out: &mut Vec<Finding>) {
-        for a in &self.allows {
-            if a.used || !enabled(only, &a.rule) {
-                continue;
-            }
-            let message = if rules::rule_names().any(|r| r == a.rule) {
-                format!(
-                    "allow({}) silences no finding; delete the stale suppression",
-                    a.rule
-                )
-            } else {
-                format!(
-                    "allow({}) names no lint rule; valid rules: {}",
-                    a.rule,
-                    rules::rule_names().collect::<Vec<_>>().join(", ")
-                )
-            };
-            out.push(Finding {
-                rule: STALE_ALLOW,
-                severity: Severity::Warning,
-                path: self.rel_path.clone(),
-                line: a.line,
-                col: a.col,
-                message,
-            });
-        }
-    }
-}
-
-/// Whether a rule runs under the `--rules` filter `only`.
-fn enabled(only: Option<&[String]>, rule: &str) -> bool {
-    only.is_none_or(|names| names.iter().any(|n| n == rule))
-}
-
 /// Lints one source text as if it lived at `rel_path`, running every
-/// rule (the workspace rule sees just this file). Test-code exclusion,
-/// inline suppressions and the stale-allow check apply. This is the
-/// entry point the per-file fixture tests drive; see [`lint_texts`] for
-/// several files.
+/// rule (the workspace rule sees just this file) with test-code
+/// exclusion. This is the entry point the per-file fixture tests drive;
+/// see [`lint_texts`] for several files.
 pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
-    lint_source_rules(rel_path, src, None).0
+    lint_texts(&[(rel_path, src)])
 }
 
-/// [`lint_source`] restricted to a subset of rules; also returns how many
-/// findings inline suppressions silenced.
-pub fn lint_source_rules(
-    rel_path: &str,
-    src: &str,
-    only: Option<&[String]>,
-) -> (Vec<Finding>, usize) {
-    lint_files(&[(rel_path, src)], only)
-}
-
-/// Runs the per-file rules and the syntax layer over one source text,
-/// applying test exclusion and suppressions. Returns the gated analysis
-/// and the facts the workspace pass consumes.
-fn analyze_source(rel_path: &str, src: &str, only: Option<&[String]>) -> (FileAnalysis, FileFacts) {
+/// Runs the per-file rules and the syntax layer over one source text.
+/// Returns the file's `#[cfg(test)]` line ranges, its raw findings and
+/// the facts the workspace pass consumes.
+fn analyze_source(rel_path: &str, src: &str) -> (Vec<(u32, u32)>, Vec<Finding>, FileFacts) {
     let tokens = lex(src);
-    let code: Vec<Token> = tokens.iter().filter(|t| !t.is_comment()).cloned().collect();
+    let code: Vec<Token> = tokens.into_iter().filter(|t| !t.is_comment()).collect();
     let crate_name = rel_path
         .strip_prefix("crates/")
         .and_then(|r| r.split('/').next())
@@ -280,90 +148,45 @@ fn analyze_source(rel_path: &str, src: &str, only: Option<&[String]>) -> (FileAn
         rel_path,
         crate_name,
         src,
-        tokens: &tokens,
         code: &code,
-        is_crate_root: rel_path.ends_with("src/lib.rs") || rel_path.ends_with("src/main.rs"),
     };
-
     let mut raw = Vec::with_capacity(16);
     for rule in rules::ALL_RULES {
-        if enabled(only, rule.name) {
-            (rule.check)(&ctx, &mut raw);
-        }
+        (rule.check)(&ctx, &mut raw);
     }
-
-    let mut analysis = FileAnalysis {
-        rel_path: rel_path.to_string(),
-        findings: Vec::with_capacity(raw.len()),
-        suppressed: 0,
-        allows: suppressions(src, &tokens),
-        test_ranges: test_ranges(src, &code),
-    };
-    for f in raw {
-        if let Some(f) = analysis.gate(f) {
-            analysis.findings.push(f);
-        }
-    }
-    let facts = syntax::extract(rel_path, src, &code, &analysis.test_ranges);
-    (analysis, facts)
+    let test_ranges = test_ranges(src, &code);
+    let facts = syntax::extract(rel_path, src, &code, &test_ranges);
+    (test_ranges, raw, facts)
 }
 
-/// Lints a set of in-memory files together, running the per-file rules
-/// on each and the workspace rule across all of them. This is the entry
-/// point for multi-file fixture tests.
-pub fn lint_texts(files: &[(&str, &str)], only: Option<&[String]>) -> Vec<Finding> {
-    lint_files(files, only).0
-}
-
-/// The analysis every entry point shares: per-file rules on each file,
-/// then the workspace rules across all of them, each finding gated by
-/// its file's test ranges and suppressions, then the stale-allow check.
-/// Returns the surviving findings sorted by location and the suppressed
-/// count.
-fn lint_files(files: &[(&str, &str)], only: Option<&[String]>) -> (Vec<Finding>, usize) {
-    let (mut analyses, facts): (Vec<FileAnalysis>, Vec<FileFacts>) = files
-        .iter()
-        .map(|(path, src)| analyze_source(path, src, only))
-        .unzip();
+/// Lints a set of in-memory files together: the per-file rules on each
+/// file, then the workspace rule across all of them. A finding inside
+/// its file's `#[cfg(test)]` code is dropped. Returns the findings
+/// sorted by location. This is the entry point for multi-file fixture
+/// tests.
+pub fn lint_texts(files: &[(&str, &str)]) -> Vec<Finding> {
+    let mut test_code = Vec::with_capacity(files.len());
+    let mut facts = Vec::with_capacity(files.len());
+    let mut raw = Vec::with_capacity(16);
+    for (path, src) in files {
+        let (ranges, findings, file_facts) = analyze_source(path, src);
+        test_code.push((*path, ranges));
+        raw.extend(findings);
+        facts.push(file_facts);
+    }
     let ws = Workspace::build(&facts);
-    let mut raw = Vec::with_capacity(8);
     for rule in rules::WORKSPACE_RULES {
-        if enabled(only, rule.name) {
-            (rule.check)(&ws, &mut raw);
-        }
+        (rule.check)(&ws, &mut raw);
     }
-    let mut out: Vec<Finding> = Vec::with_capacity(raw.len() + files.len());
-    for f in raw {
-        match analyses.iter_mut().find(|a| a.rel_path == f.path) {
-            Some(a) => out.extend(a.gate(f)),
-            None => out.push(f),
-        }
-    }
-    let mut suppressed = 0usize;
-    for a in analyses {
-        suppressed += a.suppressed;
-        a.stale_allows(only, &mut out);
-        out.extend(a.findings);
-    }
-    out.sort_by(|a, b| {
+    raw.retain(|f| {
+        !test_code.iter().any(|(path, ranges)| {
+            *path == f.path && ranges.iter().any(|&(lo, hi)| f.line >= lo && f.line <= hi)
+        })
+    });
+    raw.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
     });
-    (out, suppressed)
-}
-
-/// Rejects a `--rules` filter that names a rule the engine does not
-/// know: a misspelled filter would otherwise run nothing and pass.
-fn check_rule_names(names: &[String]) -> Result<(), String> {
-    match names
-        .iter()
-        .find(|n| !rules::rule_names().any(|r| r == n.as_str()))
-    {
-        None => Ok(()),
-        Some(unknown) => Err(format!(
-            "unknown lint rule `{unknown}`; valid rules: {}",
-            rules::rule_names().collect::<Vec<_>>().join(", ")
-        )),
-    }
+    raw
 }
 
 /// Line ranges (1-based, inclusive) covered by `#[cfg(test)]` items.
@@ -464,59 +287,6 @@ fn item_end(src: &str, code: &[Token], j: usize) -> usize {
     code.len().saturating_sub(1)
 }
 
-/// Collects the rules named by `// tbstc-lint: allow(rule, rule)`
-/// comments. A trailing comment covers its own line; a comment alone on
-/// a line covers the next code line too (and consecutive standalone
-/// comments all bind to that same code line). Doc comments document;
-/// they never suppress.
-fn suppressions(src: &str, tokens: &[Token]) -> Vec<Allow> {
-    let mut out = Vec::with_capacity(4);
-    for (idx, t) in tokens.iter().enumerate() {
-        if !t.is_comment() || t.is_doc {
-            continue;
-        }
-        let Some(rules) = parse_allow(t.text(src)) else {
-            continue;
-        };
-        let standalone = !tokens
-            .iter()
-            .take(idx)
-            .any(|p| p.line == t.line && !p.is_comment());
-        let next_line = if standalone {
-            tokens[idx + 1..]
-                .iter()
-                .find(|n| !n.is_comment())
-                .map(|n| n.line)
-        } else {
-            None
-        };
-        out.extend(rules.into_iter().map(|rule| Allow {
-            rule,
-            line: t.line,
-            col: t.col,
-            next_line,
-            used: false,
-        }));
-    }
-    out
-}
-
-/// Extracts the rule list from a `tbstc-lint: allow(a, b) — reason`
-/// comment, or `None` when the comment is not a suppression.
-fn parse_allow(comment: &str) -> Option<Vec<String>> {
-    let rest = comment.split("tbstc-lint:").nth(1)?;
-    let rest = rest.trim_start().strip_prefix("allow")?.trim_start();
-    let inner = rest.strip_prefix('(')?;
-    let end = inner.find(')')?;
-    let rules: Vec<String> = inner
-        .get(..end)?
-        .split(',')
-        .map(|r| r.trim().to_string())
-        .filter(|r| !r.is_empty())
-        .collect();
-    (!rules.is_empty()).then_some(rules)
-}
-
 // --- workspace driver ---------------------------------------------------
 
 /// Collects every `.rs` file under `dir`, recursively, sorted for
@@ -536,27 +306,21 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Lints every `crates/*/src/**/*.rs` under `opts.root`: per-file rules,
-/// then the workspace rule over all files' facts.
+/// Lints every `crates/*/src/**/*.rs` under `root` (the directory
+/// containing `crates/`): per-file rules, then the workspace rule over
+/// all files' facts.
 ///
 /// # Errors
 ///
-/// Returns a message when `opts.rules` names an unknown rule, or
-/// [`read_workspace`] fails.
-pub fn lint_workspace(opts: &LintOptions) -> Result<LintReport, String> {
-    let only = opts.rules.as_deref();
-    if let Some(names) = only {
-        check_rule_names(names)?;
-    }
-    let texts = read_workspace(&opts.root)?;
+/// Returns a message when [`read_workspace`] fails.
+pub fn lint_workspace(root: &Path) -> Result<LintReport, String> {
+    let texts = read_workspace(root)?;
     let files: Vec<(&str, &str)> = texts
         .iter()
         .map(|(rel, src)| (rel.as_str(), src.as_str()))
         .collect();
-    let (findings, suppressed) = lint_files(&files, only);
     Ok(LintReport {
-        findings,
-        suppressed,
+        findings: lint_texts(&files),
         files_scanned: files.len(),
     })
 }
@@ -606,12 +370,11 @@ pub fn render_human(report: &LintReport, deny_warnings: bool) -> String {
         out.push('\n');
     }
     out.push_str(&format!(
-        "tbstc-lint: {} files scanned; {} error(s), {} warning(s){}; {} suppressed",
+        "tbstc-lint: {} files scanned; {} error(s), {} warning(s){}",
         report.files_scanned,
         report.errors(),
         report.warnings(),
         if deny_warnings { " (denied)" } else { "" },
-        report.suppressed,
     ));
     out.push('\n');
     out
@@ -648,11 +411,10 @@ pub fn render_json(report: &LintReport) -> String {
     };
     let findings: Vec<String> = report.findings.iter().map(finding).collect();
     format!(
-        "{{\"schema\":\"tbstc-lint.v1\",\"files_scanned\":{},\"errors\":{},\"warnings\":{},\"suppressed\":{},\"findings\":[{}]}}\n",
+        "{{\"schema\":\"tbstc-lint.v1\",\"files_scanned\":{},\"errors\":{},\"warnings\":{},\"findings\":[{}]}}\n",
         report.files_scanned,
         report.errors(),
         report.warnings(),
-        report.suppressed,
         findings.join(","),
     )
 }

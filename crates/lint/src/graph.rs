@@ -5,8 +5,8 @@
 //! edges resolve call sites by *simple name* — a call to `frob` points
 //! at every workspace function named `frob`. That over-approximates
 //! (two unrelated `new`s alias), which is the right polarity for the
-//! lock graph: a spurious edge may report a cycle that a human then
-//! suppresses with a reason, but a real cycle is never missed because
+//! lock graph: a spurious edge may report a cycle that is then fixed
+//! in the rule or the code, but a real cycle is never missed because
 //! resolution was too clever.
 //!
 //! **Lock graph.** Nodes are normalized lock identities; an edge A → B

@@ -1,9 +1,11 @@
-//! The nine workspace rules: eight per-file checks (pure functions over
+//! The five workspace rules: four per-file checks (pure functions over
 //! a [`FileCtx`] pushing [`Finding`]s) and one workspace-level check
 //! (`lock-order`) that runs over the [`crate::graph::Workspace`] built
 //! from every file's [`crate::syntax`] facts. The engine applies
-//! test-code exclusion and suppressions afterwards, so rules here
-//! report every match they see.
+//! test-code exclusion afterwards, so rules here report every match
+//! they see. Each rule checks a repo invariant that rustc and clippy
+//! cannot express; the panic, determinism and `unsafe` policies live in
+//! the workspace `[lints]` table and `clippy.toml` instead.
 
 use crate::engine::{FileCtx, Finding, Severity};
 use crate::graph::{find_cycles, Workspace};
@@ -12,16 +14,15 @@ use crate::lexer::{TokKind, Token};
 /// A named per-file check with a fixed severity story (rules may emit
 /// both severities; the table's `check` decides per finding).
 pub struct Rule {
-    /// Kebab-case rule name, used in diagnostics, `allow(...)`, and
-    /// `--rules`.
+    /// Kebab-case rule name, used in diagnostics.
     pub name: &'static str,
     /// The check itself.
     pub check: fn(&FileCtx<'_>, &mut Vec<Finding>),
 }
 
 /// A workspace-level check over the call/lock graphs. Findings still
-/// point at one file/line, so suppressions apply exactly as for
-/// per-file rules.
+/// point at one file/line, so test-code exclusion applies exactly as
+/// for per-file rules.
 pub struct WorkspaceRule {
     /// Kebab-case rule name.
     pub name: &'static str,
@@ -32,24 +33,8 @@ pub struct WorkspaceRule {
 /// Every per-file rule the engine knows, in reporting order.
 pub const ALL_RULES: &[Rule] = &[
     Rule {
-        name: "panic-surface",
-        check: panic_surface,
-    },
-    Rule {
-        name: "determinism",
-        check: determinism,
-    },
-    Rule {
         name: "lock-discipline",
         check: lock_discipline,
-    },
-    Rule {
-        name: "crate-hygiene",
-        check: crate_hygiene,
-    },
-    Rule {
-        name: "unsafe-audit",
-        check: unsafe_audit,
     },
     Rule {
         name: "hot-path-alloc",
@@ -96,128 +81,6 @@ fn finding(
     }
 }
 
-// --- panic-surface ------------------------------------------------------
-
-/// Keywords that may legally precede `[` without it being an index
-/// expression (array literals and the like).
-const PRE_BRACKET_KEYWORDS: &[&str] = &[
-    "return", "break", "else", "in", "mut", "ref", "const", "static", "as", "move", "yield",
-];
-
-/// `.unwrap()` / `.expect()` / `panic!`-family macros anywhere, plus
-/// slice indexing on the serve request path. Warning severity: a site
-/// that cannot panic carries a suppression saying why; any other fails
-/// `--deny-warnings`.
-fn panic_surface(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    let code = ctx.code;
-    for (i, t) in code.iter().enumerate() {
-        if t.kind == TokKind::Ident {
-            let name = ctx.text(t);
-            if (name == "unwrap" || name == "expect")
-                && i >= 1
-                && ctx.code_text(i - 1) == "."
-                && ctx.code_text(i + 1) == "("
-            {
-                // `.lock().unwrap()` belongs to lock-discipline; don't
-                // double-report.
-                let after_lock = i >= 4
-                    && ctx.code_is_ident(i - 4, "lock")
-                    && ctx.code_text(i - 3) == "("
-                    && ctx.code_text(i - 2) == ")";
-                if !after_lock {
-                    out.push(finding(
-                        "panic-surface",
-                        Severity::Warning,
-                        ctx,
-                        t,
-                        format!(
-                            ".{name}() can panic; return a typed error, use \
-                             unwrap_or_else, or suppress with a reason"
-                        ),
-                    ));
-                }
-            }
-            if matches!(name, "panic" | "unreachable" | "todo" | "unimplemented")
-                && ctx.code_text(i + 1) == "!"
-            {
-                out.push(finding(
-                    "panic-surface",
-                    Severity::Warning,
-                    ctx,
-                    t,
-                    format!("{name}! aborts the worker; return a typed error instead"),
-                ));
-            }
-        }
-        // Index expressions only on the serve request path: `expr[...]`
-        // where the previous code token ends an expression.
-        if ctx.crate_name == "serve" && t.kind == TokKind::Punct && ctx.text(t) == "[" && i >= 1 {
-            let prev = &code[i - 1];
-            let prev_text = ctx.text(prev);
-            let indexes = match prev.kind {
-                TokKind::Ident => !PRE_BRACKET_KEYWORDS.contains(&prev_text),
-                TokKind::Punct => matches!(prev_text, ")" | "]" | "?"),
-                _ => false,
-            };
-            if indexes {
-                out.push(finding(
-                    "panic-surface",
-                    Severity::Warning,
-                    ctx,
-                    t,
-                    "slice indexing can panic on the request path; use .get(..) \
-                     and map None to an HTTP error"
-                        .to_string(),
-                ));
-            }
-        }
-    }
-}
-
-// --- determinism --------------------------------------------------------
-
-/// Hash-ordered containers and wall-clock/entropy sources. Warnings:
-/// call sites where ordering provably never escapes carry a suppression
-/// explaining why.
-fn determinism(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    for (i, t) in ctx.code.iter().enumerate() {
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        match ctx.text(t) {
-            name @ ("HashMap" | "HashSet") => out.push(finding(
-                "determinism",
-                Severity::Warning,
-                ctx,
-                t,
-                format!(
-                    "{name} iteration order is nondeterministic; use BTree{} or \
-                     suppress with a reason why ordering never reaches output",
-                    &name[4..]
-                ),
-            )),
-            "SystemTime" if ctx.code_text(i + 1) == "::" && ctx.code_is_ident(i + 2, "now") => out
-                .push(finding(
-                    "determinism",
-                    Severity::Warning,
-                    ctx,
-                    t,
-                    "SystemTime::now() makes results time-dependent; thread a \
-                     clock or timestamp in from the caller"
-                        .to_string(),
-                )),
-            name @ ("thread_rng" | "from_entropy") => out.push(finding(
-                "determinism",
-                Severity::Warning,
-                ctx,
-                t,
-                format!("{name} draws unseeded entropy; derive the RNG from an explicit seed"),
-            )),
-            _ => {}
-        }
-    }
-}
-
 // --- lock-discipline ----------------------------------------------------
 
 /// Blocking calls that must not run while a `MutexGuard` is live.
@@ -238,39 +101,16 @@ const IO_IDENTS: &[&str] = &[
     "accept",
 ];
 
-/// (a) `.lock().unwrap()` / `.lock().expect()` anywhere — an error:
-/// poisoning must be handled (recover or surface HTTP 500), never
-/// propagated as a panic. (b) In `crates/serve`/`crates/runner`, a
-/// heuristic: an identifier bound from a `.lock()` call is treated as a
-/// live guard until its scope closes or it is `drop`ped; `.`-method I/O
-/// or channel calls inside that window are warnings.
+/// In `crates/serve`/`crates/runner`, a heuristic: an identifier bound
+/// from a `.lock()` call is treated as a live guard until its scope
+/// closes or it is `drop`ped; `.`-method I/O or channel calls inside
+/// that window are warnings. (`.lock().unwrap()` is clippy's
+/// `unwrap_used`.)
 fn lock_discipline(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    let code = ctx.code;
-    for (i, t) in code.iter().enumerate() {
-        if t.kind == TokKind::Ident
-            && ctx.text(t) == "lock"
-            && i >= 1
-            && ctx.code_text(i - 1) == "."
-            && ctx.code_text(i + 1) == "("
-            && ctx.code_text(i + 2) == ")"
-            && ctx.code_text(i + 3) == "."
-            && (ctx.code_is_ident(i + 4, "unwrap") || ctx.code_is_ident(i + 4, "expect"))
-        {
-            out.push(finding(
-                "lock-discipline",
-                Severity::Error,
-                ctx,
-                t,
-                ".lock().unwrap()/.expect() panics on poison; recover with \
-                 unwrap_or_else(PoisonError::into_inner) or map to an error"
-                    .to_string(),
-            ));
-        }
-    }
-
     if ctx.crate_name != "serve" && ctx.crate_name != "runner" {
         return;
     }
+    let code = ctx.code;
     scan_with_guards(ctx, |i, guard| {
         let t = &code[i];
         let text = ctx.text(t);
@@ -341,88 +181,6 @@ fn scan_with_guards(ctx: &FileCtx<'_>, mut visit: impl FnMut(usize, Option<&str>
                 guards.retain(|g| g.0 != dropped);
             }
             _ => visit(i, guards.last().map(|g| g.0.as_str())),
-        }
-    }
-}
-
-// --- crate-hygiene ------------------------------------------------------
-
-/// Crate roots must pin down `unsafe`: `#![forbid(unsafe_code)]` or
-/// `#![deny(unsafe_code)]` at the top. (Per-block `unsafe` auditing
-/// lives in `unsafe-audit`.)
-fn crate_hygiene(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    if ctx.is_crate_root && !has_unsafe_code_attr(ctx) {
-        let at = ctx.code.first().cloned().unwrap_or(Token {
-            kind: TokKind::Punct,
-            start: 0,
-            end: 0,
-            line: 1,
-            col: 1,
-            is_doc: false,
-        });
-        out.push(finding(
-            "crate-hygiene",
-            Severity::Error,
-            ctx,
-            &at,
-            "crate root lacks #![forbid(unsafe_code)] (or #![deny(unsafe_code)] \
-             when a module legitimately needs unsafe)"
-                .to_string(),
-        ));
-    }
-}
-
-// --- unsafe-audit -------------------------------------------------------
-
-/// The only modules allowed to contain `unsafe` at all: the serve
-/// crate's raw-syscall shims (poll(2), signalfd-style self-pipe,
-/// flock(2)). Everything else forbids unsafe_code at the crate root.
-const UNSAFE_ALLOWLIST: &[&str] = &[
-    "crates/serve/src/event.rs",
-    "crates/serve/src/signal.rs",
-    "crates/serve/src/store.rs",
-];
-
-/// Every `unsafe` keyword must (a) live in an [`UNSAFE_ALLOWLIST`]
-/// module and (b) carry a `SAFETY:` comment within the five preceding
-/// lines. Both are errors: unsafe outside the audited shims is a policy
-/// breach, not debt.
-fn unsafe_audit(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    // Comment lines that carry a SAFETY: justification (block comments
-    // cover every line they span).
-    let mut safety_lines: Vec<u32> = Vec::with_capacity(8);
-    for t in ctx.tokens {
-        if t.is_comment() && ctx.text(t).contains("SAFETY:") {
-            let span = ctx.text(t).matches('\n').count() as u32;
-            safety_lines.extend(t.line..=t.line + span);
-        }
-    }
-    let allowlisted = UNSAFE_ALLOWLIST.contains(&ctx.rel_path);
-    for t in ctx.code {
-        if t.kind != TokKind::Ident || ctx.text(t) != "unsafe" {
-            continue;
-        }
-        if !allowlisted {
-            out.push(finding(
-                "unsafe-audit",
-                Severity::Error,
-                ctx,
-                t,
-                "unsafe outside the audited allowlist (serve's event.rs, \
-                 signal.rs, store.rs syscall shims); rewrite safely or \
-                 extend the allowlist deliberately"
-                    .to_string(),
-            ));
-        }
-        let justified = safety_lines.iter().any(|&l| l <= t.line && l + 5 >= t.line);
-        if !justified {
-            out.push(finding(
-                "unsafe-audit",
-                Severity::Error,
-                ctx,
-                t,
-                "unsafe without a SAFETY: comment in the preceding five lines".to_string(),
-            ));
         }
     }
 }
@@ -564,27 +322,6 @@ fn blocking_in_event_loop(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
             ));
         }
     });
-}
-
-/// Looks for the inner attribute `#![forbid(unsafe_code)]` /
-/// `#![deny(unsafe_code)]` anywhere in the file (crate roots put it at
-/// the top, but position is not what matters).
-fn has_unsafe_code_attr(ctx: &FileCtx<'_>) -> bool {
-    let code = ctx.code;
-    for i in 0..code.len() {
-        if ctx.code_text(i) == "#"
-            && ctx.code_text(i + 1) == "!"
-            && ctx.code_text(i + 2) == "["
-            && (ctx.code_is_ident(i + 3, "forbid") || ctx.code_is_ident(i + 3, "deny"))
-            && ctx.code_text(i + 4) == "("
-            && ctx.code_is_ident(i + 5, "unsafe_code")
-            && ctx.code_text(i + 6) == ")"
-            && ctx.code_text(i + 7) == "]"
-        {
-            return true;
-        }
-    }
-    false
 }
 
 // --- store-lock-discipline ----------------------------------------------

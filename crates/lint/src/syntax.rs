@@ -308,7 +308,7 @@ impl Walker<'_> {
     }
 
     /// Scans one function body, tracking guards and emitting facts.
-    #[allow(clippy::too_many_lines)]
+    #[allow(clippy::too_many_lines, reason = "one token walk with its guard state")]
     fn body_facts(&mut self, start: usize, end: usize, f: &mut FnFacts) {
         struct Guard {
             name: String, // binding name, or "" for a statement temporary

@@ -1,8 +1,17 @@
 //! Fixture tests: seed one violation of each rule into a source snippet
 //! and assert the engine reports it at the right `file:line`, and that
-//! suppressions, the stale-allow check, and test-code exclusion behave.
+//! strings, comments and test code are out of scope. The rules that
+//! moved to rustc and clippy keep their tests here, pinning the
+//! manifest switch that now enforces each one.
 
-use tbstc_lint::engine::{lint_source_rules, LintOptions};
+#![allow(
+    clippy::unwrap_used,
+    reason = "a test fails by panicking, helpers included"
+)]
+
+mod common;
+
+use common::{manifest, members, section, workspace_clippy, workspace_warns, OWN_TABLE};
 use tbstc_lint::{lint_source, lint_workspace, Finding, Severity};
 
 fn rules_at(findings: &[Finding], rule: &str) -> Vec<(u32, u32)> {
@@ -13,103 +22,27 @@ fn rules_at(findings: &[Finding], rule: &str) -> Vec<(u32, u32)> {
         .collect()
 }
 
-// --- panic-surface ------------------------------------------------------
-
 #[test]
-fn panic_surface_flags_unwrap_expect_and_macros() {
+fn rules_ignore_strings_comments_and_tests() {
     let src = "\
-fn f(x: Option<u32>) -> u32 {
-    let a = x.unwrap();
-    let b = x.expect(\"msg\");
-    if a == 0 { panic!(\"boom\"); }
-    b
-}
-";
-    let fs = lint_source("crates/core/src/f.rs", src);
-    assert_eq!(rules_at(&fs, "panic-surface"), [(2, 15), (3, 15), (4, 17)]);
-    assert!(fs.iter().all(|f| f.severity == Severity::Warning));
-}
-
-#[test]
-fn panic_surface_ignores_strings_comments_and_tests() {
-    let src = "\
-// a comment saying .unwrap() is bad
+// a comment saying fs::write(p, x) would bypass the store lock
 fn f() -> &'static str {
-    \"call .unwrap() here\"
+    \"call fs::write(p, x) here\"
 }
-/// Docs may say panic! freely.
+/// Docs may say File::create(p) freely.
 fn g() {}
 #[cfg(test)]
 mod tests {
     #[test]
     fn t() {
-        Some(1).unwrap();
+        std::fs::write(\"p\", \"x\").ok();
     }
 }
 ";
-    assert!(lint_source("crates/core/src/f.rs", src).is_empty());
-}
-
-#[test]
-fn panic_surface_indexing_only_fires_in_serve() {
-    let src = "\
-fn head(buf: &[u8], pos: usize) -> &[u8] {
-    &buf[..pos]
-}
-";
-    let serve = lint_source("crates/serve/src/f.rs", src);
-    assert_eq!(rules_at(&serve, "panic-surface"), [(2, 9)]);
-    assert!(lint_source("crates/core/src/f.rs", src).is_empty());
-
-    // Array literals and attributes are not index expressions.
-    let ok = "\
-#[derive(Clone)]
-struct S;
-fn g() -> [u8; 2] {
-    let a = [1u8, 2];
-    a
-}
-";
-    assert!(lint_source("crates/serve/src/g.rs", ok).is_empty());
-}
-
-// --- determinism --------------------------------------------------------
-
-#[test]
-fn determinism_flags_hash_containers_and_clock() {
-    let src = "\
-use std::collections::HashMap;
-fn f() {
-    let t = std::time::SystemTime::now();
-    let _ = (t, HashMap::<u32, u32>::new());
-}
-";
-    let fs = lint_source("crates/runner/src/f.rs", src);
-    let lines: Vec<u32> = fs
-        .iter()
-        .filter(|f| f.rule == "determinism")
-        .map(|f| f.line)
-        .collect();
-    assert_eq!(lines, [1, 3, 4]);
+    assert!(lint_source("crates/serve/src/server.rs", src).is_empty());
 }
 
 // --- lock-discipline ----------------------------------------------------
-
-#[test]
-fn lock_discipline_flags_lock_unwrap_as_error() {
-    let src = "\
-use std::sync::Mutex;
-fn f(m: &Mutex<u32>) -> u32 {
-    *m.lock().unwrap()
-}
-";
-    let fs = lint_source("crates/core/src/f.rs", src);
-    let hits: Vec<&Finding> = fs.iter().filter(|f| f.rule == "lock-discipline").collect();
-    assert_eq!(hits.len(), 1);
-    assert_eq!((hits[0].line, hits[0].severity), (3, Severity::Error));
-    // The unwrap itself is not double-reported by panic-surface.
-    assert!(rules_at(&fs, "panic-surface").is_empty());
-}
 
 #[test]
 fn lock_discipline_flags_guard_across_io_in_serve_only() {
@@ -140,77 +73,6 @@ fn f(m: &std::sync::Mutex<u32>, out: &mut dyn std::io::Write) {
         "lock-discipline"
     )
     .is_empty());
-}
-
-// --- crate-hygiene ------------------------------------------------------
-
-#[test]
-fn crate_hygiene_requires_forbid_unsafe_in_roots() {
-    let bare = "pub fn f() {}\n";
-    let fs = lint_source("crates/demo/src/lib.rs", bare);
-    assert_eq!(rules_at(&fs, "crate-hygiene"), [(1, 1)]);
-    // Non-root modules don't need the attribute.
-    assert!(lint_source("crates/demo/src/util.rs", bare).is_empty());
-    // Either forbid or deny satisfies the rule.
-    for attr in ["#![forbid(unsafe_code)]", "#![deny(unsafe_code)]"] {
-        let src = format!("{attr}\npub fn f() {{}}\n");
-        assert!(lint_source("crates/demo/src/lib.rs", &src).is_empty());
-    }
-}
-
-// --- unsafe-audit -------------------------------------------------------
-
-#[test]
-fn unsafe_audit_requires_safety_comment_in_allowlisted_modules() {
-    let bad = "\
-#[allow(unsafe_code)]
-fn f() {
-    unsafe { core::hint::unreachable_unchecked() }
-}
-";
-    // event.rs is allowlisted, so the only finding is the missing
-    // SAFETY: justification.
-    let fs = lint_source("crates/serve/src/event.rs", bad);
-    assert_eq!(rules_at(&fs, "unsafe-audit"), [(3, 5)]);
-
-    let good = "\
-#[allow(unsafe_code)]
-fn f() {
-    // SAFETY: provably unreachable, guarded above.
-    unsafe { core::hint::unreachable_unchecked() }
-}
-";
-    let fs = lint_source("crates/serve/src/event.rs", good);
-    assert!(rules_at(&fs, "unsafe-audit").is_empty(), "{fs:?}");
-}
-
-#[test]
-fn unsafe_audit_rejects_unsafe_outside_the_allowlist() {
-    let src = "\
-#![deny(unsafe_code)]
-#[allow(unsafe_code)]
-fn f() {
-    // SAFETY: justified, but this module is not audited.
-    unsafe { core::hint::unreachable_unchecked() }
-}
-";
-    let fs = lint_source("crates/demo/src/lib.rs", src);
-    let hits = rules_at(&fs, "unsafe-audit");
-    assert_eq!(hits, [(5, 5)], "{fs:?}");
-    assert!(fs
-        .iter()
-        .filter(|f| f.rule == "unsafe-audit")
-        .all(|f| f.severity == Severity::Error));
-    assert!(fs[0].message.contains("allowlist"), "{fs:?}");
-    // The serve syscall shims are all allowlisted.
-    for path in [
-        "crates/serve/src/event.rs",
-        "crates/serve/src/signal.rs",
-        "crates/serve/src/store.rs",
-    ] {
-        let fs = lint_source(path, "// SAFETY: shim.\nfn f() { unsafe { g() } }\n");
-        assert!(rules_at(&fs, "unsafe-audit").is_empty(), "{path}: {fs:?}");
-    }
 }
 
 // --- hot-path-alloc -----------------------------------------------------
@@ -245,23 +107,6 @@ fn f(n: usize) -> Vec<u32> {
 }
 ";
     assert!(lint_source("crates/matrix/src/gemm.rs", ok).is_empty());
-}
-
-#[test]
-fn hot_path_alloc_suppression_carries_reason() {
-    let src = "\
-fn f(it: impl Iterator<Item = u32>) -> Vec<u32> {
-    let mut v = Vec::new();
-    for x in it {
-        // tbstc-lint: allow(hot-path-alloc) — output length is input-dependent
-        v.push(x);
-    }
-    v
-}
-";
-    let (fs, suppressed) = lint_source_rules("crates/sim/src/plan.rs", src, None);
-    assert!(fs.is_empty(), "{fs:?}");
-    assert_eq!(suppressed, 1);
 }
 
 // --- blocking-in-event-loop ---------------------------------------------
@@ -340,219 +185,70 @@ mod tests {
     .is_empty());
 }
 
-// --- suppressions & rule filtering --------------------------------------
-
-#[test]
-fn trailing_suppression_silences_its_line_only() {
-    let src = "\
-fn f(x: Option<u32>) -> u32 {
-    let a = x.unwrap(); // tbstc-lint: allow(panic-surface) — fixture
-    x.unwrap() + a
-}
-";
-    let fs = lint_source("crates/core/src/f.rs", src);
-    assert_eq!(rules_at(&fs, "panic-surface"), [(3, 7)]);
-}
-
-#[test]
-fn standalone_suppression_covers_next_code_line() {
-    let src = "\
-fn f(x: Option<u32>) -> u32 {
-    // tbstc-lint: allow(panic-surface) — fixture justification
-    x.unwrap()
-}
-";
-    assert!(lint_source("crates/core/src/f.rs", src).is_empty());
-}
-
-#[test]
-fn suppression_must_name_the_right_rule() {
-    let src = "\
-fn f(x: Option<u32>) -> u32 {
-    x.unwrap() // tbstc-lint: allow(determinism) — wrong rule
-}
-";
-    let fs = lint_source("crates/core/src/f.rs", src);
-    assert_eq!(rules_at(&fs, "panic-surface").len(), 1);
-}
-
-#[test]
-fn multi_rule_suppression_and_counting() {
-    let src = "\
-use std::collections::HashMap;
-fn f(m: &HashMap<u32, u32>) -> u32 {
-    // tbstc-lint: allow(panic-surface, determinism) — fixture
-    *m.get(&0).unwrap()
-}
-";
-    let (fs, suppressed) = lint_source_rules("crates/core/src/f.rs", src, None);
-    // The HashMap mentions on lines 1–2 are still flagged; line 4's
-    // unwrap is suppressed.
-    assert_eq!(rules_at(&fs, "determinism"), [(1, 23), (2, 10)]);
-    assert!(rules_at(&fs, "panic-surface").is_empty());
-    assert_eq!(suppressed, 1);
-}
-
-#[test]
-fn rule_filter_restricts_output() {
-    let src = "\
-use std::collections::HashMap;
-fn f(x: Option<u32>) -> u32 { x.unwrap() }
-";
-    let only = vec!["determinism".to_string()];
-    let (fs, _) = lint_source_rules("crates/core/src/f.rs", src, Some(&only));
-    assert!(fs.iter().all(|f| f.rule == "determinism"));
-    assert_eq!(fs.len(), 1);
-}
-
-// --- stale suppressions -------------------------------------------------
-
-#[test]
-fn stale_allow_flags_a_suppression_that_silences_nothing() {
-    let src = "\
-fn f(x: Option<u32>) -> u32 {
-    // tbstc-lint: allow(panic-surface) — the unwrap below was fixed
-    x.unwrap_or(0)
-}
-";
-    let fs = lint_source("crates/core/src/f.rs", src);
-    assert_eq!(rules_at(&fs, "stale-allow"), [(2, 5)], "{fs:?}");
-    assert_eq!(fs.len(), 1, "{fs:?}");
-    assert_eq!(fs[0].severity, Severity::Warning);
-    assert!(fs[0].message.contains("allow(panic-surface)"), "{fs:?}");
-}
-
-#[test]
-fn stale_allow_flags_an_unknown_rule_name() {
-    let src = "\
-fn f(x: Option<u32>) -> u32 {
-    x.unwrap() // tbstc-lint: allow(panic-surfac) — typo
-}
-/// Docs may quote `// tbstc-lint: allow(anything)` without suppressing.
-fn g() {}
-";
-    let fs = lint_source("crates/core/src/f.rs", src);
-    // The typo suppresses nothing: the unwrap is still reported, and
-    // the allow itself is flagged, naming the valid rules.
-    assert_eq!(rules_at(&fs, "panic-surface"), [(2, 7)]);
-    assert_eq!(rules_at(&fs, "stale-allow"), [(2, 16)], "{fs:?}");
-    let stale = fs.iter().find(|f| f.rule == "stale-allow").unwrap();
-    assert!(stale.message.contains("allow(panic-surfac)"), "{stale:?}");
-    assert!(
-        stale.message.contains("valid rules: panic-surface,"),
-        "{stale:?}"
-    );
-}
-
-#[test]
-fn rule_filter_reports_stale_entries_only_for_rules_that_ran() {
-    let src = "\
-fn f(x: Option<u32>) -> u32 {
-    // tbstc-lint: allow(panic-surface) — stale
-    let a = x.unwrap_or(0);
-    // tbstc-lint: allow(determinism) — stale
-    let b = a + 1;
-    // tbstc-lint: allow(no-such-rule) — unknown
-    a + b
-}
-";
-    let stale = |only: Option<&[String]>| {
-        let (fs, _) = lint_source_rules("crates/core/src/f.rs", src, only);
-        assert!(fs.iter().all(|f| f.rule == "stale-allow"), "{fs:?}");
-        fs.iter().map(|f| f.line).collect::<Vec<_>>()
-    };
-    // Unfiltered, all three allows are stale.
-    assert_eq!(stale(None), [2, 4, 6]);
-    // Filtered, only the allows naming a rule that ran are checked: the
-    // determinism allow matched nothing because its rule was skipped,
-    // and an unknown name never runs.
-    assert_eq!(stale(Some(&["panic-surface".to_string()])), [2]);
-    assert!(stale(Some(&["lock-order".to_string()])).is_empty());
-}
-
 // --- workspace driver ---------------------------------------------------
 
-/// A one-file workspace under the temp dir whose only finding is a
-/// `panic-surface` warning on line 3 of `crates/demo/src/lib.rs`.
-fn demo_workspace(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("tbstc-lint-{tag}-{}", std::process::id()));
-    let src_dir = dir.join("crates/demo/src");
-    std::fs::create_dir_all(&src_dir).unwrap();
-    std::fs::write(
-        src_dir.join("lib.rs"),
-        "#![forbid(unsafe_code)]\n//! Demo.\npub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
-    )
-    .unwrap();
-    dir
+/// The demo source: a guard held across a write, a `lock-discipline`
+/// warning on line 3.
+const GUARDED_WRITE: &str = "\
+fn f(m: &std::sync::Mutex<u32>, out: &mut dyn std::io::Write) {
+    let g = m.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    out.write_all(b\"x\").ok();
+    drop(g);
 }
-
-fn only(rules: &[&str], root: &std::path::Path) -> LintOptions {
-    LintOptions {
-        root: root.to_path_buf(),
-        rules: Some(rules.iter().map(|r| r.to_string()).collect()),
-    }
-}
+";
 
 #[test]
 fn workspace_driver_reports_files_findings_and_failure() {
-    let dir = demo_workspace("fixture");
-    let all = LintOptions {
-        root: dir.clone(),
-        rules: None,
+    let dir = std::env::temp_dir().join(format!("tbstc-lint-fixture-{}", std::process::id()));
+    let write = |rel: &str, src: &str| {
+        let path = dir.join(rel);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, src).unwrap();
     };
+    write("crates/serve/src/lib.rs", GUARDED_WRITE);
+    // Integration tests are not read.
+    write("crates/serve/tests/t.rs", GUARDED_WRITE);
 
-    let report = lint_workspace(&all).unwrap();
+    let report = lint_workspace(&dir).unwrap();
     assert_eq!(report.files_scanned, 1);
     assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
     assert_eq!(
         (report.findings[0].path.as_str(), report.findings[0].line),
-        ("crates/demo/src/lib.rs", 3)
+        ("crates/serve/src/lib.rs", 3)
     );
     assert!(report.fails(true));
     assert!(!report.fails(false)); // warnings pass without --deny-warnings
 
-    // An inline suppression with a reason accepts the finding.
-    std::fs::write(
-        dir.join("crates/demo/src/lib.rs"),
-        "#![forbid(unsafe_code)]\n//! Demo.\n\
-         // tbstc-lint: allow(panic-surface) — demo\n\
-         pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
-    )
-    .unwrap();
-    let report = lint_workspace(&all).unwrap();
+    // Dropping the guard before the write clears the finding.
+    write(
+        "crates/serve/src/lib.rs",
+        &GUARDED_WRITE.replace(
+            "    out.write_all(b\"x\").ok();\n    drop(g);",
+            "    drop(g);\n    out.write_all(b\"x\").ok();",
+        ),
+    );
+    let report = lint_workspace(&dir).unwrap();
     assert!(report.findings.is_empty(), "{:?}", report.findings);
-    assert_eq!(report.suppressed, 1);
     assert!(!report.fails(true));
 
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn unknown_rule_filter_is_an_error_naming_the_valid_rules() {
-    let dir = demo_workspace("filter-typo");
-    let err = lint_workspace(&only(&["panic-surface", "panic-surfac"], &dir)).unwrap_err();
-    assert!(err.contains("`panic-surfac`"), "{err}");
-    for rule in tbstc_lint::rules::rule_names() {
-        assert!(err.contains(rule), "{rule} missing from: {err}");
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn json_output_is_well_formed_enough_to_grep() {
-    let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-    let fs = lint_source("crates/core/src/f.rs", src);
+    let src = "fn f() -> Vec<u8> {\n    let mut v = Vec::new();\n    v.push(1);\n    v\n}\n";
+    let fs = lint_source("crates/sim/src/plan.rs", src);
     let report = tbstc_lint::LintReport {
         findings: fs,
         ..Default::default()
     };
     let json = tbstc_lint::render_json(&report);
     assert!(json.contains("\"schema\":\"tbstc-lint.v1\""));
-    assert!(json.contains("\"rule\":\"panic-surface\""));
-    assert!(json.contains("\"line\":1"));
+    assert!(json.contains("\"rule\":\"hot-path-alloc\""));
+    assert!(json.contains("\"line\":3"));
     let human = tbstc_lint::render_human(&report, true);
-    assert!(human.contains("crates/core/src/f.rs:1:"));
-    assert!(human.contains("warning[panic-surface]"));
+    assert!(human.contains("crates/sim/src/plan.rs:3:"));
+    assert!(human.contains("warning[hot-path-alloc]"));
 }
 
 // --- store-lock-discipline ----------------------------------------------
@@ -607,4 +303,52 @@ mod tests {
 }
 ";
     assert!(lint_source("crates/serve/src/server.rs", test_src).is_empty());
+}
+
+// --- rules moved to the toolchain ---------------------------------------
+
+#[test]
+fn crate_hygiene_requires_forbid_unsafe_in_roots() {
+    assert_eq!(
+        section(&manifest("."), "workspace.lints.rust"),
+        ["unsafe_code = \"forbid\""]
+    );
+    // A crate with its own table may only relax `forbid` to `deny`, so
+    // `unsafe` still needs an `#[allow]` at the site that uses it.
+    for name in OWN_TABLE {
+        assert_eq!(
+            section(&manifest(&format!("crates/{name}")), "lints.rust"),
+            ["unsafe_code = \"deny\""],
+            "crates/{name}"
+        );
+    }
+}
+
+#[test]
+fn panic_surface_flags_unwrap_expect_and_macros() {
+    workspace_warns(&["unwrap_used", "expect_used"]);
+    workspace_warns(&["panic", "unreachable", "todo", "unimplemented"]);
+}
+
+#[test]
+fn panic_surface_indexing_only_fires_in_serve() {
+    let indexing = "indexing_slicing = \"warn\"".to_string();
+    assert!(!workspace_clippy().contains(&indexing));
+    for name in members() {
+        let own = section(&manifest(&format!("crates/{name}")), "lints.clippy");
+        assert_eq!(own.contains(&indexing), name == "serve", "crates/{name}");
+    }
+}
+
+#[test]
+fn lock_discipline_flags_lock_unwrap_as_error() {
+    // `.lock().unwrap()` is an `unwrap_used` finding, an error under CI's `-D warnings`.
+    workspace_warns(&["unwrap_used"]);
+    let ci = std::fs::read_to_string(common::root().join(".github/workflows/ci.yml")).unwrap();
+    assert!(ci.contains("run: cargo clippy --all-targets -- -D warnings"));
+}
+
+#[test]
+fn unsafe_audit_requires_safety_comment_in_allowlisted_modules() {
+    workspace_warns(&["undocumented_unsafe_blocks"]);
 }

@@ -6,6 +6,13 @@
 //! source: in-order, non-overlapping, on char boundaries, tiling every
 //! non-whitespace byte, with line/col derivable from the offsets.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test fails by panicking, helpers included"
+)]
+
 use proptest::prelude::*;
 use tbstc_lint::lexer::{lex, TokKind};
 

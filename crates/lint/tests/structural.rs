@@ -34,13 +34,10 @@ impl Jobs {
 
 #[test]
 fn lock_order_detects_the_seeded_two_lock_cycle_naming_both_sites() {
-    let findings = lint_texts(
-        &[
-            ("crates/serve/src/jobs.rs", CYCLE_A),
-            ("crates/serve/src/sweep.rs", CYCLE_B),
-        ],
-        Some(&["lock-order".to_string()]),
-    );
+    let findings = lint_texts(&[
+        ("crates/serve/src/jobs.rs", CYCLE_A),
+        ("crates/serve/src/sweep.rs", CYCLE_B),
+    ]);
     let hits = rule(&findings, "lock-order");
     assert_eq!(hits.len(), 1, "{findings:?}");
     let f = hits[0];
@@ -76,10 +73,7 @@ impl Jobs {
     fn b(&self) { let q = self.queue.lock(); let c = self.cancels.lock(); }
 }
 ";
-    let findings = lint_texts(
-        &[("crates/serve/src/jobs.rs", consistent)],
-        Some(&["lock-order".to_string()]),
-    );
+    let findings = lint_texts(&[("crates/serve/src/jobs.rs", consistent)]);
     assert!(rule(&findings, "lock-order").is_empty(), "{findings:?}");
 }
 
@@ -107,13 +101,10 @@ impl Engine {
     }
 }
 ";
-    let findings = lint_texts(
-        &[
-            ("crates/serve/src/store.rs", a),
-            ("crates/serve/src/jobs.rs", b),
-        ],
-        Some(&["lock-order".to_string()]),
-    );
+    let findings = lint_texts(&[
+        ("crates/serve/src/store.rs", a),
+        ("crates/serve/src/jobs.rs", b),
+    ]);
     let hits = rule(&findings, "lock-order");
     assert_eq!(hits.len(), 1, "{findings:?}");
     assert!(
@@ -126,27 +117,4 @@ impl Engine {
         "{}",
         hits[0].message
     );
-}
-
-#[test]
-fn lock_order_suppression_is_honored() {
-    let b_suppressed = "\
-impl Jobs {
-    fn sweep(&self) {
-        let c = self.cancels.lock();
-        // tbstc-lint: allow(lock-order) — sweep runs single-threaded at boot
-        let q = self.queue.lock();
-    }
-}
-";
-    let findings = lint_texts(
-        &[
-            ("crates/serve/src/jobs.rs", CYCLE_A),
-            ("crates/serve/src/sweep.rs", b_suppressed),
-        ],
-        Some(&["lock-order".to_string()]),
-    );
-    // The cycle's witness edge in sweep.rs carries the allow; the other
-    // direction alone is acyclic.
-    assert!(rule(&findings, "lock-order").is_empty(), "{findings:?}");
 }

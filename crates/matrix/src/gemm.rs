@@ -97,9 +97,11 @@ pub fn try_matmul(a: &Matrix, b: &Matrix) -> Result<Matrix> {
 ///
 /// Panics when `A.cols() != B.rows()`; use [`try_matmul`] to handle the
 /// error instead.
+#[expect(
+    clippy::expect_used,
+    reason = "documented panicking wrapper over try_matmul"
+)]
 pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    // tbstc-lint: allow(panic-surface) — documented panicking wrapper
-    // over try_matmul.
     try_matmul(a, b).expect("matmul dimension mismatch")
 }
 
@@ -235,9 +237,11 @@ pub fn try_matmul_transb(a: &Matrix, b: &Matrix) -> Result<Matrix> {
 ///
 /// Panics when `A.cols() != B.cols()`; use [`try_matmul_transb`] to handle
 /// the error instead.
+#[expect(
+    clippy::expect_used,
+    reason = "documented panicking wrapper over try_matmul_transb"
+)]
 pub fn matmul_transb(a: &Matrix, b: &Matrix) -> Matrix {
-    // tbstc-lint: allow(panic-surface) — documented panicking wrapper
-    // over try_matmul_transb.
     try_matmul_transb(a, b).expect("matmul_transb dimension mismatch")
 }
 
@@ -374,9 +378,11 @@ pub fn try_matmul_at_b(a: &Matrix, b: &Matrix) -> Result<Matrix> {
 ///
 /// Panics when `A.rows() != B.rows()`; use [`try_matmul_at_b`] to handle
 /// the error instead.
+#[expect(
+    clippy::expect_used,
+    reason = "documented panicking wrapper over try_matmul_at_b"
+)]
 pub fn matmul_at_b(a: &Matrix, b: &Matrix) -> Matrix {
-    // tbstc-lint: allow(panic-surface) — documented panicking wrapper
-    // over try_matmul_at_b.
     try_matmul_at_b(a, b).expect("matmul_at_b dimension mismatch")
 }
 

@@ -26,7 +26,6 @@
 //! assert_eq!(d, a);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod error;

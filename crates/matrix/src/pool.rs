@@ -39,6 +39,10 @@ pub fn available_workers() -> usize {
 /// reference implementation for the determinism guarantee: because each
 /// result depends only on its item, the parallel output is bit-identical
 /// to this serial path.
+#[expect(
+    clippy::expect_used,
+    reason = "scope() already propagated any worker panic; an empty slot is a logic bug"
+)]
 pub fn parallel_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<(R, Duration)>
 where
     T: Sync,
@@ -73,8 +77,6 @@ where
         .map(|m| {
             m.into_inner()
                 .unwrap_or_else(PoisonError::into_inner)
-                // tbstc-lint: allow(panic-surface) — scope() already
-                // propagated any worker panic; an empty slot is a logic bug.
                 .expect("worker exited before filling its slot")
         })
         .collect()
@@ -208,6 +210,6 @@ mod tests {
     #[test]
     fn chunks_empty_input_is_fine() {
         let mut data: Vec<u8> = Vec::new();
-        parallel_chunks_mut(&mut data, 0, 4, |_, _| unreachable!());
+        parallel_chunks_mut(&mut data, 0, 4, |_, _| panic!("no chunk to visit"));
     }
 }

@@ -17,7 +17,6 @@
 //! assert!(model.total_macs() > 3_000_000_000); // ~4 GMACs at 224×224
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod shapes;

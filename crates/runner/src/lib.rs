@@ -35,7 +35,6 @@
 //! assert_eq!(report.results.len(), 4);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod memo;

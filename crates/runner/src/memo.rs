@@ -1,7 +1,10 @@
 //! Keyed result cache shared across runner invocations.
 
-// tbstc-lint: allow(determinism) — the memo is a lookup table, never
-// iterated for output: `entries()` callers sort before serializing.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the memo is a lookup table, never iterated for output: `entries()` callers sort before serializing"
+)]
+
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -12,7 +15,6 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// sweep reports.
 #[derive(Debug, Default)]
 pub struct Memo<K, R> {
-    // tbstc-lint: allow(determinism) — see module note.
     map: Mutex<HashMap<K, R>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -23,7 +25,6 @@ impl<K: Eq + Hash + Clone, R: Clone> Memo<K, R> {
     /// whole under the lock, so a panicking holder can at worst lose its
     /// own pending insert — stale-but-consistent is exactly what a cache
     /// is allowed to be.
-    // tbstc-lint: allow(determinism) — see module note.
     fn map(&self) -> MutexGuard<'_, HashMap<K, R>> {
         self.map.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -31,7 +32,6 @@ impl<K: Eq + Hash + Clone, R: Clone> Memo<K, R> {
     /// An empty cache.
     pub fn new() -> Self {
         Memo {
-            // tbstc-lint: allow(determinism) — see module note.
             map: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),

@@ -87,8 +87,10 @@ impl Runner {
         let start = Instant::now();
         // Dedupe before running: first-seen order keeps the schedule
         // deterministic, and only genuinely new keys hit the pool.
-        // tbstc-lint: allow(determinism) — only membership is queried;
-        // iteration order never escapes.
+        #[expect(
+            clippy::disallowed_types,
+            reason = "only membership is queried; iteration order never escapes"
+        )]
         let mut seen = std::collections::HashSet::new();
         let mut fresh: Vec<K> = Vec::new();
         for job in jobs {
@@ -107,10 +109,12 @@ impl Runner {
             memo.insert(key, r);
             job_wall.push(d);
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "every job was inserted into the memo in the loop above; a miss here is a logic bug"
+        )]
         let results = jobs
             .iter()
-            // tbstc-lint: allow(panic-surface) — every job was inserted
-            // into the memo in the loop above; a miss here is a logic bug.
             .map(|job| memo.peek(job).expect("memoized result missing"))
             .collect();
         RunReport {

@@ -270,12 +270,12 @@ impl SweepRunner {
     }
 
     /// Simulates one model-level job (through the same cache).
+    #[expect(clippy::expect_used, reason = "one job in, one result out")]
     pub fn model(&self, job: SimJob) -> ModelResult {
         self.run_models(std::slice::from_ref(&job))
             .results
             .into_iter()
             .next()
-            // tbstc-lint: allow(panic-surface) — one job in, one result out.
             .expect("one job in, one result out")
     }
 
@@ -287,12 +287,12 @@ impl SweepRunner {
     }
 
     /// Simulates one single-layer job (through the same cache).
+    #[expect(clippy::expect_used, reason = "one job in, one result out")]
     pub fn layer(&self, job: LayerSim) -> LayerResult {
         self.run_layers(std::slice::from_ref(&job))
             .results
             .into_iter()
             .next()
-            // tbstc-lint: allow(panic-surface) — one job in, one result out.
             .expect("one job in, one result out")
     }
 
@@ -406,6 +406,10 @@ mod tests {
     use super::*;
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "counts distinct jobs through the Hash impl"
+    )]
     fn grid_is_the_full_cross_product() {
         let sweep = Sweep::new()
             .archs([Arch::Tc, Arch::TbStc])
@@ -441,6 +445,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_types, reason = "tests the Hash impl")]
     fn sim_job_hash_distinguishes_sparsity_bits() {
         use std::collections::HashSet;
         let base = SimJob {

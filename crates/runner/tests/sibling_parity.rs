@@ -7,7 +7,7 @@
 //! and the per-job timings behave exactly as for one-point-at-a-time
 //! execution.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use tbstc_runner::{ModelSpec, Runner, SimJob, Sweep, SweepRunner};
@@ -131,7 +131,7 @@ proptest! {
         // About one point in four is preloaded. Preloaded points carry a
         // marker (one extra cycle) so a recomputation instead of a memo
         // hit would show.
-        let preloaded: HashSet<usize> = (0..unique.len())
+        let preloaded: BTreeSet<usize> = (0..unique.len())
             .filter(|i| preload_bits >> (2 * (i % 16)) & 3 == 0)
             .collect();
         let engine = SweepRunner::with_runner(cfg, Runner::new().with_workers(workers));

@@ -65,7 +65,7 @@ impl PollFd {
 }
 
 #[cfg(unix)]
-#[allow(unsafe_code)]
+#[allow(unsafe_code, reason = "poll(2) shim: the event loop's readiness wait")]
 mod sys {
     //! Raw binding to the C library's `poll`, which `std` links anyway.
     use super::PollFd;

@@ -40,7 +40,6 @@
 //! cache-shard layout; the `tbstc-cli` crate wires this up as the
 //! `serve`, `submit`, and `loadgen` subcommands.
 
-#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod coalesce;

@@ -11,7 +11,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
 #[cfg(unix)]
-#[allow(unsafe_code)]
+#[allow(
+    unsafe_code,
+    reason = "signal(2) shim: the only way to install a handler without a crate"
+)]
 mod sys {
     pub const SIGINT: i32 = 2;
     pub const SIGTERM: i32 = 15;

@@ -54,7 +54,7 @@ use tbstc::sim::ModelResult;
 use tbstc::Error;
 
 #[cfg(unix)]
-#[allow(unsafe_code)]
+#[allow(unsafe_code, reason = "flock(2) shim: the cross-process store lock")]
 mod sys {
     //! flock(2) shim. Like the signal(2) and poll(2) shims, the process
     //! already links the platform C library, so one `extern "C"`

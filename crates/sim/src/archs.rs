@@ -562,7 +562,7 @@ mod tests {
 
     #[test]
     fn names_are_unique_and_resolve() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for m in REGISTRY.iter() {
             assert!(
                 seen.insert(m.canonical_name().to_string()),

@@ -189,6 +189,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_types, reason = "tests the Hash impl")]
     fn builder_is_a_usable_hash_key() {
         use std::collections::HashSet;
         let a = LayerSim::new(&shape())

@@ -41,7 +41,6 @@
 //! assert!(res.cycles > 0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arch;

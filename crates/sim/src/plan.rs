@@ -156,10 +156,13 @@ impl BlockPlan {
     }
 
     /// Per-row non-zero counts of block `i` (8 packed counts).
+    #[expect(
+        clippy::expect_used,
+        reason = "the slice is BLOCK long by construction"
+    )]
     pub fn row_nnz(&self, i: usize) -> &[usize; BLOCK] {
         self.row_nnz[i * BLOCK..(i + 1) * BLOCK]
             .try_into()
-            // tbstc-lint: allow(panic-surface) — the slice is BLOCK long by construction
             .expect("chunk is exactly BLOCK long")
     }
 

@@ -4,6 +4,13 @@
 //! the sampled matrix; plus bit-identity of the [`tbstc_sim::SimOptions`]
 //! entry point against the native one.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test fails by panicking, helpers included"
+)]
+
 use tbstc_models::LayerShape;
 use tbstc_sim::plan::BlockPlan;
 use tbstc_sim::sched::BlockWork;

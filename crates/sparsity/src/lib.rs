@@ -33,7 +33,6 @@
 //! assert!((tbs.mask().sparsity() - 0.5).abs() < 0.05);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod criteria;

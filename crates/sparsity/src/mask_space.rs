@@ -15,7 +15,11 @@
 /// beyond what the MS plots need.
 pub fn ln_gamma(x: f64) -> f64 {
     // The published Lanczos(g = 7) coefficients, digits kept verbatim.
-    #[allow(clippy::excessive_precision, clippy::inconsistent_digit_grouping)]
+    #[allow(
+        clippy::excessive_precision,
+        clippy::inconsistent_digit_grouping,
+        reason = "published coefficients, digits kept verbatim"
+    )]
     const G: [f64; 9] = [
         0.999_999_999_999_809_93,
         676.520_368_121_885_1,

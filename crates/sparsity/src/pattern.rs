@@ -263,13 +263,16 @@ impl RowWiseVegeta {
     /// # Panics
     ///
     /// Panics when candidates are not strictly increasing or exceed `m`.
+    #[expect(
+        clippy::expect_used,
+        reason = "the constructor IS the validation; candidates come from builtin arch tables"
+    )]
     pub fn new(m: usize, candidates: Vec<usize>) -> Self {
         assert!(m > 0, "tile size must be positive");
         assert!(
             candidates.windows(2).all(|w| w[0] < w[1]),
             "sorted candidates"
         );
-        // tbstc-lint: allow(panic-surface) — the constructor IS the validation; candidates come from builtin arch tables
         assert!(*candidates.last().expect("non-empty") <= m, "N <= M");
         RowWiseVegeta { m, candidates }
     }
@@ -403,6 +406,10 @@ impl Pattern for RowWiseHighlight {
         let abs = scores.map(f32::abs);
         let density = 1.0 - target;
         // Tensor-wide hierarchical ratio closest to the target density.
+        #[expect(
+            clippy::expect_used,
+            reason = "configs is a non-empty builtin table, min_by cannot return None"
+        )]
         let (tiles_kept, n, _) = self
             .configs()
             .into_iter()
@@ -418,7 +425,6 @@ impl Pattern for RowWiseHighlight {
                     .then(b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal))
                     .then(b.0.cmp(&a.0))
             })
-            // tbstc-lint: allow(panic-surface) — configs is a non-empty builtin table, max_by cannot return None
             .expect("configs non-empty");
         self.keep_ranked_tiles(&abs, tiles_kept, n)
     }
@@ -447,6 +453,10 @@ fn keep_row_tiles(abs: &Matrix, r: usize, m: usize, n: usize, mask: &mut Mask) {
     }
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "callers pass constructor-validated non-empty candidate sets"
+)]
 fn nearest(candidates: &[usize], density: f64, m: usize) -> usize {
     *candidates
         .iter()
@@ -457,7 +467,6 @@ fn nearest(candidates: &[usize], density: f64, m: usize) -> usize {
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(b.cmp(&a))
         })
-        // tbstc-lint: allow(panic-surface) — callers pass constructor-validated non-empty candidate sets
         .expect("candidates non-empty")
 }
 
@@ -484,7 +493,10 @@ fn adjust_rows(
         let up = deficit > 0;
         let mut best: Option<(usize, usize, i64, f64)> = None;
         for (r, &n) in row_n.iter().enumerate() {
-            // tbstc-lint: allow(panic-surface) — every row_n entry was drawn from `candidates`, so position always finds it
+            #[expect(
+                clippy::unwrap_used,
+                reason = "every row_n entry was drawn from `candidates`, so position always finds it"
+            )]
             let pos = candidates.iter().position(|&c| c == n).unwrap();
             let new_n = if up {
                 match candidates.get(pos + 1) {

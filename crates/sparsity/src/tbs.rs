@@ -94,6 +94,10 @@ impl TbsConfig {
     /// # Panics
     ///
     /// Panics with a description of the violated invariant.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "validate() is the panic point by design; the preceding assert guarantees non-empty"
+    )]
     pub fn validate(&self) {
         assert!(self.m > 0, "block size must be positive");
         assert!(
@@ -105,7 +109,6 @@ impl TbsConfig {
             "N candidates must be strictly increasing"
         );
         assert!(
-            // tbstc-lint: allow(panic-surface) — validate() is the panic point by design; the preceding assert guarantees non-empty
             *self.n_candidates.last().unwrap() <= self.m,
             "N candidates cannot exceed M"
         );
@@ -444,6 +447,10 @@ fn set_bit(bits: &mut [u64], i: usize) {
 /// (Algorithm 1 line 6, reading `s_p` as the block *density* — the printed
 /// formula `|N_i/M − s_p|` with `s_p` the sparsity degree is a typo: `N/M`
 /// is a density, so it must be compared with the density `1 − s_p`).
+#[expect(
+    clippy::expect_used,
+    reason = "TbsConfig::validate rejects empty candidate lists before this runs"
+)]
 fn nearest_candidate(candidates: &[usize], density: f64, m: usize) -> usize {
     *candidates
         .iter()
@@ -454,7 +461,6 @@ fn nearest_candidate(candidates: &[usize], density: f64, m: usize) -> usize {
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(b.cmp(&a)) // prefer the denser candidate on ties
         })
-        // tbstc-lint: allow(panic-surface) — TbsConfig::validate rejects empty candidate lists before this runs
         .expect("candidates validated non-empty")
 }
 

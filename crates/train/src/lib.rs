@@ -19,7 +19,6 @@
 //! is a property of how much weight importance each projection retains —
 //! which these small models measure just as well as a 7 B-parameter one.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod data;

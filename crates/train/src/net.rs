@@ -141,7 +141,10 @@ impl Linear {
     /// `dw` and `scratch` are caller-owned workspaces (the raw `dHᵀ·X`
     /// gradient and the GEMM packing buffer); nothing here allocates once
     /// their capacities have grown to the layer's shape.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the layer state plus its two caller-owned workspaces"
+    )]
     fn backward_update(
         &mut self,
         x: &Matrix,

@@ -1,10 +1,12 @@
 //! Counting-allocator proof that the training hot path is allocation-free
 //! in steady state.
 //!
-//! The library crates forbid `unsafe`, so the `GlobalAlloc` shim lives in
+//! The library crates deny `unsafe`, so the `GlobalAlloc` shim lives in
 //! this integration test. The counter only tracks `alloc`/`realloc` on the
 //! test thread; frees are irrelevant to the "no per-call heap allocation"
 //! acceptance criterion.
+
+#![allow(unsafe_code, reason = "a counting GlobalAlloc needs an unsafe impl")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -21,6 +23,8 @@ struct CountingAlloc;
 
 // `try_with` instead of `with`: the allocator runs during TLS teardown too,
 // where touching a destroyed thread-local would abort the process.
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged, so `System`'s guarantees carry over.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));

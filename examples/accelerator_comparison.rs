@@ -5,6 +5,11 @@
 //!
 //! Run with: `cargo run --release --example accelerator_comparison`
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "examples favour brevity over error handling"
+)]
+
 use tbstc::models::{bert_base, opt_6_7b, resnet50};
 use tbstc::prelude::*;
 

@@ -4,6 +4,11 @@
 //!
 //! Run with: `cargo run --release --example sparse_training`
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "examples favour brevity over error handling"
+)]
+
 use tbstc::prelude::*;
 use tbstc::sparsity::PatternKind;
 

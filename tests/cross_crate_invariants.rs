@@ -67,8 +67,8 @@ proptest! {
     /// Utilization is a true ratio for every architecture and never
     /// exceeds 1; issued MACs dominate useful MACs.
     #[test]
-    fn utilization_is_a_ratio(seed in 0u64..50, arch_i in 0usize..6) {
-        let arch = Arch::MAIN_BASELINES[arch_i];
+    fn utilization_is_a_ratio(seed in 0u64..50, arch_i in 0usize..8) {
+        let arch = Arch::ALL[arch_i];
         let cfg = HwConfig::paper_default();
         let shape = tbstc::models::LayerShape {
             name: "ratio".into(), m: 64, k: 64, n: 16, repeats: 1, prunable: true,
@@ -77,6 +77,28 @@ proptest! {
         let comp = simulate_compute(arch, &layer, &cfg, SchedulePolicy::native(arch));
         prop_assert!(comp.utilization > 0.0 && comp.utilization <= 1.0 + 1e-9);
         prop_assert!(comp.issued_macs >= comp.useful_macs);
+    }
+
+    /// More DRAM bandwidth never costs cycles: on every architecture and
+    /// sparsity, cycles are non-increasing from 32 to 1024 GB/s.
+    #[test]
+    fn more_bandwidth_never_costs_cycles(seed in 0u64..50, arch_i in 0usize..8, sp_i in 0usize..4) {
+        let arch = Arch::ALL[arch_i];
+        let sparsity = [0.0, 0.5, 0.75, 0.875][sp_i];
+        let shape = tbstc::models::LayerShape {
+            name: "bandwidth".into(), m: 256, k: 256, n: 64, repeats: 1, prunable: true,
+        };
+        let layer = LayerSim::new(&shape)
+            .arch(arch)
+            .sparsity(sparsity)
+            .seed(seed)
+            .build(&HwConfig::paper_default());
+        let mut prev = u64::MAX;
+        for gbps in [32.0, 64.0, 128.0, 256.0, 512.0, 1024.0] {
+            let cycles = simulate_layer(arch, &layer, &HwConfig::with_bandwidth_gbps(gbps)).cycles;
+            prop_assert!(cycles <= prev, "{arch:?} at {sparsity}: {cycles} cycles at {gbps} GB/s");
+            prev = cycles;
+        }
     }
 
     /// TBS masks retain essentially at least as much |weight| mass as the

@@ -15,6 +15,13 @@
 //! * a poll racing a job's end answers 202 or the result, never the
 //!   terminal `done` status document without the result.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test fails by panicking, helpers included"
+)]
+
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
