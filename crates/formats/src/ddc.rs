@@ -223,32 +223,57 @@ impl Ddc {
         self.info_bytes() + self.data_bytes()
     }
 
-    /// The consumption access trace: the info table as one contiguous read
-    /// followed by each block's data in storage (= consumption) order —
-    /// fully sequential, no padding.
+    /// The consumption access trace: [`access_trace`] over this matrix's
+    /// per-block stored counts.
     pub fn access_trace(&self) -> AccessTrace {
-        let mut trace = AccessTrace::new();
-        if self.info_bytes() > 0 {
-            trace.push(MemRequest {
-                addr: 0,
-                bytes: self.info_bytes(),
-            });
-        }
-        let base = self.info_bytes();
-        let elem_bytes = VALUE_BYTES as f64 + PACKED_INDEX_BITS as f64 / 8.0;
-        let mut cursor = base;
-        for b in &self.blocks {
-            let bytes = (b.elements.len() as f64 * elem_bytes).ceil() as u64;
-            if bytes > 0 {
-                trace.push(MemRequest {
-                    addr: cursor,
-                    bytes,
-                });
-                cursor += bytes;
-            }
-        }
-        trace
+        access_trace(self.blocks.iter().map(|b| b.elements.len()))
     }
+}
+
+/// The DDC consumption access trace of a matrix whose blocks, in storage
+/// order, store `block_nnz` non-zeros: the info table (one 16-bit word per
+/// block, empty blocks included) as one contiguous read, followed by each
+/// non-empty block's values and packed indices — fully sequential, no
+/// padding.
+///
+/// # Examples
+///
+/// ```
+/// use tbstc_formats::ddc;
+///
+/// let t = ddc::access_trace([3, 0, 2]);
+/// let reqs: Vec<(u64, u64)> = t.requests().iter().map(|r| (r.addr, r.bytes)).collect();
+/// // 3 info words, then ceil(2.5 B × nnz) per non-empty block.
+/// assert_eq!(reqs, [(0, 6), (6, 8), (14, 5)]);
+/// assert_eq!(t.contiguity(), 1.0);
+/// ```
+pub fn access_trace<I>(block_nnz: I) -> AccessTrace
+where
+    I: IntoIterator<Item = usize>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let block_nnz = block_nnz.into_iter();
+    let info_bytes = block_nnz.len() as u64 * INFO_BYTES;
+    let mut trace = AccessTrace::new();
+    if info_bytes > 0 {
+        trace.push(MemRequest {
+            addr: 0,
+            bytes: info_bytes,
+        });
+    }
+    let mut cursor = info_bytes;
+    for n in block_nnz {
+        let n = n as u64;
+        let bytes = n * VALUE_BYTES + (n * PACKED_INDEX_BITS).div_ceil(8);
+        if bytes > 0 {
+            trace.push(MemRequest {
+                addr: cursor,
+                bytes,
+            });
+            cursor += bytes;
+        }
+    }
+    trace
 }
 
 #[cfg(test)]
@@ -373,6 +398,89 @@ mod tests {
                 }
                 prev = Some((e.lane, e.idx));
             }
+        }
+    }
+
+    /// The trace walk over the encoded blocks: each block's element stream
+    /// sized at 2.5 bytes per element in `f64`, rounded up.
+    fn access_trace_oracle(ddc: &Ddc) -> AccessTrace {
+        let mut trace = AccessTrace::new();
+        if ddc.info_bytes() > 0 {
+            trace.push(MemRequest {
+                addr: 0,
+                bytes: ddc.info_bytes(),
+            });
+        }
+        let elem_bytes = VALUE_BYTES as f64 + PACKED_INDEX_BITS as f64 / 8.0;
+        let mut cursor = ddc.info_bytes();
+        for b in &ddc.blocks {
+            let bytes = (b.elements.len() as f64 * elem_bytes).ceil() as u64;
+            if bytes > 0 {
+                trace.push(MemRequest {
+                    addr: cursor,
+                    bytes,
+                });
+                cursor += bytes;
+            }
+        }
+        trace
+    }
+
+    /// Non-zeros of each of `pattern`'s blocks in `w`, in storage order.
+    fn block_counts(w: &Matrix, pattern: &TbsPattern) -> Vec<usize> {
+        let m = pattern.config().m;
+        pattern
+            .blocks()
+            .iter()
+            .map(|b| {
+                let (r0, c0) = b.coord.origin(m);
+                (r0..(r0 + m).min(w.rows()))
+                    .map(|r| crate::test_support::segment_nnz(w, r, c0, c0 + m))
+                    .sum()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn count_trace_of_no_blocks_is_empty() {
+        assert!(access_trace(std::iter::empty()).is_empty());
+        // All-zero blocks still cost their info words.
+        assert_eq!(access_trace([0, 0]).total_bytes(), 2 * INFO_BYTES);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn count_trace_equals_encoded_walk(
+            seed in 0u64..1000,
+            rows in 1usize..70,
+            cols in 1usize..70,
+            t in 0u32..=100,
+            m_log2 in 2u32..=5,
+            transposed in 0u32..=1,
+        ) {
+            let m = 1usize << m_log2;
+            let w = MatrixRng::seed_from(seed).block_structured_weights(rows, cols, m);
+            let p = TbsPattern::sparsify(&w, f64::from(t) / 100.0, &TbsConfig::with_block_size(m));
+            let (w, p) = if transposed == 1 { (w.transpose(), p.transpose()) } else { (w, p) };
+            let mut pruned = p.mask().apply(&w);
+            let (r, c) = pruned.shape();
+            crate::test_support::hollow(&mut pruned, seed as usize % r, 3, m, seed as usize % r.div_ceil(m), 0);
+            let ddc = Ddc::encode(&pruned, &p);
+            let oracle = access_trace_oracle(&ddc);
+            prop_assert_eq!(access_trace(block_counts(&pruned, &p)), oracle.clone());
+            prop_assert_eq!(ddc.access_trace(), oracle);
+            prop_assert_eq!(ddc.blocks().len(), r.div_ceil(m) * c.div_ceil(m));
+        }
+
+        #[test]
+        fn both_storage_dims_are_covered(seed in 0u64..1000) {
+            let w = MatrixRng::seed_from(seed).block_structured_weights(48, 40, 8);
+            let p = TbsPattern::sparsify(&w, 0.75, &TbsConfig::paper_default());
+            let ddc = Ddc::encode(&p.mask().apply(&w), &p);
+            let dims = |d: SparsityDim| ddc.blocks().iter().any(|b| b.dim == d && !b.elements.is_empty());
+            prop_assert!(dims(SparsityDim::Reduction) && dims(SparsityDim::Independent));
         }
     }
 

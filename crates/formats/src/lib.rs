@@ -29,6 +29,9 @@ pub mod csr;
 pub mod ddc;
 pub mod sdc;
 
+#[cfg(test)]
+mod test_support;
+
 pub use access::{AccessTrace, MemRequest};
 pub use codec::{CodecStats, CodecUnit};
 pub use csr::Csr;

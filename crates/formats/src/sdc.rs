@@ -124,17 +124,35 @@ impl Sdc {
         }
     }
 
-    /// The consumption access trace: one request per row, perfectly
-    /// sequential (rows are stored back to back at a fixed stride).
+    /// The consumption access trace: [`access_trace`] over this matrix's
+    /// rows and stride.
     pub fn access_trace(&self) -> AccessTrace {
-        let row_bytes = self.stride as u64 * (VALUE_BYTES + INDEX_BYTES);
-        (0..self.rows as u64)
-            .map(|r| MemRequest {
-                addr: r * row_bytes,
-                bytes: row_bytes,
-            })
-            .collect()
+        access_trace(self.rows, self.stride)
     }
+}
+
+/// The SDC consumption access trace of a `rows`-row matrix whose longest
+/// row holds `stride` non-zeros: one request per row, perfectly
+/// sequential (rows are stored back to back at that fixed stride).
+///
+/// # Examples
+///
+/// ```
+/// use tbstc_formats::sdc;
+///
+/// let t = sdc::access_trace(4, 3);
+/// assert_eq!(t.len(), 4);
+/// assert_eq!(t.total_bytes(), 4 * 3 * 3); // value + index per slot
+/// assert_eq!(t.contiguity(), 1.0);
+/// ```
+pub fn access_trace(rows: usize, stride: usize) -> AccessTrace {
+    let row_bytes = stride as u64 * (VALUE_BYTES + INDEX_BYTES);
+    (0..rows as u64)
+        .map(|r| MemRequest {
+            addr: r * row_bytes,
+            bytes: row_bytes,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -205,12 +223,44 @@ mod tests {
         assert_eq!(sdc.access_trace().total_bytes(), sdc.stored_bytes());
     }
 
+    /// The trace walk over the encoded rows: one request per stored row of
+    /// `values`, at its offset in the padded array.
+    fn access_trace_oracle(sdc: &Sdc) -> AccessTrace {
+        let slot = VALUE_BYTES + INDEX_BYTES;
+        (0..sdc.rows)
+            .map(|r| MemRequest {
+                addr: (r * sdc.stride) as u64 * slot,
+                bytes: sdc.values[r * sdc.stride..(r + 1) * sdc.stride].len() as u64 * slot,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn count_trace_of_all_zero_matrix_is_empty_rows() {
+        let w = Matrix::zeros(3, 5);
+        assert_eq!(access_trace(3, 0), access_trace_oracle(&Sdc::encode(&w)));
+    }
+
     proptest! {
         #[test]
         fn round_trip_any_sparsity(seed in 0u64..200, sp in 0u32..=100) {
             let w = MatrixRng::seed_from(seed)
                 .sparse_gaussian(12, 12, f64::from(sp) / 100.0, 1.0);
             prop_assert_eq!(Sdc::encode(&w).decode(), w);
+        }
+
+        #[test]
+        fn count_trace_equals_encoded_walk(
+            seed in 0u64..1000, rows in 1usize..70, cols in 1usize..70, sp in 0u32..=100
+        ) {
+            let w = crate::test_support::ragged(seed, rows, cols, f64::from(sp) / 100.0, 8);
+            let stride = (0..rows)
+                .map(|r| crate::test_support::segment_nnz(&w, r, 0, cols))
+                .max()
+                .unwrap_or(0);
+            let sdc = Sdc::encode(&w);
+            prop_assert_eq!(access_trace(rows, stride), access_trace_oracle(&sdc));
+            prop_assert_eq!(sdc.access_trace(), access_trace_oracle(&sdc));
         }
     }
 }

@@ -15,13 +15,13 @@
 use std::sync::LazyLock;
 
 use tbstc_energy::components::{DatapathCosts, PeArrayShape};
-use tbstc_formats::{AccessTrace, Csr, Ddc, Sdc};
+use tbstc_formats::{csr, ddc, sdc, AccessTrace};
 use tbstc_sparsity::PatternKind;
 
 use crate::arch::{Arch, ArchId};
 use crate::compute::SchedulePolicy;
 use crate::layer::SparseLayer;
-use crate::plan::BlockPlan;
+use crate::plan::{BlockPlan, BLOCK};
 use crate::sched::{BlockWork, InterBlockPolicy, IntraBlockPolicy};
 use crate::spec::{ArchSpec, CodecSpec, Dataflow, DatapathKind, DenseInfoPolicy, SlotTerm};
 
@@ -218,9 +218,11 @@ fn ratio_grouped_slots(row_nnz: &[usize; 8], width: usize) -> usize {
     issues * width
 }
 
-/// The sampled weight-stream trace a codec emits for a layer. `plan`
-/// carries the occupancy statistics (total non-zeros, per-row totals) so
-/// formats sized by occupancy need not re-count the matrix.
+/// The sampled weight-stream trace a codec emits for a layer. Every
+/// format's access pattern depends only on occupancy counts, which `plan`
+/// carries (total non-zeros, per-row totals, per-block totals), so no
+/// format is encoded and the matrix is re-counted only for a TBS block
+/// size other than the plan's 8.
 pub(crate) fn codec_trace(codec: CodecSpec, layer: &SparseLayer, plan: &BlockPlan) -> WeightTrace {
     match codec {
         CodecSpec::DenseRows => {
@@ -239,7 +241,8 @@ pub(crate) fn codec_trace(codec: CodecSpec, layer: &SparseLayer, plan: &BlockPla
         }
         CodecSpec::GroupedSdc { group } => grouped_sdc_trace(plan.matrix_row_nnz(), group),
         CodecSpec::Sdc => {
-            WeightTrace::from_access_trace(Sdc::encode(layer.sampled()).access_trace())
+            let stride = plan.matrix_row_nnz().iter().copied().max().unwrap_or(0);
+            WeightTrace::from_access_trace(sdc::access_trace(plan.sampled_shape().0, stride))
         }
         CodecSpec::Bitmap => {
             let (rows, cols) = plan.sampled_shape();
@@ -247,10 +250,10 @@ pub(crate) fn codec_trace(codec: CodecSpec, layer: &SparseLayer, plan: &BlockPla
             let bitmap = ((rows * cols) as u64).div_ceil(8);
             WeightTrace::sequential(nnz * 2 + bitmap)
         }
-        CodecSpec::DdcOrDense => ddc_or_dense_trace(layer),
-        CodecSpec::Csr => {
-            WeightTrace::from_access_trace(Csr::encode(layer.sampled()).streaming_trace())
-        }
+        CodecSpec::DdcOrDense => ddc_or_dense_trace(layer, plan),
+        CodecSpec::Csr => WeightTrace::from_access_trace(csr::streaming_trace(
+            plan.matrix_row_nnz().iter().copied(),
+        )),
     }
 }
 
@@ -276,12 +279,29 @@ fn grouped_sdc_trace(row_nnz: &[usize], group: usize) -> WeightTrace {
 
 /// The TBS weight stream: DDC when the layer carries TBS metadata, a
 /// dense row stream otherwise (non-prunable layers run dense).
-fn ddc_or_dense_trace(layer: &SparseLayer) -> WeightTrace {
+///
+/// DDC stores each TBS block's kept elements in `tbs.blocks()` order. At
+/// M = 8 those blocks are the plan's row-major 8 × 8 grid, so the plan's
+/// per-block totals are the counts; any other M counts the sampled
+/// (masked) matrix once per M-block.
+fn ddc_or_dense_trace(layer: &SparseLayer, plan: &BlockPlan) -> WeightTrace {
     let w = layer.sampled();
-    match layer.tbs() {
-        Some(tbs) => WeightTrace::from_access_trace(Ddc::encode(w, tbs).access_trace()),
-        None => WeightTrace::sequential(w.len() as u64 * 2),
-    }
+    let Some(tbs) = layer.tbs() else {
+        return WeightTrace::sequential(w.len() as u64 * 2);
+    };
+    let m = tbs.config().m;
+    let trace = if m == BLOCK {
+        ddc::access_trace(plan.nnz().iter().copied())
+    } else {
+        ddc::access_trace(tbs.blocks().iter().map(|b| {
+            let (r0, c0) = b.coord.origin(m);
+            let cols = c0..(c0 + m).min(w.cols());
+            (r0..(r0 + m).min(w.rows()))
+                .map(|r| w.row(r)[cols.clone()].iter().filter(|&&v| v != 0.0).count())
+                .sum()
+        }))
+    };
+    WeightTrace::from_access_trace(trace)
 }
 
 /// The architecture registry, in the paper's plotting order. Indexed by

@@ -15,13 +15,13 @@
 //! layer size.
 
 use tbstc_dram::{DramConfig, DramModel};
-use tbstc_formats::Csr;
+use tbstc_formats::csr;
 
 use crate::arch::Arch;
 use crate::archs::{codec_trace, ArchModel, WeightTrace};
 use crate::config::HwConfig;
 use crate::layer::SparseLayer;
-use crate::plan::BlockPlan;
+use crate::plan::{BlockPlan, BLOCK};
 use crate::spec::{CodecSpec, DenseInfoPolicy};
 
 /// Storage-format override for the Fig. 16(a) codec ablation and the
@@ -175,9 +175,13 @@ fn a_trace(
 ) -> WeightTrace {
     match fmt {
         FormatOverride::Sdc => codec_trace(CodecSpec::Sdc, layer, plan),
-        FormatOverride::Csr => {
-            WeightTrace::from_access_trace(Csr::encode(layer.sampled()).block_access_trace(8, 8))
-        }
+        // The PE array gathers each 8 × 8 block's row segments: the
+        // plan's packed per-block row counts are those segments, in order.
+        FormatOverride::Csr => WeightTrace::from_access_trace(csr::block_access_trace(
+            BLOCK,
+            plan.grid().1,
+            plan.packed_row_nnz(),
+        )),
         FormatOverride::Int8 => {
             // DDC layout with 1-byte values: info words + nnz × 1.5 bytes.
             let (gr, gc) = plan.grid();
@@ -309,6 +313,68 @@ mod tests {
         let rb = simulate_memory(Arch::TbStc, &lb, &cfg, FormatOverride::Native);
         let ratio = rb.a_bytes / rs.a_bytes;
         assert!((3.5..4.5).contains(&ratio), "{ratio}");
+    }
+}
+
+#[cfg(test)]
+mod trace_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use tbstc_formats::{Csr, Ddc, Sdc};
+    use tbstc_models::LayerShape;
+    use tbstc_sparsity::TbsConfig;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn plan_fed_traces_equal_encode_fed_traces(
+            seed in 0u64..10_000,
+            m in 1usize..150,
+            k in 1usize..150,
+            arch in 0usize..8,
+            tbs_m in 0usize..5,
+            sp in 0u32..=100,
+            prunable in 0u32..=3,
+        ) {
+            let shape = LayerShape {
+                name: format!("trace-{seed}"),
+                m,
+                k,
+                n: 16,
+                repeats: 1,
+                prunable: prunable > 0,
+            };
+            let mut sim = crate::LayerSim::new(&shape)
+                .arch(Arch::ALL[arch])
+                .sparsity(f64::from(sp) / 100.0)
+                .seed(seed);
+            if tbs_m > 0 {
+                // Block sizes 4, 8, 16 and 32.
+                sim = sim.tbs_config(TbsConfig::with_block_size(2 << tbs_m));
+            }
+            let layer = sim.build(&HwConfig::paper_default());
+            let plan = BlockPlan::build(&layer);
+            // The traces as they were built before the plan fed them:
+            // encode the sampled matrix, then walk the encoded format.
+            let w = layer.sampled();
+            let ddc = match layer.tbs() {
+                Some(tbs) => WeightTrace::from_access_trace(Ddc::encode(w, tbs).access_trace()),
+                None => WeightTrace::sequential(w.len() as u64 * 2),
+            };
+            let encoded = [
+                (CodecSpec::Sdc, WeightTrace::from_access_trace(Sdc::encode(w).access_trace())),
+                (CodecSpec::Csr, WeightTrace::from_access_trace(Csr::encode(w).streaming_trace())),
+                (CodecSpec::DdcOrDense, ddc),
+            ];
+            for (codec, want) in encoded {
+                prop_assert_eq!(codec_trace(codec, &layer, &plan), want, "{:?} on {}x{}", codec, m, k);
+            }
+            prop_assert_eq!(
+                a_trace(Arch::ALL[arch].model(), &layer, &plan, FormatOverride::Csr),
+                WeightTrace::from_access_trace(Csr::encode(w).block_access_trace(8, 8))
+            );
+        }
     }
 }
 

@@ -18,15 +18,18 @@
 //! The plan is the public currency between the sparsify, compute,
 //! schedule and memory layers: [`crate::archs::ArchModel::block_works_batch`]
 //! prices a whole plan in array passes, `sched::schedule_stream`
-//! consumes the resulting flat work list, and the memory model reads
-//! `total_nnz` / `matrix_row_nnz` instead of re-counting the matrix.
+//! consumes the resulting flat work list, and the memory model builds
+//! every weight-stream trace from the plan's counts (SDC and CSR from
+//! `matrix_row_nnz`, the CSR block gather from the packed `row_nnz`, DDC
+//! from the per-block `nnz`) instead of re-counting or encoding the
+//! matrix.
 
 use tbstc_sparsity::SparsityDim;
 
 use crate::layer::SparseLayer;
 
 /// Blocks are walked at the simulator's fixed 8×8 granularity.
-const BLOCK: usize = 8;
+pub(crate) const BLOCK: usize = 8;
 
 /// Structure-of-arrays per-block statistics of one sampled layer.
 ///
@@ -164,6 +167,14 @@ impl BlockPlan {
         self.row_nnz[i * BLOCK..(i + 1) * BLOCK]
             .try_into()
             .expect("chunk is exactly BLOCK long")
+    }
+
+    /// Every block's row counts, packed in block order: block `i` owns
+    /// `[i * 8, i * 8 + 8)` (the slices [`BlockPlan::row_nnz`] returns).
+    /// This is the per-(row, column-block) segment layout of an 8 × 8
+    /// CSR block gather.
+    pub fn packed_row_nnz(&self) -> &[usize] {
+        &self.row_nnz
     }
 
     /// Per-block non-zero totals.
