@@ -6,7 +6,7 @@ use std::fmt::Write as _;
 use tbstc::energy::table3::{a100_integration_overhead, table3_rows};
 use tbstc::formats::{Csr, Ddc, Sdc};
 use tbstc::matrix::rng::MatrixRng;
-use tbstc::models::{bert_base, llama2_7b, opt_6_7b, resnet18, resnet50, Model};
+use tbstc::models::{bert_base, llama2_7b, opt_6_7b, resnet18, resnet50};
 use tbstc::prelude::*;
 use tbstc::sparsity::similarity::similarity_sweep;
 use tbstc::sparsity::stats::classify_blocks;
@@ -29,7 +29,7 @@ USAGE:
                      [--jobs N] [--verify] [--json]
   tbstc-cli serve    [--addr 127.0.0.1:7878] [--cache-dir .tbstc-cache]
                      [--queue 32] [--job-workers N] [--hold-ms 0] [--quiet]
-                     [--chunk-size 16] [--long-job-points 8]
+                     [--chunk-size 16] [--long-job-points 8] [--chunk-hold-ms 0]
                      [--oneshot --job FILE]
   tbstc-cli submit   --job FILE [--addr 127.0.0.1:7878] [--follow]
   tbstc-cli jobs     list|status|cancel|resume [KEY] [--addr 127.0.0.1:7878]
@@ -40,8 +40,8 @@ USAGE:
   tbstc-cli models
   tbstc-cli help
 
-Models: resnet50, resnet18, bert, opt, llama (sweep/--json also: gcn)
-Archs:  tc, stc, vegeta, highlight, rm-stc, tb-stc (sweep also: sgcn)
+Models: resnet50, resnet18, bert, opt, llama, gcn
+Archs:  tc, stc, vegeta, highlight, rm-stc, tb-stc, dvpe-fan, sgcn
 
 `sweep` runs the cross product models x archs x sparsities in parallel
 (worker count from --jobs, the TBSTC_JOBS env var, or the machine),
@@ -110,6 +110,19 @@ pub fn run(args: &ParsedArgs) -> Result<String, ArgError> {
             )));
         }
     }
+    if let Some(known) = options_of(&args.command) {
+        if let Some(unknown) = args.options.keys().find(|k| !known.contains(&k.as_str())) {
+            let options = if known.is_empty() {
+                "it takes none".to_string()
+            } else {
+                format!("options are --{}", known.join(", --"))
+            };
+            return Err(ArgError(format!(
+                "{}: unknown option --{unknown}; {options}",
+                args.command
+            )));
+        }
+    }
     match args.command.as_str() {
         "prune" => prune(args),
         "formats" => formats(args),
@@ -128,6 +141,64 @@ pub fn run(args: &ParsedArgs) -> Result<String, ArgError> {
             "unknown subcommand `{other}`; try `help`"
         ))),
     }
+}
+
+/// The options each subcommand reads; `None` for an unknown subcommand.
+/// Any other `--option` is rejected, so a misspelt flag fails instead of
+/// silently running with its default.
+fn options_of(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "prune" => &["rows", "cols", "sparsity", "block", "seed"],
+        "formats" => &["rows", "cols", "sparsity", "seed"],
+        "simulate" => &[
+            "model",
+            "arch",
+            "arch-spec",
+            "sparsity",
+            "bandwidth",
+            "seed",
+            "json",
+        ],
+        "archs" => &["json"],
+        "sweep" => &[
+            "models",
+            "archs",
+            "sparsities",
+            "seed",
+            "bandwidth",
+            "jobs",
+            "verify",
+            "json",
+        ],
+        "serve" => &[
+            "addr",
+            "cache-dir",
+            "queue",
+            "job-workers",
+            "hold-ms",
+            "quiet",
+            "chunk-size",
+            "long-job-points",
+            "chunk-hold-ms",
+            "oneshot",
+            "job",
+        ],
+        "submit" => &["job", "addr", "follow"],
+        "jobs" => &["addr"],
+        "loadgen" => &[
+            "addr",
+            "connections",
+            "requests",
+            "specs",
+            "zipf",
+            "seed",
+            "min-rps",
+            "json",
+        ],
+        "lint" => &["deny-warnings", "json", "root"],
+        "arch" | "table3" | "models" => &[],
+        _ => return None,
+    })
 }
 
 fn parse_arch(name: &str) -> Result<Arch, ArgError> {
@@ -160,17 +231,6 @@ fn parse_list<T>(
         return Err(ArgError("expected a non-empty comma-separated list".into()));
     }
     Ok(items)
-}
-
-fn parse_model(name: &str) -> Result<Model, ArgError> {
-    Ok(match name {
-        "resnet50" => resnet50(64),
-        "resnet18" => resnet18(64),
-        "bert" => bert_base(128),
-        "opt" => opt_6_7b(128),
-        "llama" => llama2_7b(128),
-        other => return Err(ArgError(format!("unknown model `{other}`"))),
-    })
 }
 
 fn prune(args: &ParsedArgs) -> Result<String, ArgError> {
@@ -322,11 +382,12 @@ fn simulate(args: &ParsedArgs) -> Result<String, ArgError> {
         return Err(ArgError("--sparsity must be in [0, 1]".into()));
     }
 
+    let model_spec = parse_model_spec(&args.str_or("model", "bert"))?;
     if args.str_or("json", "false") == "true" {
         // Same schema and bytes the server returns for this job.
         let spec = JobSpec::Simulate(SimulateSpec {
             arch: choice,
-            model: parse_model_spec(&args.str_or("model", "bert"))?,
+            model: model_spec,
             sparsity,
             seed,
             bandwidth_gbps: bandwidth,
@@ -335,7 +396,7 @@ fn simulate(args: &ParsedArgs) -> Result<String, ArgError> {
         return Ok(format!("{}\n", spec.execute(&engine)));
     }
 
-    let model = parse_model(&args.str_or("model", "bert"))?;
+    let model = model_spec.build();
     let cfg = HwConfig::with_bandwidth_gbps(bandwidth);
     let dense = simulate_model(Arch::Tc, &model, 0.0, seed, &cfg);
     let label = choice.canonical_name().to_string();
@@ -983,15 +1044,6 @@ fn loadgen(args: &ParsedArgs) -> Result<String, ArgError> {
 }
 
 fn lint(args: &ParsedArgs) -> Result<String, ArgError> {
-    if let Some(unknown) = args
-        .options
-        .keys()
-        .find(|k| !matches!(k.as_str(), "deny-warnings" | "json" | "root"))
-    {
-        return Err(ArgError(format!(
-            "lint: unknown option --{unknown}; options are --deny-warnings, --json, --root"
-        )));
-    }
     let root = match args.options.get("root") {
         Some(r) => std::path::PathBuf::from(r),
         None => {
@@ -1114,6 +1166,64 @@ mod tests {
         let out = run_line(&["simulate", "--model", "bert", "--arch", "tb-stc"]).unwrap();
         assert!(out.contains("vs dense TC"));
         assert!(out.contains("speedup"));
+    }
+
+    #[test]
+    fn simulate_rejects_misspelt_options() {
+        let err = run_line(&["simulate", "--arhc", "sgcn", "--sparsity", "0.5"]).unwrap_err();
+        assert!(err.0.contains("unknown option --arhc"), "{}", err.0);
+        assert!(err.0.contains("--arch,"), "names the options: {}", err.0);
+    }
+
+    #[test]
+    fn sweep_rejects_misspelt_options() {
+        let err = run_line(&["sweep", "--modles", "gcn"]).unwrap_err();
+        assert!(err.0.contains("unknown option --modles"), "{}", err.0);
+        assert!(err.0.contains("--models,"), "names the options: {}", err.0);
+    }
+
+    /// A subcommand's USAGE lines: its `tbstc-cli <command>` line and the
+    /// indented lines continuing it.
+    fn usage_of(command: &str) -> String {
+        let mut out = String::new();
+        let mut inside = false;
+        for line in USAGE.lines() {
+            let mut words = line.split_whitespace();
+            if words.next() == Some("tbstc-cli") {
+                inside = words.next() == Some(command);
+            } else if !line.starts_with("    ") {
+                inside = false;
+            }
+            if inside {
+                out.push_str(line);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn every_known_option_is_in_the_usage_text() {
+        for command in [
+            "prune", "formats", "simulate", "archs", "arch", "sweep", "serve", "submit", "jobs",
+            "loadgen", "lint", "table3", "models",
+        ] {
+            let usage = usage_of(command);
+            assert!(!usage.is_empty(), "{command} missing from USAGE");
+            for option in options_of(command).unwrap() {
+                assert!(
+                    usage.contains(&format!("--{option}")),
+                    "{command} --{option}"
+                );
+            }
+        }
+        assert!(options_of("frobnicate").is_none());
+    }
+
+    #[test]
+    fn simulate_takes_the_sweep_model_names() {
+        // One model-name table: `gcn` works for simulate as for sweep.
+        let out = run_line(&["simulate", "--model", "gcn", "--sparsity", "0.5"]).unwrap();
+        assert!(out.contains("vs dense TC"), "{out}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! ```text
 //! tbstc-cli prune    [--rows 128] [--cols 128] [--sparsity 0.75] [--block 8] [--seed 0]
 //! tbstc-cli formats  [--rows 128] [--cols 128] [--sparsity 0.75] [--seed 0]
-//! tbstc-cli simulate [--model bert|resnet50|resnet18|opt|llama] [--arch tb-stc|stc|vegeta|highlight|rm-stc|tc]
+//! tbstc-cli simulate [--model bert|resnet50|resnet18|opt|llama|gcn] [--arch tb-stc|stc|vegeta|highlight|rm-stc|tc]
 //!                    [--sparsity 0.75] [--bandwidth 64] [--seed 0] [--json]
 //! tbstc-cli sweep    [--models ...] [--archs ...] [--sparsities ...] [--json]
 //! tbstc-cli serve    [--addr 127.0.0.1:7878] [--cache-dir .tbstc-cache] [--oneshot --job FILE]
