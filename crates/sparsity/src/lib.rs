@@ -46,4 +46,5 @@ pub mod tbs;
 
 pub use mask::{Mask, MaskBlockView};
 pub use pattern::{GlobalTopK, Pattern, PatternKind};
+pub use select::TileRanks;
 pub use tbs::{SparsityDim, TbsConfig, TbsPattern};

@@ -288,15 +288,15 @@ impl Mask {
     pub fn apply_into(&self, w: &Matrix, out: &mut Matrix) {
         assert_eq!(self.shape(), w.shape(), "mask/matrix shape mismatch");
         out.reset(self.rows, self.cols);
+        // A select rather than a branch on `kept`, so the loop vectorises
+        // and never mispredicts: about half the bits flip at 50 %.
         for ((o, &v), &kept) in out
             .as_mut_slice()
             .iter_mut()
             .zip(w.as_slice())
             .zip(&self.keep)
         {
-            if kept {
-                *o = v;
-            }
+            *o = if kept { v } else { 0.0 };
         }
     }
 
@@ -519,6 +519,23 @@ mod tests {
         assert_eq!(out, m.apply(&s));
     }
 
+    /// The branching loop the select in `apply_into` replaced: zero the
+    /// output, then copy each kept weight.
+    fn apply_oracle(mask: &Mask, w: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(mask.rows(), mask.cols());
+        for ((o, &v), &kept) in out
+            .as_mut_slice()
+            .iter_mut()
+            .zip(w.as_slice())
+            .zip(&mask.keep)
+        {
+            if kept {
+                *o = v;
+            }
+        }
+        out
+    }
+
     #[test]
     fn row_col_counts() {
         let m = Mask::from_fn(3, 3, |r, c| r == c);
@@ -569,6 +586,41 @@ mod tests {
             let m = Mask::top_k(&w, 18);
             let kept = Mask::nonzeros(&m.apply(&w));
             prop_assert_eq!(kept, m);
+        }
+
+        #[test]
+        fn apply_into_matches_branching_oracle(
+            seed in 0u64..1000,
+            rows in 0usize..20,
+            cols in 0usize..20,
+            fill in 0usize..4,
+        ) {
+            // NaN (two payloads), both zeros and both infinities among the
+            // weights; random, all-kept and none-kept masks.
+            const SPECIAL: [f32; 6] = [
+                f32::NAN,
+                -0.0,
+                0.0,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                f32::from_bits(0x7fc0_0001),
+            ];
+            let mut rng = MatrixRng::seed_from(seed);
+            let w = Matrix::from_fn(rows, cols, |_, _| match rng.index(10) {
+                i if i < SPECIAL.len() => SPECIAL[i],
+                _ => rng.standard_normal(),
+            });
+            let mask = match fill {
+                0 => Mask::all(rows, cols),
+                1 => Mask::none(rows, cols),
+                _ => Mask::from_fn(rows, cols, |_, _| rng.index(2) == 0),
+            };
+            // A stale, differently shaped buffer must not leak through.
+            let mut out = Matrix::filled(3, 5, 7.0);
+            mask.apply_into(&w, &mut out);
+            let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(out.shape(), (rows, cols));
+            prop_assert_eq!(bits(&out), bits(&apply_oracle(&mask, &w)));
         }
 
         #[test]
