@@ -1,7 +1,7 @@
 //! Ramulator-lite: a bank/row-state DRAM timing and energy model.
 //!
 //! The paper evaluates TB-STC against a 64 GB/s off-chip memory and uses
-//! Ramulator [28] for cycle-level DRAM behaviour and DRAMPower [5] for
+//! Ramulator \[28\] for cycle-level DRAM behaviour and DRAMPower \[5\] for
 //! energy. This crate substitutes both with a compact model that captures
 //! exactly what the evaluation exercises:
 //!

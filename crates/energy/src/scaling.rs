@@ -1,7 +1,7 @@
 //! Technology scaling (DeepScaleTool / Stillmaker-Baas style).
 //!
 //! The paper scales all synthesized components to 7 nm "according to
-//! [53], [58]". This module provides the same service: factors to convert
+//! \[53\], \[58\]". This module provides the same service: factors to convert
 //! area, power and delay between process nodes, from a table fitted to the
 //! published scaling equations for standard-cell logic.
 

@@ -190,8 +190,8 @@ fn accumulate_row(mult: &[f32], b: &Matrix, orow: &mut [f32]) {
 /// transpose.
 ///
 /// `A`'s rows are packed lane-interleaved into the scratch workspace
-/// ([`TILE_J`] rows per tile, zero-padded at the edge), so the inner loop
-/// runs [`TILE_J`] independent accumulation chains over contiguous memory.
+/// (`TILE_J` rows per tile, zero-padded at the edge), so the inner loop
+/// runs `TILE_J` independent accumulation chains over contiguous memory.
 /// The multiplier is the `B` element, and `±0` multipliers are skipped —
 /// when `B` carries masked weights the kernel does work proportional to
 /// the surviving non-zeros. Each output element still receives its
@@ -389,7 +389,7 @@ pub fn matmul_at_b(a: &Matrix, b: &Matrix) -> Matrix {
 /// Computes `Aᵀ × B` into `out`, packing column panels of `A` through
 /// `scratch` so the inner loops run over contiguous memory.
 ///
-/// `A`'s columns (rows of `Aᵀ`) are gathered [`PANEL_O`] at a time into
+/// `A`'s columns (rows of `Aᵀ`) are gathered `PANEL_O` at a time into
 /// the scratch workspace — the only strided traversal in the kernel — and
 /// the accumulation then streams rows of `B` and `out` contiguously,
 /// skipping zero multipliers exactly like [`try_matmul`] (gradients gated
@@ -453,7 +453,7 @@ pub fn try_spmm(a: &Matrix, b: &Matrix, c: &Matrix) -> Result<Matrix> {
 /// Both operands are rounded through binary16 once up front
 /// (`F16::round_trip` is pure, so hoisting it out of the inner loop is
 /// bit-identical to rounding at each use) and the columns run in
-/// [`TAIL_J`]-wide lane groups — independent accumulation chains, each
+/// `TAIL_J`-wide lane groups — independent accumulation chains, each
 /// still rounding every product and every partial sum in ascending-`p`
 /// order.
 ///

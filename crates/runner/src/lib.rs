@@ -11,7 +11,8 @@
 //! * [`Runner`] — deterministic parallel batch execution: dedupe, fan
 //!   out, assemble in input order,
 //! * [`Sweep`] / [`SweepRunner`] — the simulation-specific layer: grid
-//!   building and memoized model/layer sweeps over one [`HwConfig`].
+//!   building and memoized model/layer sweeps over one
+//!   [`HwConfig`](tbstc_sim::HwConfig).
 //!
 //! # Determinism
 //!

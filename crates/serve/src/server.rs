@@ -999,15 +999,17 @@ fn execute_durable(state: &Arc<State>, key: &str) {
     drop(claim);
 }
 
-/// Marks a durable job cancelled and clears both cancel marks.
+/// Marks a durable job cancelled and clears both cancel marks. The cancel
+/// is counted first, so a client that sees the `cancelled` status also
+/// scrapes it in `tbstc_jobs_cancelled_total`.
 fn finish_cancel(state: &Arc<State>, key: &str, status: &JobStatus) {
+    state.metrics.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
     let cancelled = status.clone().with_state(JobState::Cancelled);
     if let Err(e) = state.store.put_job_status(&cancelled) {
         eprintln!("tbstc-serve: warning: cannot persist cancel of {key}: {e}");
     }
     state.store.clear_cancel(key);
     state.durable.clear_cancel(key);
-    state.metrics.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Persists a freshly computed body into both cache tiers and counts the

@@ -13,14 +13,10 @@
 use tbstc_matrix::rng::MatrixRng;
 use tbstc_matrix::Matrix;
 use tbstc_models::LayerShape;
-use tbstc_sparsity::pattern::{paper_pattern, RowWiseHighlight, RowWiseVegeta, TileNm};
-use tbstc_sparsity::{GlobalTopK, PatternKind, TbsConfig, TbsPattern, TileRanks};
+use tbstc_sparsity::pattern::paper_pattern;
+use tbstc_sparsity::{PatternKind, Scores, TbsConfig, TbsPattern};
 
 use crate::config::HwConfig;
-
-/// The tile size of every tiled pattern a [`PruneKey`] prunes with: the
-/// paper's M = 8 for 4:8, RS-V, RS-H and TBS.
-const PAPER_TILE: usize = 8;
 
 /// What a prune request actually computes: the pattern and the target
 /// sparsity it is projected at. Two requests with equal keys prune a
@@ -56,15 +52,6 @@ impl PruneKey {
             other => (other, target),
         };
         PruneKey { pattern, target }
-    }
-
-    /// Whether the pattern starts from the global top-k at its target
-    /// (Algorithm 1 step 1).
-    fn uses_top_k(self) -> bool {
-        matches!(
-            self.pattern,
-            PatternKind::Unstructured | PatternKind::RowWiseVegeta | PatternKind::Tbs
-        )
     }
 }
 
@@ -163,75 +150,37 @@ impl LayerWeights {
         target: f64,
         tbs_cfg: Option<&TbsConfig>,
     ) -> SparseLayer {
-        match tbs_cfg {
-            Some(t) => {
-                let p = TbsPattern::sparsify(&self.dense, target, t);
-                self.layer(PatternKind::Tbs, p.mask().apply(&self.dense), Some(p))
-            }
-            None => {
-                let key = PruneKey::new(pattern, true, target);
-                // Pruned alone, a row-wise pattern reads only row tiles.
-                let row_wise = matches!(
-                    key.pattern,
-                    PatternKind::TileNm
-                        | PatternKind::RowWiseVegeta
-                        | PatternKind::RowWiseHighlight
-                );
-                let mut ranks = row_wise.then(|| TileRanks::rows_only(&self.dense, PAPER_TILE));
-                self.prune_at(key, &mut None, &mut ranks)
-            }
-        }
+        let pattern = if tbs_cfg.is_some() {
+            PatternKind::Tbs
+        } else {
+            pattern
+        };
+        let key = PruneKey::new(pattern, true, target);
+        let paper = TbsConfig::paper_default();
+        self.prune_at(
+            &mut Scores::new(&self.dense),
+            key,
+            tbs_cfg.unwrap_or(&paper),
+        )
     }
 
-    /// Prunes the weights at `key`. A pattern that starts from the global
-    /// top-k takes it from `top_k` when that holds the one at the key's
-    /// target, and otherwise computes it there first (dropping the old one).
-    /// A pattern that ranks tiles takes the sample's tile ranks from
-    /// `ranks`, computing them there on first use.
-    fn prune_at(
-        &self,
-        key: PruneKey,
-        top_k: &mut Option<GlobalTopK>,
-        ranks: &mut Option<TileRanks>,
-    ) -> SparseLayer {
+    /// Prunes the weights at `key` from `scores`, the weights' own scores
+    /// (TBS at block configuration `tbs`).
+    fn prune_at(&self, scores: &mut Scores, key: PruneKey, tbs: &TbsConfig) -> SparseLayer {
         let w = &self.dense;
-        if !key.uses_top_k() {
-            let mask =
-                match key.pattern {
-                    // The key pins STC's 4:8 at target 0.5.
-                    PatternKind::TileNm => {
-                        TileNm::new(4, 8).project_ranked(w, self.ranks(ranks), key.target)
-                    }
-                    PatternKind::RowWiseHighlight => RowWiseHighlight::paper_default()
-                        .project_ranked(w, self.ranks(ranks), key.target),
-                    other => paper_pattern(other).project(w, key.target),
-                };
-            return self.layer(key.pattern, mask.apply(w), None);
-        }
-        if top_k.as_ref().is_some_and(|t| t.target() != key.target) {
-            *top_k = None;
-        }
-        let top_k = top_k.get_or_insert_with(|| GlobalTopK::new(w, key.target));
         let (sampled, tbs) = match key.pattern {
             PatternKind::Tbs => {
-                let p =
-                    TbsPattern::from_ranked(top_k, self.ranks(ranks), &TbsConfig::paper_default());
+                let p = TbsPattern::from_scores(scores, key.target, tbs);
                 (p.mask().apply(w), Some(p))
             }
-            PatternKind::RowWiseVegeta => (
-                RowWiseVegeta::paper_default()
-                    .project_ranked(top_k, self.ranks(ranks))
+            other => (
+                paper_pattern(other)
+                    .project_scores(scores, key.target)
                     .apply(w),
                 None,
             ),
-            _ => (top_k.mask().apply(w), None),
         };
         self.layer(key.pattern, sampled, tbs)
-    }
-
-    /// The sample's tile ranks, computed into `ranks` on first use.
-    fn ranks<'r>(&self, ranks: &'r mut Option<TileRanks>) -> &'r TileRanks {
-        ranks.get_or_insert_with(|| TileRanks::new(&self.dense, PAPER_TILE))
     }
 
     fn layer(&self, pattern: PatternKind, sampled: Matrix, tbs: Option<TbsPattern>) -> SparseLayer {
@@ -248,24 +197,21 @@ impl LayerWeights {
     }
 }
 
-/// Prunes one layer's sample for a sequence of [`PruneKey`]s, doing each
-/// distinct piece of work once while equal work arrives in a row: a key
-/// equal to the previous one returns the previous layer, and the patterns
-/// that start from the global top-k (unstructured, RS-V, TBS) share one
-/// while the target stays the same. Fed keys sorted by (target, pattern),
-/// it prunes each distinct key once and takes each target's top-k once.
+/// Prunes one layer's sample for a sequence of [`PruneKey`]s: a key
+/// equal to the previous one returns the previous layer, and every prune
+/// projects from one [`Scores`] value of the sample, which keeps the
+/// global top-k at the last target (unstructured, RS-V and TBS start from
+/// it) and the tile ranks (4:8, RS-V, RS-H and TBS read them). Fed keys
+/// sorted by (target, pattern), it prunes each distinct key once and
+/// takes each target's top-k once.
 ///
-/// The tile-ranked patterns (4:8, RS-V, RS-H, TBS) share one map of the
-/// sample's tile ranks, computed on first use.
-///
-/// It holds at most one tile-rank map, one top-k and one pruned layer;
+/// It holds at most one top-k, one tile-rank map and one pruned layer;
 /// nothing outlives it. Any order of keys gives the same layers as
 /// [`LayerWeights::prune`].
 #[derive(Debug)]
 pub struct LayerPruner<'w> {
     weights: &'w LayerWeights,
-    ranks: Option<TileRanks>,
-    top_k: Option<GlobalTopK>,
+    scores: Scores,
     last: Option<(PruneKey, SparseLayer)>,
 }
 
@@ -274,8 +220,7 @@ impl<'w> LayerPruner<'w> {
     pub fn new(weights: &'w LayerWeights) -> Self {
         LayerPruner {
             weights,
-            ranks: None,
-            top_k: None,
+            scores: Scores::new(&weights.dense),
             last: None,
         }
     }
@@ -285,7 +230,8 @@ impl<'w> LayerPruner<'w> {
         // A stale layer is dropped before the next one is pruned.
         let last = self.last.take().filter(|(k, _)| *k == key);
         let (_, layer) = self.last.insert(last.unwrap_or_else(|| {
-            let layer = self.weights.prune_at(key, &mut self.top_k, &mut self.ranks);
+            let paper = TbsConfig::paper_default();
+            let layer = self.weights.prune_at(&mut self.scores, key, &paper);
             (key, layer)
         }));
         layer
@@ -357,6 +303,7 @@ mod tests {
     use super::*;
     use crate::builder::LayerSim;
     use tbstc_models::bert_base;
+    use tbstc_sparsity::pattern::TileNm;
     use tbstc_sparsity::Pattern;
 
     fn shape() -> LayerShape {

@@ -3,7 +3,7 @@
 //!
 //! Weight (A-matrix) traffic depends on the storage format each
 //! architecture uses — this is where the paper's challenge 2 lives. The
-//! native branch of [`a_trace`] emits the stream of the codec the
+//! native branch of `a_trace` emits the stream of the codec the
 //! architecture's spec names (dense rows for TC, 4:8 metadata for STC,
 //! grouped/whole-matrix SDC for VEGETA/HighLight, bitmap for RM-STC, DDC
 //! for TB-STC, CSR for SGCN), while the explicit [`FormatOverride`]s

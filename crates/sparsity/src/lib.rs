@@ -15,6 +15,10 @@
 //!   sparsity (RS-H),
 //! * [`tbs::TbsPattern`] — the paper's transposable block-wise pattern.
 //!
+//! Each pattern projects from a [`Scores`] value, which holds what the
+//! projections of one score matrix share: its absolute values, the global
+//! top-k at a target and the tile-rank map (see [`scores`]).
+//!
 //! Supporting analyses:
 //!
 //! * [`mask_space`] — the Mask-Space measure, equations (1)–(4),
@@ -39,12 +43,13 @@ pub mod criteria;
 pub mod mask;
 pub mod mask_space;
 pub mod pattern;
+pub mod scores;
 mod select;
 pub mod similarity;
 pub mod stats;
 pub mod tbs;
 
 pub use mask::{Mask, MaskBlockView};
-pub use pattern::{GlobalTopK, Pattern, PatternKind};
-pub use select::TileRanks;
+pub use pattern::{Pattern, PatternKind};
+pub use scores::Scores;
 pub use tbs::{SparsityDim, TbsConfig, TbsPattern};

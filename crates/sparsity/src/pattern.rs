@@ -17,6 +17,7 @@ use std::fmt;
 use tbstc_matrix::Matrix;
 
 use crate::mask::Mask;
+use crate::scores::Scores;
 use crate::select::{self, TileRanks};
 use crate::tbs::{TbsConfig, TbsPattern};
 
@@ -76,14 +77,21 @@ impl fmt::Display for PatternKind {
 /// A sparsity pattern: a structured projection of importance scores onto a
 /// binary mask.
 ///
-/// Implementations must return a mask of the same shape as `scores` whose
-/// sparsity is as close to `target` as the pattern's structure permits.
+/// Implementations must return a mask of the same shape as the scores
+/// whose sparsity is as close to `target` as the pattern's structure
+/// permits.
 pub trait Pattern: fmt::Debug {
     /// Which pattern this is, for reporting.
     fn kind(&self) -> PatternKind;
 
+    /// Projects `scores` onto the pattern's constraint at sparsity
+    /// `target`, reusing what `scores` holds from earlier projections.
+    fn project_scores(&self, scores: &mut Scores, target: f64) -> Mask;
+
     /// Projects `scores` onto the pattern's constraint at sparsity `target`.
-    fn project(&self, scores: &Matrix, target: f64) -> Mask;
+    fn project(&self, scores: &Matrix, target: f64) -> Mask {
+        self.project_scores(&mut Scores::new(scores), target)
+    }
 }
 
 /// Constructs the paper-default instance of each pattern kind
@@ -108,8 +116,8 @@ impl Pattern for Dense {
         PatternKind::Dense
     }
 
-    fn project(&self, scores: &Matrix, _target: f64) -> Mask {
-        Mask::all(scores.rows(), scores.cols())
+    fn project_scores(&self, scores: &mut Scores, _target: f64) -> Mask {
+        Mask::all(scores.abs().rows(), scores.abs().cols())
     }
 }
 
@@ -122,66 +130,8 @@ impl Pattern for Unstructured {
         PatternKind::Unstructured
     }
 
-    fn project(&self, scores: &Matrix, target: f64) -> Mask {
-        GlobalTopK::new(scores, target).into_mask()
-    }
-}
-
-/// The global top-k at a target sparsity: step 1 of Algorithm 1, which
-/// [`Unstructured`], [`RowWiseVegeta`] and [`TbsPattern`] all start from.
-///
-/// It holds the absolute scores, the kept count `keep_total` and the
-/// unstructured mask that keeps the `keep_total` largest of them. A caller
-/// that projects one score matrix onto several of those patterns at the
-/// same target computes it once and hands it to each
-/// ([`RowWiseVegeta::project_top_k`], [`TbsPattern::from_top_k`]); their
-/// `project`/`sparsify` are exactly that composition.
-#[derive(Debug, Clone)]
-pub struct GlobalTopK {
-    target: f64,
-    abs: Matrix,
-    keep_total: usize,
-    mask: Mask,
-}
-
-impl GlobalTopK {
-    /// Keeps the `round((1 − target) · len)` largest `|scores|` (ties and
-    /// NaNs as in [`Mask::top_k`]).
-    pub fn new(scores: &Matrix, target: f64) -> Self {
-        let abs = scores.map(f32::abs);
-        let keep_total = ((1.0 - target) * scores.len() as f64).round() as usize;
-        let mask = Mask::top_k(&abs, keep_total);
-        GlobalTopK {
-            target,
-            abs,
-            keep_total,
-            mask,
-        }
-    }
-
-    /// The target sparsity the top-k was taken at.
-    pub fn target(&self) -> f64 {
-        self.target
-    }
-
-    /// The absolute scores.
-    pub fn abs(&self) -> &Matrix {
-        &self.abs
-    }
-
-    /// How many elements the target keeps.
-    pub fn keep_total(&self) -> usize {
-        self.keep_total
-    }
-
-    /// The unstructured mask: the `keep_total` largest absolute scores.
-    pub fn mask(&self) -> &Mask {
-        &self.mask
-    }
-
-    /// Consumes the value and returns its unstructured mask.
-    pub fn into_mask(self) -> Mask {
-        self.mask
+    fn project_scores(&self, scores: &mut Scores, target: f64) -> Mask {
+        scores.top_k(target).mask.clone()
     }
 }
 
@@ -230,20 +180,12 @@ impl Pattern for TileNm {
         PatternKind::TileNm
     }
 
-    fn project(&self, scores: &Matrix, target: f64) -> Mask {
-        self.project_ranked(scores, &TileRanks::rows_only(scores, self.m), target)
-    }
-}
-
-impl TileNm {
-    /// [`Pattern::project`] with the tile ranks of `scores` computed
-    /// already (ranks at another tile size or shape are not used).
-    pub fn project_ranked(&self, scores: &Matrix, ranks: &TileRanks, target: f64) -> Mask {
-        let ranks = ranks.or_own(scores, self.m, false);
+    fn project_scores(&self, scores: &mut Scores, target: f64) -> Mask {
         let n = self.n.min(self.n_for(target));
-        let mut mask = Mask::none(scores.rows(), scores.cols());
-        for r in 0..scores.rows() {
-            keep_row_tiles(scores, &ranks, r, self.m, n, &mut mask);
+        let (abs, ranks) = scores.ranks(self.m, false);
+        let mut mask = Mask::none(abs.rows(), abs.cols());
+        for r in 0..abs.rows() {
+            keep_row_tiles(abs, ranks, r, self.m, n, &mut mask);
         }
         mask
     }
@@ -291,50 +233,35 @@ impl Pattern for RowWiseVegeta {
         PatternKind::RowWiseVegeta
     }
 
-    fn project(&self, scores: &Matrix, target: f64) -> Mask {
-        self.project_top_k(&GlobalTopK::new(scores, target))
-    }
-}
-
-impl RowWiseVegeta {
-    /// [`Pattern::project`] from an already computed global top-k (the
-    /// scores and target it was taken from).
-    pub fn project_top_k(&self, top_k: &GlobalTopK) -> Mask {
-        self.project_ranked(top_k, &TileRanks::rows_only(top_k.abs(), self.m))
-    }
-
-    /// [`RowWiseVegeta::project_top_k`] with the tile ranks of the scores
-    /// computed already (ranks at another tile size or shape are not
-    /// used).
-    pub fn project_ranked(&self, top_k: &GlobalTopK, ranks: &TileRanks) -> Mask {
-        let abs = top_k.abs();
-        let ranks = ranks.or_own(abs, self.m, false);
-        let (rows, cols) = (abs.rows(), abs.cols());
-
+    fn project_scores(&self, scores: &mut Scores, target: f64) -> Mask {
+        let (abs, top_k, ranks) = scores.ranked_top_k(target, self.m, false);
+        let (rows, cols) = abs.shape();
         // Per-row N (as an index into the candidates) matching the row's
-        // unstructured density.
+        // unstructured density, then adjusted towards the target kept
+        // count.
         let mut row_cand: Vec<usize> = (0..rows)
             .map(|r| {
-                let density = top_k.mask().row_kept(r) as f64 / cols as f64;
+                let density = top_k.mask.row_kept(r) as f64 / cols as f64;
                 nearest(&self.candidates, density, self.m)
             })
             .collect();
-        // Global adjustment towards the target kept count.
-        let row_mass: Vec<f64> = (0..rows)
-            .map(|r| abs.row(r).iter().map(|&x| f64::from(x)).sum())
-            .collect();
-        adjust_rows(
+        let row_mass = || {
+            (0..rows)
+                .map(|r| abs.row(r).iter().map(|&x| f64::from(x)).sum())
+                .collect()
+        };
+        let tiles_per_row = cols.div_ceil(self.m);
+        adjust_to_target(
             &mut row_cand,
             &self.candidates,
-            &row_mass,
-            cols,
-            self.m,
-            top_k.keep_total(),
+            tiles_per_row,
+            top_k.keep_total,
+            row_mass,
         );
 
         let mut mask = Mask::none(rows, cols);
         for (r, &i) in row_cand.iter().enumerate() {
-            keep_row_tiles(abs, &ranks, r, self.m, self.candidates[i], &mut mask);
+            keep_row_tiles(abs, ranks, r, self.m, self.candidates[i], &mut mask);
         }
         mask
     }
@@ -431,16 +358,7 @@ impl Pattern for RowWiseHighlight {
         PatternKind::RowWiseHighlight
     }
 
-    fn project(&self, scores: &Matrix, target: f64) -> Mask {
-        self.project_ranked(scores, &TileRanks::rows_only(scores, self.m), target)
-    }
-}
-
-impl RowWiseHighlight {
-    /// [`Pattern::project`] with the tile ranks of `scores` computed
-    /// already (ranks at another tile size or shape are not used).
-    pub fn project_ranked(&self, scores: &Matrix, ranks: &TileRanks, target: f64) -> Mask {
-        let ranks = ranks.or_own(scores, self.m, false);
+    fn project_scores(&self, scores: &mut Scores, target: f64) -> Mask {
         let density = 1.0 - target;
         // Tensor-wide hierarchical ratio closest to the target density.
         #[expect(
@@ -463,11 +381,12 @@ impl RowWiseHighlight {
                     .then(b.0.cmp(&a.0))
             })
             .expect("configs non-empty");
-        self.keep_ranked_tiles(scores, &ranks, tiles_kept, n)
+        let (abs, ranks) = scores.ranks(self.m, false);
+        self.keep_ranked_tiles(abs, ranks, tiles_kept, n)
     }
 }
 
-/// TBS as a [`Pattern`], delegating to [`TbsPattern::sparsify`].
+/// TBS as a [`Pattern`], delegating to [`TbsPattern::from_scores`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tbs(pub TbsConfig);
 
@@ -476,8 +395,8 @@ impl Pattern for Tbs {
         PatternKind::Tbs
     }
 
-    fn project(&self, scores: &Matrix, target: f64) -> Mask {
-        TbsPattern::sparsify(scores, target, &self.0).into_mask()
+    fn project_scores(&self, scores: &mut Scores, target: f64) -> Mask {
+        TbsPattern::from_scores(scores, target, &self.0).into_mask()
     }
 }
 
@@ -502,13 +421,16 @@ fn keep_row_tiles(
     }
 }
 
-/// The index of the candidate whose density `N/M` is nearest `density`,
-/// the denser one on a tie.
+/// The index of the candidate `N` whose density `N/M` is nearest
+/// `density`, the denser one on a tie (Algorithm 1 line 6, reading `s_p`
+/// as the block *density* — the printed formula `|N_i/M − s_p|` with
+/// `s_p` the sparsity degree is a typo: `N/M` is a density, so it must be
+/// compared with the density `1 − s_p`).
 #[expect(
     clippy::expect_used,
     reason = "callers pass constructor-validated non-empty candidate sets"
 )]
-fn nearest(candidates: &[usize], density: f64, m: usize) -> usize {
+pub(crate) fn nearest(candidates: &[usize], density: f64, m: usize) -> usize {
     candidates
         .iter()
         .enumerate()
@@ -523,58 +445,61 @@ fn nearest(candidates: &[usize], density: f64, m: usize) -> usize {
         .0
 }
 
-/// Adjusts per-row `N` choices, each carried as its index into
-/// `candidates`, so that the total kept count approaches `keep_total`
-/// (same greedy scheme as TBS's block adjustment, at row granularity).
-fn adjust_rows(
-    row_cand: &mut [usize],
+/// Adjusts per-unit `N` choices (RS-V rows, TBS blocks), each carried as
+/// its index into `candidates`, so that the total kept count, `N · lanes`
+/// per unit, is as close as possible to `keep_total` (paper: "ensuring the
+/// overall sparsity meets the predetermined target").
+///
+/// Greedy: while the count is off, move one unit one candidate step
+/// towards the target, choosing among the steps that bring the count
+/// closer the unit with the most (when increasing) or least (when
+/// decreasing) importance mass, the first such unit on a tie. `mass`
+/// gives every unit's mass, and is called only when the count is off.
+pub(crate) fn adjust_to_target(
+    chosen: &mut [usize],
     candidates: &[usize],
-    row_mass: &[f64],
-    cols: usize,
-    m: usize,
+    lanes: usize,
     keep_total: usize,
+    mass: impl FnOnce() -> Vec<f64>,
 ) {
-    let tiles_per_row = cols.div_ceil(m);
-    let kept_of = |i: usize| candidates[i] * tiles_per_row;
-    let mut total: i64 = row_cand.iter().map(|&i| kept_of(i) as i64).sum();
+    let kept_of = |i: usize| (candidates[i] * lanes) as i64;
+    let mut total: i64 = chosen.iter().map(|&i| kept_of(i)).sum();
     let target = keep_total as i64;
+    if total == target {
+        return;
+    }
+    let mass = mass();
     loop {
         let deficit = target - total;
         if deficit == 0 {
             break;
         }
         let up = deficit > 0;
-        let mut best: Option<(usize, usize, i64, f64)> = None;
-        for (r, &i) in row_cand.iter().enumerate() {
+        let mut best: Option<(usize, usize, f64)> = None; // (unit, new index, mass)
+        for (u, &i) in chosen.iter().enumerate() {
             let stepped = if up {
                 Some(i + 1).filter(|&s| s < candidates.len())
             } else {
                 i.checked_sub(1)
             };
             let Some(new_i) = stepped else { continue };
-            let delta = kept_of(new_i) as i64 - kept_of(i) as i64;
-            if (total + delta - target).abs() >= deficit.abs() {
+            if (total + kept_of(new_i) - kept_of(i) - target).abs() >= deficit.abs() {
                 continue;
             }
-            let better = match &best {
+            let better = match best {
                 None => true,
-                Some((_, _, _, bm)) => {
-                    if up {
-                        row_mass[r] > *bm
-                    } else {
-                        row_mass[r] < *bm
-                    }
-                }
+                Some((_, _, best_mass)) if up => mass[u] > best_mass,
+                Some((_, _, best_mass)) => mass[u] < best_mass,
             };
             if better {
-                best = Some((r, new_i, delta, row_mass[r]));
+                best = Some((u, new_i, mass[u]));
             }
         }
-        let Some((r, new_i, delta, _)) = best else {
+        let Some((u, new_i, _)) = best else {
             break;
         };
-        row_cand[r] = new_i;
-        total += delta;
+        total += kept_of(new_i) - kept_of(chosen[u]);
+        chosen[u] = new_i;
     }
 }
 
@@ -822,10 +747,11 @@ mod tests {
                 );
             }
             let hl = RowWiseHighlight::paper_default();
-            let ranks = TileRanks::new(&w, hl.m);
+            let mut scores = Scores::new(&w);
+            let (abs, ranks) = scores.ranks(hl.m, false);
             for (t, k, _) in hl.configs() {
                 proptest::prop_assert_eq!(
-                    hl.keep_ranked_tiles(&w, &ranks, t, k),
+                    hl.keep_ranked_tiles(abs, ranks, t, k),
                     highlight_oracle(&hl, &w, t, k)
                 );
             }
@@ -864,27 +790,70 @@ mod tests {
             while ladder[ladder.len() - 1] < m {
                 ladder.push(2 * ladder[ladder.len() - 1]);
             }
-            let vegeta = RowWiseVegeta::new(m, ladder);
-            let top_k = GlobalTopK::new(&w, target);
-            let mask = vegeta.project_top_k(&top_k);
+            let mask = RowWiseVegeta::new(m, ladder).project(&w, target);
             let row_n: Vec<usize> = (0..rows)
                 .map(|r| mask.row(r)[..m.min(cols)].iter().filter(|&&k| k).count())
                 .collect();
             proptest::prop_assert_eq!(&mask, &tile_oracle(&w, m, |r| row_n[r]));
-            // A shared map gives the same masks; one at another tile size
-            // is not used.
-            for shared in [TileRanks::new(&w, m), TileRanks::new(&w, m + 1)] {
-                proptest::prop_assert_eq!(&vegeta.project_ranked(&top_k, &shared), &mask);
+        }
+
+        #[test]
+        fn scores_reuse_matches_fresh_scores(
+            seed in 0u64..1000,
+            rows in 1usize..40,
+            cols in 1usize..40,
+            input in 0usize..3,
+            requests in proptest::collection::vec((0usize..6, 0usize..6, 0usize..4), 1..16),
+        ) {
+            // One `Scores` fed a random sequence of (pattern, target, tile
+            // or block size) requests, with repeats and out-of-order
+            // targets and sizes, projects what a fresh one per request
+            // does: on block-structured weights, and on ties, ±0 and ±inf
+            // with and without NaN.
+            const ALPHABET: [f32; 9] = [
+                0.0, -0.0, 1.0, -1.0, 0.25, -4.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN,
+            ];
+            let mut rng = MatrixRng::seed_from(seed);
+            let pick = if input == 2 { 9 } else { 8 };
+            let w = match input {
+                0 => rng.block_structured_weights(rows, cols, 8),
+                _ => Matrix::from_fn(rows, cols, |_, _| match rng.index(pick + 3) {
+                    i if i < pick => ALPHABET[i],
+                    _ => rng.standard_normal(),
+                }),
+            };
+            let mut shared = Scores::new(&w);
+            for (p, t, size) in requests {
+                let target = [0.0, 0.3, 0.5, 0.75, 0.95, 1.0][t];
+                let m = [4, 8, 16, 32][size];
+                let config = TbsConfig::with_block_size(m);
+                let what = format!("pattern {p} at {target}, size {m}");
+                if p == 5 {
+                    proptest::prop_assert_eq!(
+                        TbsPattern::from_scores(&mut shared, target, &config),
+                        TbsPattern::sparsify(&w, target, &config),
+                        "{}", what
+                    );
+                    continue;
+                }
+                let ladder = config.n_candidates;
+                let pattern: Box<dyn Pattern> = match p {
+                    0 => Box::new(Dense),
+                    1 => Box::new(Unstructured),
+                    2 => Box::new(TileNm::for_target(m)),
+                    3 => Box::new(RowWiseVegeta::new(m, ladder)),
+                    _ => Box::new(RowWiseHighlight {
+                        m,
+                        group: 2,
+                        candidates: ladder[1..].to_vec(),
+                    }),
+                };
                 proptest::prop_assert_eq!(
-                    TileNm::new(m / 2, m).project_ranked(&w, &shared, 0.0),
-                    TileNm::new(m / 2, m).project(&w, 0.0)
+                    pattern.project_scores(&mut shared, target),
+                    pattern.project(&w, target),
+                    "{}", what
                 );
             }
-            let hl = RowWiseHighlight::paper_default();
-            proptest::prop_assert_eq!(
-                hl.project_ranked(&w, &TileRanks::new(&w, 8), target),
-                hl.project(&w, target)
-            );
         }
     }
 

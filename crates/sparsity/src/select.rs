@@ -6,18 +6,21 @@
 //! everything. Without NaN that order is strict and total, so the kept
 //! *set* is unique: any exact selection under that order returns the set
 //! the comparator sorts it replaced returned. [`top_k`] is a radix select
-//! on an order-reversing integer image of each score, and [`TileRanks`]
-//! ranks every entry of a sample within its row tile and its column tile
-//! once, so each tile pattern keeps `{i : rank_i < n}`.
+//! on an order-reversing integer image of each score, and [`TileRanks`],
+//! the rank map a [`Scores`](crate::Scores) value holds, ranks every entry
+//! within its row tile and its column tile, so each tile pattern keeps
+//! `{i : rank_i < n}`.
 //!
 //! NaN breaks transitivity, so what a comparator sort keeps then depends
 //! on the sort algorithm itself. Inputs holding a NaN therefore take the
 //! comparator path ([`tile_top_n_by_comparator`], [`top_k_by_comparator`]),
 //! which is the historical implementation and keeps their behaviour
 //! unchanged; the tests use the same functions as oracles for the fast
-//! paths.
+//! paths. The tile comparator sorts by plain insertion, the algorithm the
+//! standard library's `sort_by` runs on up to 20 entries, so it keeps
+//! what that sort kept on a tile of up to 20 and, unlike it, cannot panic
+//! on a wider NaN tile.
 
-use std::borrow::Cow;
 use std::cmp::Ordering;
 
 use tbstc_matrix::Matrix;
@@ -71,7 +74,7 @@ pub(crate) fn keep_unranked(
     let mut lane: Vec<f32> = scores.map(f32::abs).collect();
     let width = lane.len();
     lane.resize(pad_to.max(width), 0.0);
-    tile_top_n(&lane, n, |i| {
+    tile_top_n_by_comparator(&lane, n, |i| {
         if i < width {
             keep(i);
         }
@@ -89,23 +92,8 @@ pub(crate) fn keep_tile(tile: &[f32], ranks: &[u8], n: usize, out: &mut [bool]) 
     }
 }
 
-/// Calls `keep(i)` once for every index of the top `n` entries of
-/// `scores` (the tile's kept set; the call order is unspecified). Keeping
-/// none or all needs no order; otherwise the comparator sort decides.
-pub(crate) fn tile_top_n(scores: &[f32], n: usize, keep: impl FnMut(usize)) {
-    let width = scores.len();
-    if n == 0 {
-        return;
-    }
-    if n >= width {
-        (0..width).for_each(keep);
-        return;
-    }
-    tile_top_n_by_comparator(scores, n, keep);
-}
-
-/// Every score's rank within its row tile and within its column tile, in
-/// the order (|score| desc, index asc): one ranking that the
+/// Every absolute score's rank within its row tile and within its column
+/// tile, in the order (score desc, index asc): one ranking that the
 /// tile-wise N:M (TS), RS-V and RS-H projections and both lane directions
 /// of TBS step 3 share instead of each ranking the same tiles again.
 ///
@@ -115,108 +103,57 @@ pub(crate) fn tile_top_n(scores: &[f32], n: usize, keep: impl FnMut(usize)) {
 /// holding a NaN and tiles wider than 64 are not ranked, and their
 /// consumers sort them with the comparator instead.
 ///
-/// The map is two bytes per score (32 KiB for a 128 × 128 sample; one
-/// without the column tiles) and depends only on the scores and `m`,
-/// never on a target or pattern.
-#[derive(Debug, Clone)]
-pub struct TileRanks {
+/// The map ranks one tile size at a time, its row tiles and its column
+/// tiles each on first use ([`TileRanks::rank`]). It is a byte per score
+/// and direction (32 KiB for both directions of a 128 × 128 sample) and
+/// depends only on the scores and `m`, never on a target or pattern.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TileRanks {
+    /// The tile size ranked; 0 before the first [`TileRanks::rank`].
     m: usize,
-    rows: usize,
     cols: usize,
+    unranked: bool,
     row: Vec<u8>,
     col: Vec<u8>,
-    unranked: bool,
 }
 
 impl TileRanks {
-    /// Ranks `|scores|` in `m`-wide row tiles and `m`-tall column tiles.
+    /// Ranks `abs` (absolute scores, the same matrix on every call) in
+    /// `m`-wide row tiles and, when `columns`, in `m`-tall column tiles,
+    /// computing only what the map does not hold yet. A map of another
+    /// tile size is re-ranked in place.
     ///
     /// # Panics
     ///
     /// Panics when `m == 0`.
-    pub fn new(scores: &Matrix, m: usize) -> Self {
-        Self::build(scores, m, true)
-    }
-
-    /// [`TileRanks::new`] without the column tiles: all that the row-wise
-    /// patterns (tile N:M, RS-V, RS-H) read. Given one, TBS ranks the
-    /// scores again in a full map of its own.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `m == 0`.
-    pub fn rows_only(scores: &Matrix, m: usize) -> Self {
-        Self::build(scores, m, false)
-    }
-
-    fn build(scores: &Matrix, m: usize, columns: bool) -> Self {
+    pub(crate) fn rank(&mut self, abs: &Matrix, m: usize, columns: bool) {
         assert!(m > 0, "tile size must be positive");
-        let (rows, cols) = scores.shape();
-        let mut row = vec![0u8; rows * cols];
-        let mut col = vec![0u8; if columns { rows * cols } else { 0 }];
-        if m > 64 || row.is_empty() {
-            row.fill(UNRANKED);
-            col.fill(UNRANKED);
-            return TileRanks {
-                m,
-                rows,
-                cols,
-                row,
-                col,
-                unranked: true,
-            };
+        if self.m != m {
+            self.m = m;
+            self.cols = abs.cols();
+            self.row.clear();
+            self.col.clear();
+            // No short circuit, so the scan vectorises.
+            let nan = abs.as_slice().iter().fold(false, |n, x| n | x.is_nan());
+            self.unranked = nan || m > 64;
         }
-        // No short circuit, so the scan vectorises.
-        let nan = scores.as_slice().iter().fold(false, |n, x| n | x.is_nan());
-        // Absolute scores are staged one band of tiles at a time.
-        let mut band: Vec<f32> = Vec::with_capacity(m * rows.max(cols));
-        let mut bands = |scores: &Matrix, ranks: &mut [u8]| {
-            let width = scores.cols();
-            for (tiles, ranks) in scores
-                .as_slice()
-                .chunks(m * width)
-                .zip(ranks.chunks_mut(m * width))
-            {
-                band.clear();
-                band.extend(tiles.iter().map(|x| x.abs()));
-                column_ranks(&band, width, nan, ranks);
-            }
-        };
-        if columns {
-            bands(scores, &mut col);
-        }
-        // Row tiles are the column tiles of the transpose; its ranks go
-        // back to row-major one strip of `m` columns at a time.
-        let mut by_col = vec![0u8; rows * cols];
-        bands(&scores.transpose(), &mut by_col);
-        for (strip, lanes) in by_col.chunks(m * rows).enumerate() {
-            for (r, out) in row.chunks_exact_mut(cols).enumerate() {
-                for (o, lane) in out[strip * m..].iter_mut().zip(lanes.chunks_exact(rows)) {
-                    *o = lane[r];
+        let (rows, cols) = abs.shape();
+        if self.row.len() != abs.len() {
+            // Row tiles are the column tiles of the transpose; its ranks
+            // go back to row-major one strip of `m` columns at a time.
+            let mut by_col = Vec::new();
+            rank_columns(&abs.transpose(), m, self.unranked, &mut by_col);
+            self.row.resize(rows * cols, UNRANKED);
+            for (strip, lanes) in by_col.chunks(m * rows).enumerate() {
+                for (r, out) in self.row.chunks_exact_mut(cols).enumerate() {
+                    for (o, lane) in out[strip * m..].iter_mut().zip(lanes.chunks_exact(rows)) {
+                        *o = lane[r];
+                    }
                 }
             }
         }
-        TileRanks {
-            m,
-            rows,
-            cols,
-            row,
-            col,
-            unranked: nan,
-        }
-    }
-
-    /// `self` when it ranks the `m`-wide tiles of a matrix of `scores`'
-    /// shape (its column tiles too when `columns`), otherwise a map of
-    /// `scores` of its own (row tiles only unless `columns`).
-    pub(crate) fn or_own(&self, scores: &Matrix, m: usize, columns: bool) -> Cow<'_, TileRanks> {
-        let fits = (self.rows, self.cols) == scores.shape()
-            && self.m == m
-            && (!columns || self.col.len() == self.row.len());
-        match (fits, columns) {
-            (true, _) => Cow::Borrowed(self),
-            (false, true) => Cow::Owned(TileRanks::new(scores, m)),
-            (false, false) => Cow::Owned(TileRanks::rows_only(scores, m)),
+        if columns && self.col.len() != abs.len() {
+            rank_columns(abs, m, self.unranked, &mut self.col);
         }
     }
 
@@ -230,9 +167,29 @@ impl TileRanks {
         &self.row[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Row `r`'s ranks within its column tiles.
+    /// Row `r`'s ranks within its column tiles (ranked only when asked
+    /// for with `columns`).
     pub(crate) fn col(&self, r: usize) -> &[u8] {
         &self.col[r * self.cols..(r + 1) * self.cols]
+    }
+}
+
+/// Ranks the `m`-tall column tiles of `abs` (non-empty) into `ranks`, in
+/// `abs`'s layout: every tile [`UNRANKED`] when `m > 64`, otherwise one
+/// band of `m` rows at a time. `nan` says whether `abs` may hold a NaN.
+fn rank_columns(abs: &Matrix, m: usize, nan: bool, ranks: &mut Vec<u8>) {
+    ranks.clear();
+    ranks.resize(abs.len(), UNRANKED);
+    if m > 64 {
+        return;
+    }
+    let width = abs.cols();
+    for (band, ranks) in abs
+        .as_slice()
+        .chunks(m * width)
+        .zip(ranks.chunks_mut(m * width))
+    {
+        column_ranks(band, width, nan, ranks);
     }
 }
 
@@ -274,15 +231,29 @@ fn column_ranks(band: &[f32], width: usize, nan: bool, ranks: &mut [u8]) {
 }
 
 /// The comparator formulation of a tile's top `n`: sort the in-tile
-/// indices by (score desc, index asc) and keep the first `n`.
+/// indices by (score desc, index asc) and keep the first `n`. The sort is
+/// a plain insertion sort that moves each index left past every index it
+/// compares strictly before, which is what `sort_by` does on up to 20
+/// entries; on a wider tile holding a NaN, where the comparator is not a
+/// total order, `sort_by` may panic.
 pub(crate) fn tile_top_n_by_comparator(scores: &[f32], n: usize, keep: impl FnMut(usize)) {
-    let mut idx: Vec<usize> = (0..scores.len()).collect();
-    idx.sort_by(|&a, &b| {
+    let before = |a: usize, b: usize| {
         scores[b]
             .partial_cmp(&scores[a])
             .unwrap_or(Ordering::Equal)
             .then(a.cmp(&b))
-    });
+            == Ordering::Less
+    };
+    let mut idx: Vec<usize> = Vec::with_capacity(scores.len());
+    for i in 0..scores.len() {
+        let mut at = idx.len();
+        idx.push(i);
+        while at > 0 && before(i, idx[at - 1]) {
+            idx[at] = idx[at - 1];
+            at -= 1;
+        }
+        idx[at] = i;
+    }
     idx.into_iter().take(n).for_each(keep);
 }
 
@@ -443,7 +414,8 @@ mod tests {
         } else {
             Matrix::from_fn(1, len, |_, c| scores[c])
         };
-        let ranks = TileRanks::new(&matrix, m);
+        let mut ranks = TileRanks::default();
+        ranks.rank(&matrix.map(f32::abs), m, true);
         let ranks: Vec<u8> = if column {
             (0..len).map(|r| ranks.col(r)[0]).collect()
         } else {
@@ -477,15 +449,33 @@ mod tests {
         fn tile_top_n_matches_comparator(
             picks in proptest::collection::vec(0usize..40, 0..80),
             n in 0usize..12,
+            pad in 0usize..4,
             nan in 0usize..4,
         ) {
-            // A comparator sort over NaN may panic on wide slices (the
-            // standard library detects the order violation), so NaN
-            // cases stay at paper tile widths.
-            let s = scores(&picks, nan == 0 && picks.len() <= 16);
-            let fast = tile_kept(s.len(), |keep| tile_top_n(&s, n, keep));
-            let slow = tile_kept(s.len(), |keep| tile_top_n_by_comparator(&s, n, keep));
-            prop_assert_eq!(fast, slow, "{:?} n={}", s, n);
+            // An unranked tile keeps what the comparator keeps of its
+            // absolute scores zero-padded (never a pad), NaN included at
+            // every width. Up to 20 entries the comparator orders exactly
+            // as the standard library's `sort_by` (which from 21 entries
+            // up may panic on a NaN).
+            let s = scores(&picks, nan == 0);
+            let mut padded: Vec<f32> = s.iter().map(|x| x.abs()).collect();
+            padded.resize(s.len() + pad, 0.0);
+            let got = tile_kept(s.len(), |keep| keep_unranked(s.iter().copied(), n, padded.len(), keep));
+            let mut want = tile_kept(padded.len(), |keep| tile_top_n_by_comparator(&padded, n, keep));
+            want.truncate(s.len());
+            prop_assert_eq!(got, want, "{:?} n={}", s, n);
+            if padded.len() <= 20 {
+                let mut order = Vec::new();
+                tile_top_n_by_comparator(&padded, padded.len(), |i| order.push(i));
+                let mut by_std: Vec<usize> = (0..padded.len()).collect();
+                by_std.sort_by(|&a, &b| {
+                    padded[b]
+                        .partial_cmp(&padded[a])
+                        .unwrap_or(Ordering::Equal)
+                        .then(a.cmp(&b))
+                });
+                prop_assert_eq!(order, by_std, "{:?}", padded);
+            }
         }
 
         #[test]
@@ -497,10 +487,9 @@ mod tests {
         ) {
             // Row and column tiles of widths 4, 8, 16 and 32, and wider
             // than 64 (unranked), over ragged lengths: both directions
-            // keep what the comparator keeps on every tile. NaN tiles
-            // stay at widths up to 16 (see above).
+            // keep what the comparator keeps on every tile.
             let m = [4, 8, 16, 32, 80][width];
-            let s = scores(&picks, nan == 0 && m <= 16);
+            let s = scores(&picks, nan == 0);
             let want = comparator_kept(&s, m, n);
             prop_assert_eq!(&map_kept(&s, m, n, false), &want, "rows {:?} m={} n={}", s, m, n);
             prop_assert_eq!(&map_kept(&s, m, n, true), &want, "cols {:?} m={} n={}", s, m, n);
@@ -524,7 +513,8 @@ mod tests {
                 i if i < alphabet.len() => alphabet[i],
                 _ => rng.standard_normal(),
             });
-            let ranks = TileRanks::new(&w, m);
+            let mut ranks = TileRanks::default();
+            ranks.rank(&w.map(f32::abs), m, true);
             let check = |tile: Vec<f32>, got: Vec<u8>| {
                 if tile.iter().any(|x| x.is_nan()) {
                     assert!(got.iter().all(|&r| r == UNRANKED), "{tile:?} {got:?}");

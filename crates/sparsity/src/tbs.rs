@@ -27,8 +27,9 @@ use tbstc_matrix::tile::{blocks_along, BlockCoord};
 use tbstc_matrix::Matrix;
 
 use crate::mask::Mask;
-use crate::pattern::GlobalTopK;
-use crate::select::{self, TileRanks, UNRANKED};
+use crate::pattern::{adjust_to_target, nearest};
+use crate::scores::Scores;
+use crate::select::{self, UNRANKED};
 
 /// The sparsity dimension a block's N:M constraint runs along.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -166,49 +167,32 @@ impl TbsPattern {
     ///
     /// Panics when `target` is outside `[0, 1]` or `config` is invalid.
     pub fn sparsify(scores: &Matrix, target: f64, config: &TbsConfig) -> Self {
-        // Step 1: unstructured pruning at the target sparsity.
-        Self::from_top_k(&GlobalTopK::new(scores, target), config)
+        Self::from_scores(&mut Scores::new(scores), target, config)
     }
 
-    /// Steps 2 and 3 of Algorithm 1 from its step 1, the global top-k of
-    /// the scores at the target sparsity: [`TbsPattern::sparsify`] without
-    /// recomputing a top-k it shares with other patterns.
+    /// [`TbsPattern::sparsify`] on `scores`, reusing the global top-k and
+    /// tile ranks it holds from earlier projections.
     ///
     /// # Panics
     ///
-    /// Panics when the top-k's target is outside `[0, 1]` or `config` is
-    /// invalid.
-    pub fn from_top_k(top_k: &GlobalTopK, config: &TbsConfig) -> Self {
-        Self::from_ranked(top_k, &TileRanks::new(top_k.abs(), config.m), config)
-    }
-
-    /// [`TbsPattern::from_top_k`] with the tile ranks of the scores
-    /// computed already (ranks at another block size or shape are not
-    /// used).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the top-k's target is outside `[0, 1]` or `config` is
-    /// invalid.
-    pub fn from_ranked(top_k: &GlobalTopK, ranks: &TileRanks, config: &TbsConfig) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&top_k.target()),
-            "target sparsity in [0, 1]"
-        );
+    /// Panics when `target` is outside `[0, 1]` or `config` is invalid.
+    pub fn from_scores(scores: &mut Scores, target: f64, config: &TbsConfig) -> Self {
+        assert!((0.0..=1.0).contains(&target), "target sparsity in [0, 1]");
         config.validate();
         let m = config.m;
-        let abs_scores = top_k.abs();
-        let unstructured = top_k.mask();
+        // Step 1: unstructured pruning at the target sparsity.
+        let (abs_scores, top_k, ranks) = scores.ranked_top_k(target, m, true);
+        let unstructured = &top_k.mask;
         let (rows, cols) = (abs_scores.rows(), abs_scores.cols());
-        let ranks = ranks.or_own(abs_scores, m, true);
 
         // Step 2: choose N per block to match the block's unstructured
         // density, then globally adjust so overall sparsity hits the target.
-        // Each block carries its N as an index into the candidates. Block
-        // kept counts come from per-column counts over a band of M rows.
+        // Each block, in row-major order, carries its N as an index into the
+        // candidates. Block kept counts come from per-column counts over a
+        // band of M rows.
         let grid_rows = blocks_along(rows, m);
         let grid_cols = blocks_along(cols, m);
-        let mut chosen: Vec<(BlockCoord, usize)> = Vec::with_capacity(grid_rows * grid_cols);
+        let mut chosen: Vec<usize> = Vec::with_capacity(grid_rows * grid_cols);
         let mut kept_at = vec![0u32; cols];
         for br in 0..grid_rows {
             kept_at.fill(0);
@@ -217,18 +201,29 @@ impl TbsPattern {
                     *k += u32::from(u);
                 }
             }
-            for (bc, tile) in kept_at.chunks(m).enumerate() {
+            for tile in kept_at.chunks(m) {
                 let kept: u64 = tile.iter().map(|&k| u64::from(k)).sum();
                 let density = kept as f64 / (m * m) as f64;
-                let i = nearest_candidate(&config.n_candidates, density, m);
-                let coord = BlockCoord {
-                    block_row: br,
-                    block_col: bc,
-                };
-                chosen.push((coord, i));
+                chosen.push(nearest(&config.n_candidates, density, m));
             }
         }
-        adjust_to_target(&mut chosen, abs_scores, config, top_k.keep_total());
+        // A block's importance mass is the L1 norm of its scores.
+        let block_mass = || {
+            (0..grid_rows * grid_cols)
+                .map(|b| {
+                    let (r0, c0) = (b / grid_cols * m, b % grid_cols * m);
+                    abs_scores.block_view(r0, c0, m, m).l1_norm()
+                })
+                .collect()
+        };
+        // Each block keeps N per lane × M lanes.
+        adjust_to_target(
+            &mut chosen,
+            &config.n_candidates,
+            m,
+            top_k.keep_total,
+            block_mass,
+        );
 
         // Step 3: per block, build both directional candidate sets and keep
         // the one closer (L1/Hamming) to the unstructured mask. Each lane
@@ -251,8 +246,8 @@ impl TbsPattern {
         let mut take_row = vec![false; cols];
         for (band, chosen) in chosen.chunks(grid_cols.max(1)).enumerate() {
             let (r0, rmax) = (band * m, ((band + 1) * m).min(rows));
-            for &(coord, i) in chosen {
-                let c0 = coord.block_col * m;
+            for (bc, &i) in chosen.iter().enumerate() {
+                let c0 = bc * m;
                 let n = config.n_candidates[i].min(usize::from(UNRANKED)) as u8;
                 n_at[c0..(c0 + m).min(cols)].fill(n);
             }
@@ -276,7 +271,7 @@ impl TbsPattern {
                             let keep = &mut keep_row[c0..cmax];
                             keep.fill(false);
                             let lane = abs_scores.row(r)[c0..cmax].iter().copied();
-                            let n = config.n_candidates[chosen[c0 / m].1];
+                            let n = config.n_candidates[chosen[c0 / m]];
                             select::keep_unranked(lane, n, m, |i| keep[i] = true);
                         }
                     }
@@ -289,7 +284,7 @@ impl TbsPattern {
                             .step_by(cols)
                             .for_each(|k| *k = false);
                         let lane = (r0..rmax).map(|r| abs_scores.row(r)[c]);
-                        let n = config.n_candidates[chosen[c / m].1];
+                        let n = config.n_candidates[chosen[c / m]];
                         select::keep_unranked(lane, n, m, |i| by_col[i * cols + c] = true);
                     }
                 }
@@ -312,9 +307,13 @@ impl TbsPattern {
                     *o_col += u32::from(u & b);
                 }
             }
-            for &(coord, i) in chosen {
+            for (bc, &i) in chosen.iter().enumerate() {
                 let n = config.n_candidates[i];
-                let tile = coord.block_col * m..((coord.block_col + 1) * m).min(cols);
+                let coord = BlockCoord {
+                    block_row: band,
+                    block_col: bc,
+                };
+                let tile = bc * m..((bc + 1) * m).min(cols);
                 // A block keeping none or all of itself keeps the same set
                 // in both dimensions: the distances tie, and a tie takes
                 // the reduction dimension.
@@ -458,136 +457,6 @@ impl TbsPattern {
     }
 }
 
-/// Keeps the top-`n` scores per lane of `dim` within an `m × m` block.
-///
-/// Lane = row for [`SparsityDim::Reduction`], column for
-/// [`SparsityDim::Independent`].
-pub fn nm_block_mask(block_scores: &Matrix, n: usize, dim: SparsityDim) -> Mask {
-    let m = block_scores.rows();
-    debug_assert_eq!(block_scores.cols(), m, "blocks are square");
-    // Column lanes are the rows of the transpose.
-    let lanes = match dim {
-        SparsityDim::Reduction => block_scores.clone(),
-        SparsityDim::Independent => block_scores.transpose(),
-    };
-    let mut mask = Mask::none(m, m);
-    for lane in 0..m {
-        select::tile_top_n(lanes.row(lane), n, |i| match dim {
-            SparsityDim::Reduction => mask.set(lane, i, true),
-            SparsityDim::Independent => mask.set(i, lane, true),
-        });
-    }
-    mask
-}
-
-/// The index of the candidate `N` whose density `N/M` is nearest
-/// `density` (Algorithm 1 line 6, reading `s_p` as the block *density* —
-/// the printed formula `|N_i/M − s_p|` with `s_p` the sparsity degree is a
-/// typo: `N/M` is a density, so it must be compared with the density
-/// `1 − s_p`).
-#[expect(
-    clippy::expect_used,
-    reason = "TbsConfig::validate rejects empty candidate lists before this runs"
-)]
-fn nearest_candidate(candidates: &[usize], density: f64, m: usize) -> usize {
-    candidates
-        .iter()
-        .enumerate()
-        .min_by(|&(_, &a), &(_, &b)| {
-            let da = (a as f64 / m as f64 - density).abs();
-            let db = (b as f64 / m as f64 - density).abs();
-            da.partial_cmp(&db)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(b.cmp(&a)) // prefer the denser candidate on ties
-        })
-        .expect("candidates validated non-empty")
-        .0
-}
-
-/// Globally adjusts per-block `N` choices, each carried as its index into
-/// the candidates, so that the total kept count is as close as possible to
-/// `keep_total` (paper: "ensuring the overall sparsity meets the
-/// predetermined target").
-///
-/// Greedy: repeatedly move the block whose change sacrifices the least
-/// importance mass per kept-slot step.
-fn adjust_to_target(
-    chosen: &mut [(BlockCoord, usize)],
-    abs_scores: &Matrix,
-    config: &TbsConfig,
-    keep_total: usize,
-) {
-    let m = config.m;
-    let cands = &config.n_candidates;
-    let kept_of = |i: usize| cands[i] * m; // each block keeps N per lane × M lanes
-    let mut total_kept: i64 = chosen.iter().map(|&(_, i)| kept_of(i) as i64).sum();
-    let target = keep_total as i64;
-    if total_kept == target {
-        return;
-    }
-
-    // Score a block's marginal value at a candidate step: its importance
-    // mass (cheap proxy for importance lost/gained). Computed once up
-    // front — the greedy loop re-reads every block's mass each iteration.
-    // `BlockView::l1_norm` keeps its per-row partial-sum order, so each
-    // precomputed mass is bit-identical to the on-demand value it replaces
-    // and every strict-inequality tie-break below is unchanged.
-    let masses: Vec<f64> = chosen
-        .iter()
-        .map(|&(coord, _)| {
-            let (r0, c0) = coord.origin(m);
-            abs_scores.block_view(r0, c0, m, m).l1_norm()
-        })
-        .collect();
-
-    let step = |i: usize, up: bool| -> Option<usize> {
-        if up {
-            Some(i + 1).filter(|&s| s < cands.len())
-        } else {
-            i.checked_sub(1)
-        }
-    };
-
-    // Move towards the target one candidate step at a time, choosing the
-    // block with the most (when increasing) or least (when decreasing)
-    // importance mass. Stop when no step improves the distance to target.
-    loop {
-        let deficit = target - total_kept;
-        if deficit == 0 {
-            break;
-        }
-        let up = deficit > 0;
-        let mut best: Option<(usize, usize, i64, f64)> = None; // (block, new index, delta, mass)
-        for (b, &(_, i)) in chosen.iter().enumerate() {
-            let Some(new_i) = step(i, up) else { continue };
-            let delta = kept_of(new_i) as i64 - kept_of(i) as i64;
-            // Only steps that reduce |deficit| are useful.
-            if (total_kept + delta - target).abs() >= deficit.abs() {
-                continue;
-            }
-            let mass = masses[b];
-            let better = match &best {
-                None => true,
-                Some((_, _, _, best_mass)) => {
-                    if up {
-                        mass > *best_mass // densify the most important block
-                    } else {
-                        mass < *best_mass // sparsify the least important block
-                    }
-                }
-            };
-            if better {
-                best = Some((b, new_i, delta, mass));
-            }
-        }
-        let Some((b, new_i, delta, _)) = best else {
-            break;
-        };
-        chosen[b].1 = new_i;
-        total_kept += delta;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -622,32 +491,11 @@ mod tests {
     #[test]
     fn nearest_candidate_matches_density() {
         let cands = vec![0, 1, 2, 4, 8];
-        let nearest = |density| cands[nearest_candidate(&cands, density, 8)];
+        let nearest = |density| cands[nearest(&cands, density, 8)];
         assert_eq!(nearest(0.0), 0);
         assert_eq!(nearest(0.13), 1);
         assert_eq!(nearest(0.5), 4);
         assert_eq!(nearest(1.0), 8);
-    }
-
-    #[test]
-    fn nm_block_mask_row_dim() {
-        let s = Matrix::from_fn(4, 4, |r, c| (r * 4 + c) as f32);
-        let m = nm_block_mask(&s, 2, SparsityDim::Reduction);
-        for r in 0..4 {
-            assert_eq!(m.row_kept(r), 2);
-            // Highest scores are in the last columns.
-            assert!(m.get(r, 2) && m.get(r, 3));
-        }
-    }
-
-    #[test]
-    fn nm_block_mask_col_dim() {
-        let s = Matrix::from_fn(4, 4, |r, c| (r * 4 + c) as f32);
-        let m = nm_block_mask(&s, 2, SparsityDim::Independent);
-        for c in 0..4 {
-            assert_eq!(m.col_kept(c), 2);
-            assert!(m.get(2, c) && m.get(3, c));
-        }
     }
 
     #[test]
@@ -715,49 +563,24 @@ mod tests {
         assert_eq!(p.grid(), (3, 4));
     }
 
-    /// The sort-based lane selection the bitset step 3 replaced: fills
-    /// `idx` with the top-`n` in-lane indices of the row-major `m × m`
-    /// score block `s` (ties broken by lower index).
-    fn lane_top_n_oracle(
-        s: &[f32],
-        m: usize,
-        lane: usize,
-        n: usize,
-        dim: SparsityDim,
-        idx: &mut Vec<usize>,
-    ) {
-        idx.clear();
-        if n == 0 {
-            return;
-        }
-        idx.extend(0..m);
-        if n >= m {
-            return;
-        }
-        idx.sort_by(|&a, &b| {
-            let (sa, sb) = match dim {
-                SparsityDim::Reduction => (s[lane * m + a], s[lane * m + b]),
-                SparsityDim::Independent => (s[a * m + lane], s[b * m + lane]),
-            };
-            sb.partial_cmp(&sa)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        idx.truncate(n);
-    }
-
+    /// The sort-based per-block step 3 that the banded one replaced: the
+    /// top `n` of every lane of `dim` (rows for reduction, columns for
+    /// independent) of a square score block, each lane sorted by the
+    /// comparator.
     fn nm_block_mask_oracle(block_scores: &Matrix, n: usize, dim: SparsityDim) -> Mask {
         let m = block_scores.rows();
         let mut mask = Mask::none(m, m);
-        let mut idx = Vec::new();
         for lane in 0..m {
-            lane_top_n_oracle(block_scores.as_slice(), m, lane, n, dim, &mut idx);
-            for &i in &idx {
-                match dim {
-                    SparsityDim::Reduction => mask.set(lane, i, true),
-                    SparsityDim::Independent => mask.set(i, lane, true),
-                }
-            }
+            let scores: Vec<f32> = (0..m)
+                .map(|i| match dim {
+                    SparsityDim::Reduction => block_scores[(lane, i)],
+                    SparsityDim::Independent => block_scores[(i, lane)],
+                })
+                .collect();
+            select::tile_top_n_by_comparator(&scores, n, |i| match dim {
+                SparsityDim::Reduction => mask.set(lane, i, true),
+                SparsityDim::Independent => mask.set(i, lane, true),
+            });
         }
         mask
     }
@@ -778,23 +601,6 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn nm_block_mask_matches_oracle(
-            seed in 0u64..1000,
-            m in 1usize..12,
-            n in 0usize..12,
-            nan in 0usize..3,
-        ) {
-            let s = special_scores(seed, m, m, nan == 0);
-            for dim in [SparsityDim::Reduction, SparsityDim::Independent] {
-                prop_assert_eq!(
-                    nm_block_mask(&s, n, dim),
-                    nm_block_mask_oracle(&s, n, dim),
-                    "m={} n={} {:?}", m, n, dim
-                );
-            }
-        }
-
-        #[test]
         fn sparsify_matches_blockwise_reference(
             seed in 0u64..1000,
             rows in 1usize..30,
@@ -804,12 +610,10 @@ mod tests {
             wide in 0usize..5,
         ) {
             // Step 3 must reproduce the allocate-per-block sort reference
-            // exactly: same dimension choice, same kept positions. NaN
-            // cases stay at M <= 16, where the reference's comparator sort
-            // cannot panic.
+            // exactly: same dimension choice, same kept positions.
             let config = TbsConfig::with_block_size([4, 8, 8, 16, 32][wide]);
             let m = config.m;
-            let w = special_scores(seed, rows, cols, nan == 0 && m <= 16);
+            let w = special_scores(seed, rows, cols, nan == 0);
             let target = f64::from(target_pct) / 100.0;
             let p = TbsPattern::sparsify(&w, target, &config);
 
@@ -880,25 +684,6 @@ mod tests {
                         }
                     }
                 }
-            }
-        }
-
-        #[test]
-        fn shared_ranks_give_the_same_pattern(
-            seed in 0u64..1000,
-            rows in 1usize..40,
-            cols in 1usize..40,
-            target_pct in 0u32..=100,
-            nan in 0usize..3,
-        ) {
-            // `from_ranked` over a shared map is `from_top_k`; a map at
-            // another block size is not used.
-            let w = special_scores(seed, rows, cols, nan == 0);
-            let top_k = GlobalTopK::new(&w, f64::from(target_pct) / 100.0);
-            let want = TbsPattern::from_top_k(&top_k, &cfg());
-            for m in [8, 4] {
-                let ranks = TileRanks::new(top_k.abs(), m);
-                prop_assert_eq!(&TbsPattern::from_ranked(&top_k, &ranks, &cfg()), &want);
             }
         }
     }

@@ -1,7 +1,7 @@
 //! One-shot pruning evaluation (paper Table II protocol).
 //!
 //! For the LLM-scale models the paper cannot retrain, it prunes a trained
-//! model in one shot with Wanda [59] or SparseGPT [12] under each
+//! model in one shot with Wanda \[59\] or SparseGPT \[12\] under each
 //! sparsity pattern and evaluates without any fine-tuning. This module
 //! runs the same protocol on a dense teacher trained by this crate:
 //!
