@@ -165,12 +165,12 @@ impl LayerWeights {
     }
 
     /// Prunes the weights at `key` from `scores`, the weights' own scores
-    /// (TBS at block configuration `tbs`).
-    fn prune_at(&self, scores: &mut Scores, key: PruneKey, tbs: &TbsConfig) -> SparseLayer {
+    /// (TBS at block configuration `tbs_cfg`).
+    fn prune_at(&self, scores: &mut Scores, key: PruneKey, tbs_cfg: &TbsConfig) -> SparseLayer {
         let w = &self.dense;
         let (sampled, tbs) = match key.pattern {
             PatternKind::Tbs => {
-                let p = TbsPattern::from_scores(scores, key.target, tbs);
+                let p = TbsPattern::from_scores(scores, key.target, tbs_cfg);
                 (p.mask().apply(w), Some(p))
             }
             other => (
