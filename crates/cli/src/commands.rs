@@ -46,8 +46,9 @@ Archs:  tc, stc, vegeta, highlight, rm-stc, tb-stc, dvpe-fan, sgcn
 `sweep` runs the cross product models x archs x sparsities in parallel
 (worker count from --jobs, the TBSTC_JOBS env var, or the machine),
 adds a dense TC baseline per model, and reports speedup/EDP against it.
---verify reruns the grid serially and checks the results are
-bit-identical to the parallel run.
+--verify simulates every point again on its own (simulate_model_on,
+which shares no sample, pruned layer or plan with other points) and
+checks the sweep's result is bit-identical to it.
 
 `serve` runs the HTTP job service: POST job specs to /v1/jobs, scrape
 Prometheus metrics from /metrics. Results are cached on disk under
@@ -615,18 +616,33 @@ fn sweep(args: &ParsedArgs) -> Result<String, ArgError> {
     .ok();
 
     if verify {
-        let reference =
-            SweepRunner::with_runner(HwConfig::with_bandwidth_gbps(bandwidth), Runner::serial());
-        let serial = reference.run_models(&jobs);
-        if serial.results != report.results {
-            return Err(ArgError(
-                "verify FAILED: parallel results differ from serial".into(),
-            ));
+        let start = std::time::Instant::now();
+        let differ = jobs
+            .iter()
+            .zip(&report.results)
+            .filter(|(job, res)| {
+                let alone = tbstc::sim::simulate_model_on(
+                    job.arch.model(),
+                    &job.model.build(),
+                    job.sparsity,
+                    job.seed,
+                    engine.config(),
+                );
+                alone != **res
+            })
+            .count();
+        if differ > 0 {
+            return Err(ArgError(format!(
+                "verify FAILED: {differ} of {} points differ from simulate_model_on",
+                jobs.len()
+            )));
         }
         writeln!(
             out,
-            "  verify: serial rerun bit-identical ({} jobs; serial wall {:.2?}, parallel wall {:.2?})",
-            serial.stats.jobs, serial.stats.wall, report.stats.wall
+            "  verify: every point bit-identical to simulate_model_on ({} jobs; per-point wall {:.2?}, sweep wall {:.2?})",
+            jobs.len(),
+            start.elapsed(),
+            report.stats.wall
         )
         .ok();
     }
@@ -1342,10 +1358,12 @@ mod tests {
 
     #[test]
     fn sweep_reports_grid_and_verifies() {
+        // ResNet-18 and ResNet-50 share sampled layers, so the sweep
+        // shares work across models that the per-point check does not.
         let out = run_line(&[
             "sweep",
             "--models",
-            "gcn",
+            "resnet18,resnet50,gcn",
             "--archs",
             "tb-stc,stc",
             "--sparsities",
@@ -1354,10 +1372,10 @@ mod tests {
         ])
         .unwrap();
         assert!(
-            out.contains("Sweep: 5 jobs"),
-            "dense baseline + 2x2 grid: {out}"
+            out.contains("Sweep: 15 jobs"),
+            "3 dense baselines + 3x2x2 grid: {out}"
         );
-        assert!(out.contains("verify: serial rerun bit-identical"));
+        assert!(out.contains("verify: every point bit-identical to simulate_model_on"));
         assert!(out.contains("speedup"));
     }
 

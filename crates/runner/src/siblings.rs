@@ -1,183 +1,192 @@
-//! Layer-major sibling tasks: how [`crate::SweepRunner::run_models`]
+//! Sample-keyed sibling tasks: how [`crate::SweepRunner::run_models`]
 //! computes its fresh grid points.
 //!
-//! A layer's sampled weights depend only on the layer, the seed and the
-//! sampling limits — not on the architecture or the sparsity. The fresh
-//! points that share a model and a seed (*siblings*) can therefore share
-//! one sample. The unit of parallel work is one (model, seed, layer) task
-//! over a chunk of those siblings: it samples the layer's dense weights
-//! once, then prunes and simulates them for each sibling in turn.
+//! A layer's sampled weights depend only on its [`SampleKey`] — the seed,
+//! the layer name and the sampled rows and columns — not on the
+//! architecture, the sparsity, the model or the layer's real size. BERT,
+//! OPT and Llama share their attention layers, BERT and OPT their FFN
+//! layers, and ResNet-18 and ResNet-50 eight layers. Every (fresh point,
+//! layer index) pair whose layer has one key is a *sibling* of that
+//! sample, and the unit of parallel work is one sample over a chunk of its
+//! siblings: it samples the dense weights once, then prunes and simulates
+//! them for each sibling in turn.
 //!
 //! Siblings often prune alike: TB-STC and DVPE+FAN both prune TBS, RM-STC
 //! and SGCN both prune unstructured, STC is pinned to 4:8 and TC (like
 //! every arch on a non-prunable layer) runs dense. A task therefore walks
-//! its siblings in [`PruneKey`] order — (key target, key pattern, arch) —
-//! through one [`LayerPruner`], which prunes only when the key changes and
-//! shares the global top-k across a target's patterns, and it reuses the
-//! previous [`LayerResult`] when the key and the arch both repeat. Nothing
-//! outlives a task, so at most one dense sample, one top-k and one pruned
-//! layer are live per worker, and no weights are kept between tasks.
+//! its siblings in (key target, key pattern, shape, arch) order through
+//! one [`LayerPruner`], which prunes only when the [`PruneKey`] changes and
+//! shares the global top-k across a target's patterns. Each sibling
+//! simulates a view of the pruned layer under its own shape
+//! ([`SparseLayer::with_shape`]), which shares the pruned layer's
+//! [`tbstc_sim::BlockPlan`], so the plan is built once per pruned layer.
+//! A [`LayerResult`] is reused when the key, the shape and the arch all
+//! repeat. Nothing outlives a task, so at most one dense sample, one
+//! `Scores`, and one pruned layer plus its view and their plan are live
+//! per worker, and no weights are kept between tasks.
 //!
 //! Every per-point result comes from the same steps as
 //! [`tbstc_sim::simulate_model_on`] (sample, key and prune, simulate the
 //! layer, fold the layers in order), so results are bit-identical to
 //! simulating each point on its own.
 
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
-use tbstc_models::Model;
+use tbstc_models::{LayerShape, Model};
 use tbstc_sim::{
     simulate_layer_on, Arch, HwConfig, LayerPruner, LayerResult, LayerWeights, ModelResult,
-    PruneKey, SimOptions,
+    PruneKey, SampleKey, SimOptions, SparseLayer,
 };
 
 use crate::pool::parallel_map;
 use crate::sweep::{ModelSpec, SimJob};
 
-/// The fresh points that share one (model, seed).
+/// One unit of parallel work: the siblings `samples[sample][siblings]`.
 #[derive(Debug)]
-pub(crate) struct Group {
-    /// The model the siblings share.
-    pub(crate) spec: ModelSpec,
-    /// Its materialized layers.
-    pub(crate) model: Model,
-    /// The weight-sampling seed the siblings share.
-    pub(crate) seed: u64,
-    /// The siblings: indices into the fresh jobs, in first-seen order.
-    pub(crate) points: Vec<usize>,
-}
-
-/// One unit of parallel work: layer `layer` of group `group`, for the
-/// siblings `group.points[points]`.
-#[derive(Debug)]
-pub(crate) struct LayerTask {
-    pub(crate) group: usize,
-    pub(crate) layer: usize,
-    pub(crate) points: Range<usize>,
+pub(crate) struct SampleTask {
+    pub(crate) sample: usize,
+    pub(crate) siblings: Range<usize>,
 }
 
 /// The execution plan of one batch of fresh points.
 #[derive(Debug)]
 pub(crate) struct Plan {
-    /// Sibling groups in first-seen order of their (model, seed).
-    pub(crate) groups: Vec<Group>,
-    /// The group of each fresh point.
-    pub(crate) group_of: Vec<usize>,
-    /// Tasks ordered group → layer → sibling chunk, so each point meets
-    /// its layers in model order.
-    pub(crate) tasks: Vec<LayerTask>,
+    /// Each distinct model of the batch, materialized once.
+    pub(crate) models: Vec<(ModelSpec, Model)>,
+    /// The model of each fresh point: an index into `models`.
+    pub(crate) model_of: Vec<usize>,
+    /// The siblings of each distinct [`SampleKey`], in first-seen order:
+    /// (fresh point, layer index) pairs, in point then layer order.
+    pub(crate) samples: Vec<Vec<(usize, usize)>>,
+    /// Tasks ordered sample → sibling chunk.
+    pub(crate) tasks: Vec<SampleTask>,
 }
 
 impl Plan {
-    /// Groups `fresh` by (model, seed) and cuts one task per (group,
-    /// layer). When that gives fewer tasks than `workers`, each group's
-    /// siblings are split into the fewest contiguous chunks that give
-    /// every worker a task (or one task per point and layer, if there are
-    /// fewer of those than workers).
-    pub(crate) fn new(fresh: &[SimJob], workers: usize) -> Self {
-        // The group count is known only after the scan; it is at most
-        // models × seeds, a handful.
-        let mut groups: Vec<Group> = Vec::new();
-        let mut group_of = Vec::with_capacity(fresh.len());
+    /// Groups the layers of `fresh` by [`SampleKey`] (sampling limits from
+    /// `cfg`) and cuts one task per sample. When that gives fewer tasks
+    /// than `workers`, each sample's siblings are split into the fewest
+    /// contiguous chunks that give every worker a task (or one task per
+    /// point and layer, if there are fewer of those than workers).
+    pub(crate) fn new(fresh: &[SimJob], cfg: &HwConfig, workers: usize) -> Self {
+        // The model count is known only after the scan; it is a handful.
+        let mut models: Vec<(ModelSpec, Model)> = Vec::new();
+        let mut model_of = Vec::with_capacity(fresh.len());
+        let mut samples: Vec<Vec<(usize, usize)>> = Vec::new();
+        let mut sample_of: BTreeMap<SampleKey, usize> = BTreeMap::new();
         for (p, job) in fresh.iter().enumerate() {
-            let g = match groups
-                .iter()
-                .position(|g| g.spec == job.model && g.seed == job.seed)
-            {
-                Some(g) => g,
+            let m = match models.iter().position(|(spec, _)| *spec == job.model) {
+                Some(m) => m,
                 None => {
-                    groups.push(Group {
-                        spec: job.model,
-                        model: job.model.build(),
-                        seed: job.seed,
-                        // The sibling count is known only after the scan.
-                        points: Vec::new(),
-                    });
-                    groups.len() - 1
+                    models.push((job.model, job.model.build()));
+                    models.len() - 1
                 }
             };
-            groups[g].points.push(p);
-            group_of.push(g);
+            model_of.push(m);
+            for (l, shape) in models[m].1.layers.iter().enumerate() {
+                let s = *sample_of
+                    .entry(SampleKey::new(shape, job.seed, cfg))
+                    .or_insert_with(|| {
+                        samples.push(Vec::new());
+                        samples.len() - 1
+                    });
+                samples[s].push((p, l));
+            }
         }
 
-        let tasks_with = |chunks: usize| -> usize {
-            groups
-                .iter()
-                .map(|g| g.model.layers.len() * chunks.min(g.points.len()))
-                .sum()
-        };
-        let most = fresh.len().max(1);
+        let tasks_with =
+            |chunks: usize| -> usize { samples.iter().map(|s| chunks.min(s.len())).sum() };
+        let most = samples.iter().map(Vec::len).max().unwrap_or(1);
         let wanted = workers.min(tasks_with(most));
         let chunks = (1..most).find(|&c| tasks_with(c) >= wanted).unwrap_or(most);
 
         let mut tasks = Vec::with_capacity(tasks_with(chunks));
-        for (g, group) in groups.iter().enumerate() {
-            let n = group.points.len();
+        for (sample, siblings) in samples.iter().enumerate() {
+            let n = siblings.len();
             let k = chunks.min(n);
-            for layer in 0..group.model.layers.len() {
-                for c in 0..k {
-                    tasks.push(LayerTask {
-                        group: g,
-                        layer,
-                        points: c * n / k..(c + 1) * n / k,
-                    });
-                }
+            for c in 0..k {
+                tasks.push(SampleTask {
+                    sample,
+                    siblings: c * n / k..(c + 1) * n / k,
+                });
             }
         }
         Plan {
-            groups,
-            group_of,
+            models,
+            model_of,
+            samples,
             tasks,
         }
+    }
+
+    /// The shape of layer `layer` of fresh point `point`.
+    fn shape(&self, (point, layer): (usize, usize)) -> &LayerShape {
+        &self.models[self.model_of[point]].1.layers[layer]
     }
 }
 
 /// Simulates every fresh point on up to `workers` threads, returning
 /// aligned with `fresh` each result and the busy time charged to it: the
-/// point's own simulate call (or the reuse of an equal result) plus an
-/// equal share of each task's remaining time (the sampling, top-k and
-/// pruning its siblings shared), so the charges sum to the tasks' busy
-/// time.
+/// point's own simulate calls (or the reuse of an equal result) plus an
+/// equal share of each task's remaining time (the sampling, top-k,
+/// pruning and plan its siblings shared), so the charges sum to the
+/// tasks' busy time.
+#[expect(
+    clippy::expect_used,
+    reason = "the plan covers every (point, layer) pair once"
+)]
 pub(crate) fn simulate(
     fresh: &[SimJob],
     cfg: &HwConfig,
     workers: usize,
 ) -> Vec<(ModelResult, Duration)> {
-    let plan = Plan::new(fresh, workers);
+    let plan = Plan::new(fresh, cfg, workers);
     let done = parallel_map(&plan.tasks, workers, |_, task| {
-        let group = &plan.groups[task.group];
-        let shape = &group.model.layers[task.layer];
-        let weights = LayerWeights::sample(shape, group.seed, cfg);
-        let points = &group.points[task.points.clone()];
-        let mut walk: Vec<(PruneKey, Arch, usize)> = points
+        let siblings = &plan.samples[task.sample][task.siblings.clone()];
+        let mut walk: Vec<(PruneKey, &LayerShape, Arch, usize)> = siblings
             .iter()
             .enumerate()
-            .map(|(i, &p)| {
-                let job = &fresh[p];
+            .map(|(i, &sibling)| {
+                let job = &fresh[sibling.0];
+                let shape = plan.shape(sibling);
                 let key = PruneKey::new(job.arch.native_pattern(), shape.prunable, job.sparsity);
-                (key, job.arch, i)
+                (key, shape, job.arch, i)
             })
             .collect();
-        walk.sort_by(|(a, x, _), (b, y, _)| {
+        walk.sort_by(|(a, s, x, _), (b, t, y, _)| {
             a.target
                 .total_cmp(&b.target)
                 .then(a.pattern.cmp(&b.pattern))
+                .then_with(|| s.cmp(t))
                 .then(x.cmp(y))
         });
 
+        // Every sibling's shape samples the same weights.
+        let first = siblings[0];
+        let weights = LayerWeights::sample(plan.shape(first), fresh[first.0].seed, cfg);
         let mut pruner = LayerPruner::new(&weights);
+        let mut view: Option<(PruneKey, &LayerShape, SparseLayer)> = None;
         let mut out: Vec<(usize, LayerResult, Duration)> = Vec::with_capacity(walk.len());
         let mut last = None;
-        for (key, arch, i) in walk {
-            let layer = pruner.prune(key);
+        for (key, shape, arch, i) in walk {
+            // A stale view is dropped before the next layer is pruned.
+            let kept = view.take().filter(|(k, s, _)| (*k, *s) == (key, shape));
+            let (.., layer) = view.insert(kept.unwrap_or_else(|| {
+                let layer = pruner.prune(key).with_shape(shape, cfg);
+                // The plan is shared, so it is built outside the
+                // per-sibling timer.
+                layer.plan();
+                (key, shape, layer)
+            }));
             let t = Instant::now();
             let res = match out.last() {
-                Some((_, res, _)) if last == Some((key, arch)) => res.clone(),
+                Some((_, res, _)) if last == Some((key, shape, arch)) => res.clone(),
                 _ => simulate_layer_on(arch.model(), layer, cfg, &SimOptions::native()),
             };
             out.push((i, res, t.elapsed()));
-            last = Some((key, arch));
+            last = Some((key, shape, arch));
         }
         out.sort_unstable_by_key(|&(i, ..)| i);
         out.into_iter()
@@ -185,24 +194,23 @@ pub(crate) fn simulate(
             .collect::<Vec<_>>()
     });
 
-    let mut layers: Vec<Vec<LayerResult>> = plan
-        .group_of
+    let mut layers: Vec<Vec<Option<LayerResult>>> = plan
+        .model_of
         .iter()
-        .map(|&g| Vec::with_capacity(plan.groups[g].model.layers.len()))
+        .map(|&m| vec![None; plan.models[m].1.layers.len()])
         .collect();
     let mut busy = vec![Duration::ZERO; fresh.len()];
     for (task, (results, wall)) in plan.tasks.iter().zip(done) {
-        let points = &plan.groups[task.group].points[task.points.clone()];
+        let siblings = &plan.samples[task.sample][task.siblings.clone()];
         let own: Duration = results.iter().map(|(_, d)| *d).sum();
         let shared = wall.saturating_sub(own);
         // A task has at least one sibling; past 2^32 of them the share
         // saturates and `rest` still keeps the charges summing to `wall`.
-        let n = u32::try_from(points.len()).unwrap_or(u32::MAX);
+        let n = u32::try_from(siblings.len()).unwrap_or(u32::MAX);
         let share = shared / n;
         let mut rest = shared.saturating_sub(share * n);
-        for (&p, (res, d)) in points.iter().zip(results) {
-            debug_assert_eq!(layers[p].len(), task.layer, "layers fold in model order");
-            layers[p].push(res);
+        for (&(p, l), (res, d)) in siblings.iter().zip(results) {
+            layers[p][l] = Some(res);
             busy[p] += d + share + std::mem::take(&mut rest);
         }
     }
@@ -210,11 +218,14 @@ pub(crate) fn simulate(
         .iter()
         .zip(layers)
         .zip(busy)
-        .zip(&plan.group_of)
-        .map(|(((job, layers), busy), &g)| {
-            let model = &plan.groups[g].model;
+        .zip(&plan.model_of)
+        .map(|(((job, layers), busy), &m)| {
+            let layers = layers
+                .into_iter()
+                .collect::<Option<Vec<_>>>()
+                .expect("every layer of every point is simulated");
             (
-                ModelResult::from_layers(job.arch.model().id(), model, layers),
+                ModelResult::from_layers(job.arch.model().id(), &plan.models[m].1, layers),
                 busy,
             )
         })
@@ -224,6 +235,7 @@ pub(crate) fn simulate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::Sweep;
 
     fn job(arch: Arch, model: ModelSpec, sparsity: f64, seed: u64) -> SimJob {
         SimJob {
@@ -239,92 +251,139 @@ mod tests {
         features: 16,
     };
     const BERT: ModelSpec = ModelSpec::BertBase { tokens: 32 };
+    const BERT_LONG: ModelSpec = ModelSpec::BertBase { tokens: 128 };
 
-    /// Every fresh point meets every layer of its model exactly once, in
-    /// one task of its own group.
+    fn cfg() -> HwConfig {
+        HwConfig::paper_default()
+    }
+
+    /// Every (fresh point, layer) pair is a sibling in exactly one task,
+    /// and every task's siblings share one sample key.
     fn assert_covers(plan: &Plan, fresh: &[SimJob]) {
-        for (p, job) in fresh.iter().enumerate() {
-            let g = plan.group_of[p];
-            let group = &plan.groups[g];
-            assert_eq!((group.spec, group.seed), (job.model, job.seed));
-            let mut seen: Vec<usize> = plan
-                .tasks
-                .iter()
-                .filter(|t| t.group == g && group.points[t.points.clone()].contains(&p))
-                .map(|t| t.layer)
-                .collect();
-            let in_order = seen.clone();
-            seen.sort_unstable();
-            assert_eq!(in_order, seen, "point {p} meets its layers in order");
-            assert_eq!(
-                seen,
-                (0..group.model.layers.len()).collect::<Vec<_>>(),
-                "point {p} covers each layer once"
-            );
+        let mut seen: Vec<(usize, usize)> = Vec::new();
+        for task in &plan.tasks {
+            let siblings = &plan.samples[task.sample][task.siblings.clone()];
+            assert!(!siblings.is_empty());
+            let key = |&(p, l): &(usize, usize)| {
+                SampleKey::new(plan.shape((p, l)), fresh[p].seed, &cfg())
+            };
+            assert!(siblings.iter().all(|s| key(s) == key(&siblings[0])));
+            seen.extend(siblings);
         }
+        seen.sort_unstable();
+        let want: Vec<(usize, usize)> = fresh
+            .iter()
+            .enumerate()
+            .flat_map(|(p, job)| (0..job.model.build().layers.len()).map(move |l| (p, l)))
+            .collect();
+        assert_eq!(seen, want, "each point meets each of its layers once");
     }
 
     #[test]
-    fn siblings_group_by_model_and_seed_in_first_seen_order() {
+    fn siblings_group_by_sample_key_across_models_in_first_seen_order() {
+        // BERT at 32 and 128 tokens samples the same six layers; GCN's one
+        // layer is sampled once per seed.
         let fresh = [
             job(Arch::Tc, BERT, 0.5, 2),
             job(Arch::TbStc, GCN, 0.5, 1),
-            job(Arch::Stc, BERT, 0.75, 2),
+            job(Arch::Stc, BERT_LONG, 0.75, 2),
             job(Arch::Tc, GCN, 0.5, 2),
             job(Arch::RmStc, GCN, 0.875, 1),
         ];
-        let plan = Plan::new(&fresh, 1);
-        let groups: Vec<(ModelSpec, u64, Vec<usize>)> = plan
-            .groups
-            .iter()
-            .map(|g| (g.spec, g.seed, g.points.clone()))
-            .collect();
-        assert_eq!(
-            groups,
-            vec![
-                (BERT, 2, vec![0, 2]),
-                (GCN, 1, vec![1, 4]),
-                (GCN, 2, vec![3])
-            ]
-        );
-        assert_eq!(plan.group_of, vec![0, 1, 0, 2, 1]);
-        // Enough (group, layer) tasks for one worker: siblings stay whole.
-        let bert_layers = BERT.build().layers.len();
-        assert_eq!(plan.tasks.len(), bert_layers + 2);
+        let plan = Plan::new(&fresh, &cfg(), 1);
+        let mut want: Vec<Vec<(usize, usize)>> = (0..6).map(|l| vec![(0, l), (2, l)]).collect();
+        want.push(vec![(1, 0), (4, 0)]);
+        want.push(vec![(3, 0)]);
+        assert_eq!(plan.samples, want);
+        assert_eq!(plan.model_of, vec![0, 1, 2, 1, 1]);
+        // Enough sample tasks for one worker: siblings stay whole.
+        assert_eq!(plan.tasks.len(), 8);
         assert!(plan
             .tasks
             .iter()
-            .all(|t| t.points.len() == plan.groups[t.group].points.len()));
+            .all(|t| t.siblings.len() == plan.samples[t.sample].len()));
         assert_covers(&plan, &fresh);
+    }
+
+    #[test]
+    fn the_paper_grid_samples_each_shared_layer_once_per_seed() {
+        let grid = |seeds: &[u64]| {
+            Sweep::new()
+                .archs(Arch::ALL)
+                .models(ModelSpec::paper_set())
+                .sparsities([0.5, 0.75, 0.875])
+                .seeds(seeds.iter().copied())
+                .jobs()
+        };
+        let fresh = grid(&[1]);
+        let layers: usize = ModelSpec::paper_set()
+            .iter()
+            .map(|m| m.build().layers.len())
+            .sum();
+        assert_eq!(layers, 53, "one task per (model, layer) before sharing");
+        for workers in [1, 2, 8] {
+            let plan = Plan::new(&fresh, &cfg(), workers);
+            assert_covers(&plan, &fresh);
+            assert_eq!(plan.tasks.len(), 35, "on {workers} workers");
+        }
+        // Each task prunes (and plans) each distinct prune key once.
+        let plan = Plan::new(&fresh, &cfg(), 2);
+        let prunes: usize = plan
+            .tasks
+            .iter()
+            .map(|task| {
+                let mut keys: Vec<PruneKey> = Vec::new();
+                for &(p, l) in &plan.samples[task.sample][task.siblings.clone()] {
+                    let job = &fresh[p];
+                    let prunable = plan.shape((p, l)).prunable;
+                    let key = PruneKey::new(job.arch.native_pattern(), prunable, job.sparsity);
+                    if !keys.contains(&key) {
+                        keys.push(key);
+                    }
+                }
+                keys.len()
+            })
+            .sum();
+        assert_eq!(prunes, 464);
+
+        let fresh = grid(&[1, 7]);
+        let plan = Plan::new(&fresh, &cfg(), 2);
+        assert_covers(&plan, &fresh);
+        assert_eq!(plan.tasks.len(), 70);
+        for task in &plan.tasks {
+            let siblings = &plan.samples[task.sample][task.siblings.clone()];
+            let seed = fresh[siblings[0].0].seed;
+            assert!(siblings.iter().all(|&(p, _)| fresh[p].seed == seed));
+        }
     }
 
     #[test]
     fn few_layer_tasks_split_siblings_until_every_worker_has_one() {
         let archs = [Arch::Tc, Arch::Stc, Arch::TbStc, Arch::RmStc];
         for seeds in 1..=3u64 {
-            for per_group in 1..=archs.len() {
+            for per_seed in 1..=archs.len() {
                 let fresh: Vec<SimJob> = (1..=seeds)
                     .flat_map(|seed| {
-                        archs[..per_group]
+                        archs[..per_seed]
                             .iter()
                             .map(move |&a| job(a, GCN, 0.5, seed))
                     })
                     .collect();
                 let points = fresh.len();
                 for workers in 1..=10 {
-                    let plan = Plan::new(&fresh, workers);
+                    let plan = Plan::new(&fresh, &cfg(), workers);
                     assert_covers(&plan, &fresh);
                     // One layer per point: at least min(W, points) tasks,
-                    // and no more chunks per group than that needs.
+                    // and no more chunks per sample than that needs.
                     let tasks = plan.tasks.len();
                     assert!(
                         tasks >= workers.min(points),
-                        "{seeds}×{per_group} on {workers}"
+                        "{seeds}×{per_seed} on {workers}"
                     );
                     let chunks = tasks / seeds as usize;
                     assert!(
                         chunks == 1 || (chunks - 1) * (seeds as usize) < workers.min(points),
-                        "{seeds}×{per_group} on {workers}: {tasks} tasks are more than needed"
+                        "{seeds}×{per_seed} on {workers}: {tasks} tasks are more than needed"
                     );
                 }
             }
@@ -340,10 +399,10 @@ mod tests {
         ];
         let point_layers = 2 + BERT.build().layers.len();
         for workers in [1, 2, 3, 4, 8, 64] {
-            let plan = Plan::new(&fresh, workers);
+            let plan = Plan::new(&fresh, &cfg(), workers);
             assert_covers(&plan, &fresh);
             assert!(plan.tasks.len() >= workers.min(point_layers));
         }
-        assert!(Plan::new(&[], 4).tasks.is_empty());
+        assert!(Plan::new(&[], &cfg(), 4).tasks.is_empty());
     }
 }

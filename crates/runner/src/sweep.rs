@@ -200,14 +200,15 @@ impl SweepRunner {
 
     /// Simulates every model-level job, memoized and in input order.
     ///
-    /// Fresh jobs that share a model and seed share each layer's sampled
-    /// weights: the unit of parallel work is one (model, seed, layer)
-    /// task that samples the layer once and then prunes and simulates it
-    /// for each of those jobs in turn (see the `siblings` module).
+    /// Fresh jobs share each layer sample whose [`tbstc_sim::SampleKey`]
+    /// (seed, layer name, sampled size) they share, across models: the
+    /// unit of parallel work is one sample task that samples the layer
+    /// once, then prunes each distinct prune key once and simulates it for
+    /// each (job, layer) that has that key (see the `siblings` module).
     /// Results are bit-identical to simulating each job on its own. Each
-    /// computed job's [`RunStats::job_wall`] is its own prune and simulate
-    /// time plus an equal share of the sampling it shared, so the sum is
-    /// still the run's busy time.
+    /// computed job's [`RunStats::job_wall`] is its own simulate time plus
+    /// an equal share of the sampling, pruning and plan building it
+    /// shared, so the sum is still the run's busy time.
     pub fn run_models(&self, jobs: &[SimJob]) -> RunReport<ModelResult> {
         self.runner.run_memo_batch(jobs, &self.models, |fresh| {
             siblings::simulate(fresh, &self.cfg, self.runner.workers())

@@ -1,11 +1,12 @@
-//! `SweepRunner::run_models` shares each layer's sampled weights among the
-//! fresh points of one (model, seed), and within a layer task each
-//! distinct pruned layer, top-k and (arch, prune key) result. This checks,
-//! over random job lists and over full grids that hold every sharing
-//! pair, that the grouped run is bit-identical to simulating every point
-//! on its own with `simulate_model_on`, and that the memo, its counters
-//! and the per-job timings behave exactly as for one-point-at-a-time
-//! execution.
+//! `SweepRunner::run_models` shares each layer's sampled weights among
+//! every fresh point whose layer has the same sample key (seed, layer
+//! name, sampled size), across models, and within a sample task each
+//! distinct pruned layer, its plan, top-k and (prune key, shape, arch)
+//! result. This checks, over random job lists and over full grids that
+//! hold every sharing pair, that the grouped run is bit-identical to
+//! simulating every point on its own with `simulate_model_on`, and that
+//! the memo, its counters and the per-job timings behave exactly as for
+//! one-point-at-a-time execution.
 
 use std::collections::BTreeSet;
 
@@ -13,14 +14,21 @@ use proptest::prelude::*;
 use tbstc_runner::{ModelSpec, Runner, SimJob, Sweep, SweepRunner};
 use tbstc_sim::{simulate_model_on, Arch, HwConfig, ModelResult};
 
-/// Paper models at small inputs, plus the single-layer GCN.
-const MODELS: [ModelSpec; 3] = [
-    ModelSpec::ResNet18 { input: 32 },
+const RESNET18: ModelSpec = ModelSpec::ResNet18 { input: 32 };
+const GCN: ModelSpec = ModelSpec::Gcn {
+    nodes: 64,
+    features: 16,
+};
+
+/// Paper models at small inputs, plus the single-layer GCN. ResNet-18
+/// and ResNet-50 share eight sampled layers, and BERT at 16 and at 128
+/// tokens shares all six with another activation width.
+const MODELS: [ModelSpec; 5] = [
+    RESNET18,
+    ModelSpec::ResNet50 { input: 32 },
     ModelSpec::BertBase { tokens: 16 },
-    ModelSpec::Gcn {
-        nodes: 64,
-        features: 16,
-    },
+    ModelSpec::BertBase { tokens: 128 },
+    GCN,
 ];
 const SPARSITIES: [f64; 3] = [0.5, 0.75, 0.875];
 
@@ -61,17 +69,16 @@ fn assert_bits_equal(got: &ModelResult, want: &ModelResult, job: &SimJob) {
 /// Every arch at every sparsity: TB-STC/DVPE+FAN and RM-STC/SGCN share
 /// pruned layers, STC and TC repeat results across sparsities, and
 /// ResNet-18's non-prunable stem and fc run dense for all 24 points. The
-/// single-layer GCN grid has fewer layer tasks than three workers, so its
+/// single-layer GCN grid has fewer sample tasks than three workers, so its
 /// siblings are split into chunks.
 #[test]
 fn full_grids_match_per_point_simulation() {
     let cfg = HwConfig::paper_default();
-    let resnet = MODELS[0];
     assert!(
-        resnet.build().layers.iter().any(|l| !l.prunable),
+        RESNET18.build().layers.iter().any(|l| !l.prunable),
         "the grid needs a non-prunable layer"
     );
-    for model in [resnet, MODELS[2]] {
+    for model in [RESNET18, GCN] {
         let jobs = Sweep::new()
             .archs(Arch::ALL)
             .models([model])
@@ -92,12 +99,37 @@ fn full_grids_match_per_point_simulation() {
     }
 }
 
+/// Every arch at every sparsity over models whose layers share samples:
+/// ResNet-18 with ResNet-50 (the same layer name and sampled size at
+/// another real size) and BERT at 16 with 128 tokens (the same weights at
+/// a sampled activation width `sn` of 16 and of 64).
+#[test]
+fn shared_samples_across_models_match_per_point_simulation() {
+    let cfg = HwConfig::paper_default();
+    let jobs = Sweep::new()
+        .archs(Arch::ALL)
+        .models(MODELS[..4].iter().copied())
+        .sparsities(SPARSITIES)
+        .seeds([3])
+        .jobs();
+    let want: Vec<ModelResult> = jobs.iter().map(|j| reference(j, &cfg)).collect();
+    for workers in [1, 2, 3, 8] {
+        let engine = SweepRunner::with_runner(cfg, Runner::new().with_workers(workers));
+        let rep = engine.run_models(&jobs);
+        assert_eq!(rep.stats.unique_jobs, jobs.len());
+        assert_eq!(rep.stats.job_wall.len(), jobs.len());
+        for ((job, got), want) in jobs.iter().zip(&rep.results).zip(&want) {
+            assert_bits_equal(got, want, job);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
     fn grouped_run_models_matches_per_point_simulation(
-        raw in proptest::collection::vec((0usize..3, 0usize..8, 0usize..3, 0u64..3), 1..12),
+        raw in proptest::collection::vec((0usize..MODELS.len(), 0usize..8, 0usize..3, 0u64..3), 1..12),
         seeds in 1u64..=3,
         dups in proptest::collection::vec(0usize..64, 0..4),
         preload_bits in 0u32..=u32::MAX,
@@ -111,7 +143,7 @@ proptest! {
             .iter()
             .map(|&(m, a, s, seed)| SimJob {
                 arch: Arch::ALL[a],
-                model: MODELS[if gcn_only == 0 { 2 } else { m }],
+                model: if gcn_only == 0 { GCN } else { MODELS[m] },
                 sparsity: SPARSITIES[s],
                 seed: 1 + seed % seeds,
             })

@@ -55,15 +55,15 @@ impl SchedulePolicy {
     }
 }
 
-/// Runs the compute model for a layer on a registry architecture,
-/// building a fresh [`BlockPlan`].
+/// Runs the compute model for a layer on a registry architecture, on the
+/// layer's own [`SparseLayer::plan`].
 pub fn simulate_compute(
     arch: Arch,
     layer: &SparseLayer,
     cfg: &HwConfig,
     policy: SchedulePolicy,
 ) -> ComputeResult {
-    simulate_compute_on(arch.model(), layer, &BlockPlan::build(layer), cfg, policy)
+    simulate_compute_on(arch.model(), layer, layer.plan(), cfg, policy)
 }
 
 /// Runs the compute model against any [`ArchModel`] — registry builtin or

@@ -10,6 +10,8 @@
 //! the local row/column heterogeneity of trained weights (see
 //! `MatrixRng::block_structured_weights`).
 
+use std::sync::{Arc, OnceLock};
+
 use tbstc_matrix::rng::MatrixRng;
 use tbstc_matrix::Matrix;
 use tbstc_models::LayerShape;
@@ -17,6 +19,7 @@ use tbstc_sparsity::pattern::paper_pattern;
 use tbstc_sparsity::{PatternKind, Scores, TbsConfig, TbsPattern};
 
 use crate::config::HwConfig;
+use crate::plan::BlockPlan;
 
 /// What a prune request actually computes: the pattern and the target
 /// sparsity it is projected at. Two requests with equal keys prune a
@@ -55,8 +58,50 @@ impl PruneKey {
     }
 }
 
+/// What a layer's dense sample is drawn from: the seed, the layer name,
+/// the sampled rows and columns, and the generator block. Two layers
+/// with equal keys sample bit-equal weights, whatever their real size,
+/// so a sweep samples (and prunes) each key once for every model that
+/// shares it.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct SampleKey {
+    seed: u64,
+    name: String,
+    rows: usize,
+    cols: usize,
+    block: usize,
+}
+
+impl SampleKey {
+    /// The key of `shape` sampled from `seed` under the sampling limits in
+    /// `cfg`, at the default generator block.
+    pub fn new(shape: &LayerShape, seed: u64, cfg: &HwConfig) -> Self {
+        Self::blocked(shape, seed, cfg, LayerWeights::BLOCK)
+    }
+
+    /// The one sampling rule: each weight dimension is capped at
+    /// `cfg.sample_dim` and padded up to one generator block.
+    pub(crate) fn blocked(shape: &LayerShape, seed: u64, cfg: &HwConfig, block: usize) -> Self {
+        SampleKey {
+            seed,
+            name: shape.name.clone(),
+            rows: shape.m.min(cfg.sample_dim).max(block),
+            cols: shape.k.min(cfg.sample_dim).max(block),
+            block,
+        }
+    }
+}
+
+/// Sampled activation columns of `shape` under the limits in `cfg`.
+fn sampled_cols(shape: &LayerShape, cfg: &HwConfig) -> usize {
+    shape.n.min(cfg.sample_cols).max(1)
+}
+
 /// A pruned layer ready for simulation: sampled weights + pattern
 /// metadata + scale factors back to the real size.
+///
+/// The pruned sample, its TBS metadata and its [`BlockPlan`] are shared
+/// by every clone and every [`SparseLayer::with_shape`] view.
 #[derive(Debug, Clone)]
 pub struct SparseLayer {
     /// Layer name (from the workload).
@@ -69,12 +114,22 @@ pub struct SparseLayer {
     pub n: usize,
     /// The pattern that produced the mask.
     pub pattern: PatternKind,
+    /// Sampled B-column count used by compute models.
+    pub sn: usize,
+    /// The sample the weights were pruned from.
+    key: SampleKey,
+    pruned: Arc<Pruned>,
+}
+
+/// The shape-free part of a pruned layer.
+#[derive(Debug)]
+struct Pruned {
     /// Sampled, pruned weights (`sm × sk`).
     sampled: Matrix,
     /// TBS metadata when `pattern == Tbs` (needed for DDC and the codec).
     tbs: Option<TbsPattern>,
-    /// Sampled B-column count used by compute models.
-    pub sn: usize,
+    /// Built from `sampled` and `tbs` on first use.
+    plan: OnceLock<BlockPlan>,
 }
 
 /// The dense sampled weights of one layer: the first of the two stages
@@ -87,6 +142,7 @@ pub struct SparseLayer {
 #[derive(Debug, Clone)]
 pub struct LayerWeights {
     shape: LayerShape,
+    key: SampleKey,
     dense: Matrix,
     sn: usize,
 }
@@ -110,14 +166,13 @@ impl LayerWeights {
         cfg: &HwConfig,
         block: usize,
     ) -> Self {
-        let sm = shape.m.min(cfg.sample_dim).max(block);
-        let sk = shape.k.min(cfg.sample_dim).max(block);
-        let sn = shape.n.min(cfg.sample_cols).max(1);
-        let mut rng = MatrixRng::seed_from(seed ^ fxhash(&shape.name));
+        let key = SampleKey::blocked(shape, seed, cfg, block);
+        let mut rng = MatrixRng::seed_from(seed ^ fxhash(&key.name));
         LayerWeights {
             shape: shape.clone(),
-            dense: rng.block_structured_weights(sm, sk, block),
-            sn,
+            dense: rng.block_structured_weights(key.rows, key.cols, key.block),
+            key,
+            sn: sampled_cols(shape, cfg),
         }
     }
 
@@ -190,9 +245,13 @@ impl LayerWeights {
             k: self.shape.k,
             n: self.shape.n,
             pattern,
-            sampled,
-            tbs,
             sn: self.sn,
+            key: self.key.clone(),
+            pruned: Arc::new(Pruned {
+                sampled,
+                tbs,
+                plan: OnceLock::new(),
+            }),
         }
     }
 }
@@ -241,22 +300,56 @@ impl<'w> LayerPruner<'w> {
 impl SparseLayer {
     /// The sampled pruned weight matrix.
     pub fn sampled(&self) -> &Matrix {
-        &self.sampled
+        &self.pruned.sampled
     }
 
     /// TBS metadata (present only for the TBS pattern).
     pub fn tbs(&self) -> Option<&TbsPattern> {
-        self.tbs.as_ref()
+        self.pruned.tbs.as_ref()
+    }
+
+    /// The layer's [`BlockPlan`], built from the pruned sample and its TBS
+    /// metadata on first use and shared by every clone and view.
+    pub fn plan(&self) -> &BlockPlan {
+        self.pruned.plan.get_or_init(|| BlockPlan::build(self))
+    }
+
+    /// This pruned layer under another shape of the same [`SampleKey`]
+    /// (a layer that another model shares): the real sizes `m`, `k`, `n`
+    /// and the sampled columns `sn` come from `shape`, while the pruned
+    /// sample and its plan are shared, not pruned again.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `shape` under `cfg` samples another key.
+    pub fn with_shape(&self, shape: &LayerShape, cfg: &HwConfig) -> SparseLayer {
+        let key = SampleKey::blocked(shape, self.key.seed, cfg, self.key.block);
+        assert!(
+            key == self.key,
+            "`{}` samples {key:?}, not {:?}",
+            shape.name,
+            self.key
+        );
+        SparseLayer {
+            name: shape.name.clone(),
+            m: shape.m,
+            k: shape.k,
+            n: shape.n,
+            pattern: self.pattern,
+            sn: sampled_cols(shape, cfg),
+            key,
+            pruned: Arc::clone(&self.pruned),
+        }
     }
 
     /// Sampled rows.
     pub fn sm(&self) -> usize {
-        self.sampled.rows()
+        self.sampled().rows()
     }
 
     /// Sampled reduction columns.
     pub fn sk(&self) -> usize {
-        self.sampled.cols()
+        self.sampled().cols()
     }
 
     /// Factor scaling sampled weight-extensive quantities (block walks,
@@ -273,12 +366,12 @@ impl SparseLayer {
 
     /// The sparsity the projection actually achieved on the sample.
     pub fn actual_sparsity(&self) -> f64 {
-        self.sampled.sparsity()
+        self.sampled().sparsity()
     }
 
     /// Real (scaled) non-zero weight count.
     pub fn real_nnz(&self) -> f64 {
-        self.sampled.count_nonzeros() as f64 * self.weight_scale()
+        self.sampled().count_nonzeros() as f64 * self.weight_scale()
     }
 
     /// Real useful MACs: one per non-zero weight per activation column.
@@ -497,6 +590,13 @@ mod tests {
                     repeats: 1,
                     prunable: true,
                 },
+                key: SampleKey {
+                    seed,
+                    name: "replay".into(),
+                    rows,
+                    cols,
+                    block: 8,
+                },
                 dense,
                 sn: 4,
             };
@@ -518,6 +618,55 @@ mod tests {
                     assert_same(pruner.prune(key), &want, &what);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn owned_plan_matches_a_fresh_build_and_views_share_it() {
+        let cfg = HwConfig::paper_default();
+        let bert = shape();
+        // OPT's attn.q samples the same weights as BERT's, at another size.
+        let opt = LayerShape {
+            m: 4096,
+            k: 4096,
+            n: 16,
+            ..bert.clone()
+        };
+        let sims = PatternKind::ALL
+            .map(|kind| LayerSim::new(&bert).pattern(kind))
+            .into_iter()
+            .chain(
+                [4, 16, 32].map(|m| LayerSim::new(&bert).tbs_config(TbsConfig::with_block_size(m))),
+            );
+        for sim in sims {
+            let what = format!("{sim:?}");
+            let layer = sim.sparsity(0.75).seed(9).build(&cfg);
+            assert_eq!(layer.plan(), &BlockPlan::build(&layer), "{what}");
+            let view = layer.with_shape(&opt, &cfg);
+            assert!(std::ptr::eq(view.plan(), layer.plan()), "{what}");
+            assert_eq!(view.plan(), &BlockPlan::build(&view), "{what}");
+            assert_eq!(
+                (view.m, view.k, view.n, view.sn),
+                (4096, 4096, 16, 16),
+                "{what}"
+            );
+            assert_eq!(view.weight_scale(), 1024.0, "{what}");
+            assert_eq!(view.sampled(), layer.sampled(), "{what}");
+        }
+    }
+
+    #[test]
+    fn with_shape_panics_on_another_sample() {
+        let cfg = HwConfig::paper_default();
+        let layer = build(&shape(), PatternKind::Tbs, 0.5, 1);
+        let renamed = LayerShape {
+            name: "other".into(),
+            ..shape()
+        };
+        let smaller = LayerShape { m: 64, ..shape() };
+        for other in [renamed, smaller] {
+            let view = std::panic::catch_unwind(|| layer.with_shape(&other, &cfg));
+            assert!(view.is_err(), "{other:?}");
         }
     }
 

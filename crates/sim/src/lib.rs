@@ -63,7 +63,7 @@ pub use arch::{Arch, ArchId, ParseArchError};
 pub use archs::{ArchModel, REGISTRY};
 pub use builder::LayerSim;
 pub use config::HwConfig;
-pub use layer::{LayerPruner, LayerWeights, PruneKey, SparseLayer};
+pub use layer::{LayerPruner, LayerWeights, PruneKey, SampleKey, SparseLayer};
 pub use pipeline::{
     simulate_layer, simulate_layer_on, simulate_layer_with, simulate_model, simulate_model_on,
     SimOptions,

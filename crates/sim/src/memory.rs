@@ -68,15 +68,15 @@ impl MemoryResult {
 /// refresh).
 const STREAM_EFFICIENCY: f64 = 0.95;
 
-/// Simulates the memory side of a layer on a registry architecture,
-/// building a fresh [`BlockPlan`].
+/// Simulates the memory side of a layer on a registry architecture, on
+/// the layer's own [`SparseLayer::plan`].
 pub fn simulate_memory(
     arch: Arch,
     layer: &SparseLayer,
     cfg: &HwConfig,
     fmt: FormatOverride,
 ) -> MemoryResult {
-    simulate_memory_on(arch.model(), layer, &BlockPlan::build(layer), cfg, fmt)
+    simulate_memory_on(arch.model(), layer, layer.plan(), cfg, fmt)
 }
 
 /// Simulates the memory side against any [`ArchModel`] — registry builtin

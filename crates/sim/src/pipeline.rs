@@ -17,7 +17,6 @@ use crate::compute::{simulate_compute_on, SchedulePolicy};
 use crate::config::HwConfig;
 use crate::layer::{LayerWeights, PruneKey, SparseLayer};
 use crate::memory::{simulate_memory_on, FormatOverride};
-use crate::plan::BlockPlan;
 use crate::result::{CycleBreakdown, LayerResult, ModelResult};
 
 /// Elements the codec ingests per cycle: it is provisioned at twice the
@@ -79,9 +78,10 @@ pub fn simulate_layer_with(
 }
 
 /// Simulates one layer against any [`ArchModel`] — a registry builtin or
-/// a user-submitted spec; the builtin shorthands all funnel here. Builds
-/// the layer's [`BlockPlan`] once and shares it across the compute and
-/// memory models.
+/// a user-submitted spec; the builtin shorthands all funnel here. The
+/// compute and memory models read the layer's own plan
+/// ([`SparseLayer::plan`]), which is built once per pruned layer however
+/// many architectures, shapes and options simulate it.
 pub fn simulate_layer_on(
     model: &ArchModel,
     layer: &SparseLayer,
@@ -89,16 +89,16 @@ pub fn simulate_layer_on(
     opts: &SimOptions,
 ) -> LayerResult {
     cfg.validate();
-    let plan = BlockPlan::build(layer);
+    let plan = layer.plan();
     let policy = opts.policy.unwrap_or_else(|| model.native_schedule());
     let fmt = opts.format;
-    let mut comp = simulate_compute_on(model, layer, &plan, cfg, policy);
+    let mut comp = simulate_compute_on(model, layer, plan, cfg, policy);
     if fmt == FormatOverride::Int8 {
         // Each FP16 multiplier lane executes two int8 MACs per cycle, so
         // int8 weights double compute throughput (Fig. 15(b) "Q+S").
         comp.cycles = comp.cycles.div_ceil(2);
     }
-    let mem = simulate_memory_on(model, layer, &plan, cfg, fmt);
+    let mem = simulate_memory_on(model, layer, plan, cfg, fmt);
     let codec_total = codec_cycles(model, layer, fmt);
 
     let bottleneck = comp.cycles.max(mem.cycles);

@@ -22,7 +22,8 @@
 //! every weight-stream trace from the plan's counts (SDC and CSR from
 //! `matrix_row_nnz`, the CSR block gather from the packed `row_nnz`, DDC
 //! from the per-block `nnz`) instead of re-counting or encoding the
-//! matrix.
+//! matrix. Each pruned layer owns its plan ([`SparseLayer::plan`]), so
+//! it is built once however many simulations read it.
 
 use tbstc_sparsity::SparsityDim;
 
