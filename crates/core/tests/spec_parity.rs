@@ -11,9 +11,11 @@
 //!    builtin from `GET /v1/archs` (or `tbstc-cli arch show`), tweak it,
 //!    and resubmit it as an inline spec.
 //! 2. Any *valid* spec — not just the builtin eight — round-trips
-//!    through canonical JSON byte-identically (property test).
+//!    through canonical JSON byte-identically, and keeps the simulator's
+//!    invariants (property tests).
 
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 use tbstc::archspec::{spec_from_json, spec_to_value};
 use tbstc::models::LayerShape;
 use tbstc::prelude::*;
@@ -21,7 +23,7 @@ use tbstc::sim::compute::SchedulePolicy;
 use tbstc::sim::sched::{InterBlockPolicy, IntraBlockPolicy};
 use tbstc::sim::{
     simulate_layer_on, ArchModel, ArchSpec, CodecSpec, Dataflow, DatapathKind, DenseInfoPolicy,
-    LayerResult, SimOptions, SlotTerm, REGISTRY,
+    LayerResult, LayerWeights, PruneKey, SimOptions, SlotTerm, REGISTRY,
 };
 
 const SEED: u64 = 1234;
@@ -114,33 +116,12 @@ fn interpreted_specs_are_bit_identical_to_native() {
     }
 }
 
-/// Builds a valid spec from bounded integer choices — every combination
+/// Builds a valid spec from bounded random choices — every combination
 /// this produces must pass `ArchSpec::validate`.
-#[allow(
-    clippy::too_many_arguments,
-    reason = "one parameter per proptest choice"
-)]
-fn spec_from_choices(
-    name_i: usize,
-    pattern_i: usize,
-    inter_i: usize,
-    intra_i: usize,
-    hier: usize,
-    n_terms: usize,
-    term_kind: usize,
-    group: usize,
-    mult_c: u32,
-    eff_c: u32,
-    row_frontend: usize,
-    codec_i: usize,
-    dense_info_i: usize,
-    consumes: usize,
-    bw_c: u32,
-    lanes_c: usize,
-    datapath_i: usize,
-    mac_c: u32,
-) -> ArchSpec {
-    let pattern = match pattern_i {
+fn spec_from_choices(rng: &mut TestRng) -> ArchSpec {
+    let mut draw = |range: std::ops::Range<u32>| range.sample(rng);
+    let name_i = draw(0..50);
+    let pattern = match draw(0..6) {
         0 => PatternKind::Dense,
         1 => PatternKind::Unstructured,
         2 => PatternKind::TileNm,
@@ -148,6 +129,20 @@ fn spec_from_choices(
         4 => PatternKind::RowWiseHighlight,
         _ => PatternKind::Tbs,
     };
+    let schedule = SchedulePolicy {
+        inter: if draw(0..2) == 0 {
+            InterBlockPolicy::Direct
+        } else {
+            InterBlockPolicy::SparsityAware
+        },
+        intra: if draw(0..2) == 0 {
+            IntraBlockPolicy::Naive
+        } else {
+            IntraBlockPolicy::Balanced
+        },
+    };
+    let hierarchical_scheduling = draw(0..2) != 0;
+    let (n_terms, term_kind, group) = (draw(1..4), draw(0..4), draw(1..9) as usize);
     let terms = (0..n_terms)
         .map(|i| match (term_kind + i) % 4 {
             0 => SlotTerm::Dense,
@@ -156,7 +151,13 @@ fn spec_from_choices(
             _ => SlotTerm::RatioGrouped { width: group },
         })
         .collect();
-    let codec = match codec_i {
+    let dataflow = Dataflow {
+        terms,
+        multiplier: 1.0 + f64::from(draw(0..50)) / 4.0,
+        efficiency: f64::from(draw(1..101)) / 100.0,
+    };
+    let row_frontend = draw(0..2) != 0;
+    let codec = match draw(0..7) {
         0 => CodecSpec::DenseRows,
         1 => CodecSpec::AlignedNm,
         2 => CodecSpec::GroupedSdc { group },
@@ -165,7 +166,15 @@ fn spec_from_choices(
         5 => CodecSpec::DdcOrDense,
         _ => CodecSpec::Csr,
     };
-    let datapath = match datapath_i {
+    let dense_info = match draw(0..3) {
+        0 => DenseInfoPolicy::Never,
+        1 => DenseInfoPolicy::Always,
+        _ => DenseInfoPolicy::NonTbsNative,
+    };
+    let consumes_ddc = draw(0..2) != 0;
+    let bw_c = draw(0..5);
+    let lanes_c = draw(0..5) as usize;
+    let datapath = match draw(0..8) {
         0 => DatapathKind::TensorCore,
         1 => DatapathKind::NvidiaStc,
         2 => DatapathKind::Vegeta,
@@ -180,36 +189,28 @@ fn spec_from_choices(
         display: format!("Arch {name_i}"),
         summary: "property-generated spec".into(),
         pattern,
-        schedule: SchedulePolicy {
-            inter: if inter_i == 0 {
-                InterBlockPolicy::Direct
-            } else {
-                InterBlockPolicy::SparsityAware
-            },
-            intra: if intra_i == 0 {
-                IntraBlockPolicy::Naive
-            } else {
-                IntraBlockPolicy::Balanced
-            },
-        },
-        hierarchical_scheduling: hier != 0,
-        dataflow: Dataflow {
-            terms,
-            multiplier: 1.0 + f64::from(mult_c) / 4.0,
-            efficiency: f64::from(eff_c) / 100.0,
-        },
-        row_frontend: row_frontend != 0,
+        schedule,
+        hierarchical_scheduling,
+        dataflow,
+        row_frontend,
         codec,
-        dense_info: match dense_info_i {
-            0 => DenseInfoPolicy::Never,
-            1 => DenseInfoPolicy::Always,
-            _ => DenseInfoPolicy::NonTbsNative,
-        },
-        consumes_ddc: consumes != 0,
+        dense_info,
+        consumes_ddc,
         bandwidth_gbps: (bw_c > 0).then(|| f64::from(bw_c) * 64.0 + 0.5),
         lanes: (lanes_c > 0).then_some(lanes_c * 8),
         datapath,
-        mac_energy_multiplier: 1.0 + f64::from(mac_c) / 16.0,
+        mac_energy_multiplier: 1.0 + f64::from(draw(0..20)) / 16.0,
+    }
+}
+
+/// Any valid spec ([`spec_from_choices`]).
+struct AnySpec;
+
+impl Strategy for AnySpec {
+    type Value = ArchSpec;
+
+    fn sample(&self, rng: &mut TestRng) -> ArchSpec {
+        spec_from_choices(rng)
     }
 }
 
@@ -219,35 +220,62 @@ proptest! {
     /// A valid random spec renders to canonical JSON, decodes back to an
     /// equal spec, and re-renders to the exact same bytes.
     #[test]
-    fn random_specs_round_trip_byte_identically(
-        name_i in 0usize..50,
-        pattern_i in 0usize..6,
-        inter_i in 0usize..2,
-        intra_i in 0usize..2,
-        hier in 0usize..2,
-        n_terms in 1usize..4,
-        term_kind in 0usize..4,
-        group in 1usize..9,
-        mult_c in 0u32..50,
-        eff_c in 1u32..101,
-        row_frontend in 0usize..2,
-        codec_i in 0usize..7,
-        dense_info_i in 0usize..3,
-        consumes in 0usize..2,
-        bw_c in 0u32..5,
-        lanes_c in 0usize..5,
-        datapath_i in 0usize..8,
-        mac_c in 0u32..20,
-    ) {
-        let spec = spec_from_choices(
-            name_i, pattern_i, inter_i, intra_i, hier, n_terms, term_kind, group,
-            mult_c, eff_c, row_frontend, codec_i, dense_info_i, consumes, bw_c,
-            lanes_c, datapath_i, mac_c,
-        );
+    fn random_specs_round_trip_byte_identically(spec in AnySpec) {
         prop_assert_eq!(spec.validate(), Ok(()), "generator must only emit valid specs");
         let text = spec_to_value(&spec).to_string();
         let parsed = spec_from_json(&text).expect("canonical rendering must decode");
         prop_assert_eq!(&parsed, &spec);
         prop_assert_eq!(spec_to_value(&parsed).to_string(), text);
+    }
+
+    /// The simulator's invariants hold for any valid spec, not only the
+    /// builtins, on layers sampled whole and scaled up alike: both
+    /// utilizations are ratios, energy is non-negative, the useful MACs
+    /// are the sample's non-zeros scaled to the layer times its `n`
+    /// columns, and more DRAM bandwidth never costs cycles.
+    #[test]
+    fn random_specs_keep_the_simulator_invariants(
+        spec in AnySpec,
+        seed in 0u64..1000,
+        m in 1usize..400,
+        k in 1usize..400,
+        n in 1usize..200,
+        sparsity in 0u32..=100,
+    ) {
+        let model = ArchModel::new(spec).expect("generator must only emit valid specs");
+        let shape = LayerShape {
+            name: format!("prop-{seed}"),
+            m,
+            k,
+            n,
+            repeats: 1,
+            prunable: true,
+        };
+        let key = PruneKey::new(model.native_pattern(), true, f64::from(sparsity) / 100.0);
+        let layer = LayerWeights::sample(&shape, seed, &HwConfig::paper_default())
+            .prune(key.pattern, key.target);
+        let per_sample = (m as f64 * k as f64) / (layer.sm() as f64 * layer.sk() as f64);
+        let useful = layer.sampled().count_nonzeros() as f64 * per_sample * n as f64;
+        let ctx = format!("{} on {m}x{k}x{n} at {key:?}", model.canonical_name());
+        let mut prev = u64::MAX;
+        for gbps in [32.0, 64.0, 256.0, 1024.0] {
+            let res = simulate_layer_on(
+                &model,
+                &layer,
+                &HwConfig::with_bandwidth_gbps(gbps),
+                &SimOptions::native(),
+            );
+            let ctx = format!("{ctx} at {gbps} GB/s");
+            prop_assert!((0.0..=1.0).contains(&res.compute_utilization), "{ctx}: {res:?}");
+            prop_assert!((0.0..=1.0).contains(&res.bandwidth_utilization), "{ctx}: {res:?}");
+            prop_assert!(res.energy_pj >= 0.0, "{ctx}: {res:?}");
+            prop_assert!(
+                (res.useful_macs as f64 - useful).abs() <= 1.0 + useful * 1e-12,
+                "{ctx}: {} useful MACs, not {useful}",
+                res.useful_macs
+            );
+            prop_assert!(res.cycles <= prev, "{ctx}: {} cycles after {prev}", res.cycles);
+            prev = res.cycles;
+        }
     }
 }

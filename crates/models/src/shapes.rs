@@ -37,7 +37,7 @@ impl std::fmt::Display for ModelKind {
 /// reduction dimension (paper Fig. 3 terminology), `N` the batch/spatial
 /// token count. `repeats` collapses identical layers (e.g. the 12 BERT
 /// encoder layers).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LayerShape {
     /// Layer name, e.g. `"conv2_x 3x3"` or `"ffn.fc1"`.
     pub name: String,

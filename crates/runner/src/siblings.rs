@@ -8,27 +8,29 @@
 //! layers, and ResNet-18 and ResNet-50 eight layers. Every (fresh point,
 //! layer index) pair whose layer has one key is a *sibling* of that
 //! sample, and the unit of parallel work is one sample over a chunk of its
-//! siblings: it samples the dense weights once, then prunes and simulates
-//! them for each sibling in turn.
+//! siblings: it samples the dense weights once, then prunes, measures and
+//! folds them for each sibling in turn.
 //!
 //! Siblings often prune alike: TB-STC and DVPE+FAN both prune TBS, RM-STC
 //! and SGCN both prune unstructured, STC is pinned to 4:8 and TC (like
-//! every arch on a non-prunable layer) runs dense. A task therefore walks
-//! its siblings in (key target, key pattern, shape, arch) order through
-//! one [`LayerPruner`], which prunes only when the [`PruneKey`] changes and
-//! shares the global top-k across a target's patterns. Each sibling
-//! simulates a view of the pruned layer under its own shape
-//! ([`SparseLayer::with_shape`]), which shares the pruned layer's
-//! [`tbstc_sim::BlockPlan`], so the plan is built once per pruned layer.
-//! A [`LayerResult`] is reused when the key, the shape and the arch all
-//! repeat. Nothing outlives a task, so at most one dense sample, one
-//! `Scores`, and one pruned layer plus its view and their plan are live
-//! per worker, and no weights are kept between tasks.
+//! every arch on a non-prunable layer) runs dense. And a pruned sample
+//! costs an arch the same under every real shape with the same sampled
+//! activation width: the shape only scales that cost. A task therefore
+//! walks its siblings in (key target, key pattern, arch, sampled columns)
+//! order through one [`LayerPruner`], which prunes only when the
+//! [`PruneKey`] changes and shares the global top-k across a target's
+//! patterns, and it measures one [`SampledCost`] per (prune key, arch,
+//! sampled columns), which every sibling with that key folds under its
+//! own shape ([`tbstc_sim::fold`]). The pruned layer builds its
+//! [`tbstc_sim::BlockPlan`] on first use, so the plan is built once per
+//! pruned layer. Nothing outlives a task, so at most one dense sample,
+//! one `Scores`, one pruned layer with its plan and one cost are live per
+//! worker, and no weights are kept between tasks.
 //!
 //! Every per-point result comes from the same steps as
-//! [`tbstc_sim::simulate_model_on`] (sample, key and prune, simulate the
-//! layer, fold the layers in order), so results are bit-identical to
-//! simulating each point on its own.
+//! [`tbstc_sim::simulate_model_on`] (sample, key and prune, measure and
+//! fold the layer, fold the layers in order), so results are
+//! bit-identical to simulating each point on its own.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -36,8 +38,8 @@ use std::time::{Duration, Instant};
 
 use tbstc_models::{LayerShape, Model};
 use tbstc_sim::{
-    simulate_layer_on, Arch, HwConfig, LayerPruner, LayerResult, LayerWeights, ModelResult,
-    PruneKey, SampleKey, SimOptions, SparseLayer,
+    fold, sampled_cols, Arch, HwConfig, LayerPruner, LayerResult, LayerWeights, ModelResult,
+    PruneKey, SampleKey, SampledCost, SimOptions,
 };
 
 use crate::pool::parallel_map;
@@ -125,14 +127,27 @@ impl Plan {
     fn shape(&self, (point, layer): (usize, usize)) -> &LayerShape {
         &self.models[self.model_of[point]].1.layers[layer]
     }
+
+    /// What `sibling`, a (fresh point, layer index) pair, measures on its
+    /// task's sample.
+    fn cost_key(&self, fresh: &[SimJob], sibling: (usize, usize), cfg: &HwConfig) -> CostKey {
+        let job = &fresh[sibling.0];
+        let shape = self.shape(sibling);
+        let key = PruneKey::new(job.arch.native_pattern(), shape.prunable, job.sparsity);
+        (key, job.arch, sampled_cols(shape, cfg))
+    }
 }
+
+/// What a sibling measures on its task's sample: the pruned layer, the
+/// architecture and the sampled activation columns. Siblings with equal
+/// keys fold one [`SampledCost`].
+type CostKey = (PruneKey, Arch, usize);
 
 /// Simulates every fresh point on up to `workers` threads, returning
 /// aligned with `fresh` each result and the busy time charged to it: the
-/// point's own simulate calls (or the reuse of an equal result) plus an
-/// equal share of each task's remaining time (the sampling, top-k,
-/// pruning and plan its siblings shared), so the charges sum to the
-/// tasks' busy time.
+/// point's own folds plus an equal share of each task's remaining time
+/// (the sampling, top-k, pruning, plans and measured costs its siblings
+/// shared), so the charges sum to the tasks' busy time.
 #[expect(
     clippy::expect_used,
     reason = "the plan covers every (point, layer) pair once"
@@ -145,48 +160,38 @@ pub(crate) fn simulate(
     let plan = Plan::new(fresh, cfg, workers);
     let done = parallel_map(&plan.tasks, workers, |_, task| {
         let siblings = &plan.samples[task.sample][task.siblings.clone()];
-        let mut walk: Vec<(PruneKey, &LayerShape, Arch, usize)> = siblings
+        let mut walk: Vec<(CostKey, &LayerShape, usize)> = siblings
             .iter()
             .enumerate()
-            .map(|(i, &sibling)| {
-                let job = &fresh[sibling.0];
-                let shape = plan.shape(sibling);
-                let key = PruneKey::new(job.arch.native_pattern(), shape.prunable, job.sparsity);
-                (key, shape, job.arch, i)
-            })
+            .map(|(i, &sibling)| (plan.cost_key(fresh, sibling, cfg), plan.shape(sibling), i))
             .collect();
-        walk.sort_by(|(a, s, x, _), (b, t, y, _)| {
+        walk.sort_by(|((a, x, m), ..), ((b, y, n), ..)| {
             a.target
                 .total_cmp(&b.target)
                 .then(a.pattern.cmp(&b.pattern))
-                .then_with(|| s.cmp(t))
                 .then(x.cmp(y))
+                .then(m.cmp(n))
         });
 
         // Every sibling's shape samples the same weights.
         let first = siblings[0];
         let weights = LayerWeights::sample(plan.shape(first), fresh[first.0].seed, cfg);
         let mut pruner = LayerPruner::new(&weights);
-        let mut view: Option<(PruneKey, &LayerShape, SparseLayer)> = None;
+        let mut measured: Option<(CostKey, SampledCost)> = None;
         let mut out: Vec<(usize, LayerResult, Duration)> = Vec::with_capacity(walk.len());
-        let mut last = None;
-        for (key, shape, arch, i) in walk {
-            // A stale view is dropped before the next layer is pruned.
-            let kept = view.take().filter(|(k, s, _)| (*k, *s) == (key, shape));
-            let (.., layer) = view.insert(kept.unwrap_or_else(|| {
-                let layer = pruner.prune(key).with_shape(shape, cfg);
-                // The plan is shared, so it is built outside the
-                // per-sibling timer.
-                layer.plan();
-                (key, shape, layer)
+        for (key, shape, i) in walk {
+            let kept = measured.take().filter(|(k, _)| *k == key);
+            let (_, cost) = measured.insert(kept.unwrap_or_else(|| {
+                // The cost is shared by the siblings that fold it, so it
+                // is measured outside the per-sibling timer.
+                let (prune, arch, sn) = key;
+                let layer = pruner.prune(prune);
+                let cost =
+                    SampledCost::measure(arch.model(), layer, sn, cfg, &SimOptions::native());
+                (key, cost)
             }));
             let t = Instant::now();
-            let res = match out.last() {
-                Some((_, res, _)) if last == Some((key, shape, arch)) => res.clone(),
-                _ => simulate_layer_on(arch.model(), layer, cfg, &SimOptions::native()),
-            };
-            out.push((i, res, t.elapsed()));
-            last = Some((key, shape, arch));
+            out.push((i, fold(cost, shape, cfg), t.elapsed()));
         }
         out.sort_unstable_by_key(|&(i, ..)| i);
         out.into_iter()
@@ -326,25 +331,28 @@ mod tests {
             assert_covers(&plan, &fresh);
             assert_eq!(plan.tasks.len(), 35, "on {workers} workers");
         }
-        // Each task prunes (and plans) each distinct prune key once.
+        // Each task prunes (and plans) each distinct prune key once, and
+        // measures each distinct (prune key, arch, sampled columns) once.
         let plan = Plan::new(&fresh, &cfg(), 2);
-        let prunes: usize = plan
-            .tasks
-            .iter()
-            .map(|task| {
-                let mut keys: Vec<PruneKey> = Vec::new();
-                for &(p, l) in &plan.samples[task.sample][task.siblings.clone()] {
-                    let job = &fresh[p];
-                    let prunable = plan.shape((p, l)).prunable;
-                    let key = PruneKey::new(job.arch.native_pattern(), prunable, job.sparsity);
-                    if !keys.contains(&key) {
-                        keys.push(key);
+        let distinct = |of: &dyn Fn(CostKey) -> CostKey| -> usize {
+            plan.tasks
+                .iter()
+                .map(|task| {
+                    let mut keys: Vec<CostKey> = Vec::new();
+                    for &sibling in &plan.samples[task.sample][task.siblings.clone()] {
+                        let key = of(plan.cost_key(&fresh, sibling, &cfg()));
+                        if !keys.contains(&key) {
+                            keys.push(key);
+                        }
                     }
-                }
-                keys.len()
-            })
-            .sum();
-        assert_eq!(prunes, 464);
+                    keys.len()
+                })
+                .sum()
+        };
+        assert_eq!(distinct(&|(prune, ..)| (prune, Arch::Tc, 0)), 464);
+        assert_eq!(distinct(&|key| key), 676);
+        let siblings: usize = plan.samples.iter().map(Vec::len).sum();
+        assert_eq!(siblings, 1272, "one fold per (point, layer)");
 
         let fresh = grid(&[1, 7]);
         let plan = Plan::new(&fresh, &cfg(), 2);

@@ -15,6 +15,7 @@ use crate::arch::Arch;
 use crate::archs::ArchModel;
 use crate::config::HwConfig;
 use crate::layer::SparseLayer;
+use crate::pipeline::Scale;
 use crate::plan::BlockPlan;
 use crate::sched::{self, InterBlockPolicy, IntraBlockPolicy};
 
@@ -67,7 +68,8 @@ pub fn simulate_compute(
 }
 
 /// Runs the compute model against any [`ArchModel`] — registry builtin or
-/// user-submitted spec — using a pre-built [`BlockPlan`].
+/// user-submitted spec — using a pre-built [`BlockPlan`]: the compute
+/// half of [`crate::SampledCost::measure`] and [`crate::fold`].
 pub fn simulate_compute_on(
     model: &ArchModel,
     layer: &SparseLayer,
@@ -75,39 +77,50 @@ pub fn simulate_compute_on(
     cfg: &HwConfig,
     policy: SchedulePolicy,
 ) -> ComputeResult {
-    let works = model.block_works_batch(plan);
-    let lanes = model.lanes(cfg.pe);
-    let width = cfg.lane_width();
-    let pes = lanes / width;
+    Scale::of(layer).compute(&SampledCompute::measure(model, plan, layer.sn, cfg, policy))
+}
 
-    let mut sampled_cycles =
-        sched::schedule_stream(&works, layer.sn, pes, width, policy.inter, policy.intra);
-    if model.spec().row_frontend {
-        // A per-row frontend setup (SGCN's CSR row decode), amortized
-        // over the PEs: one slot-cycle per non-empty row.
-        let rows: u64 = works.iter().map(|w| w.nonempty_rows as u64).sum();
-        sampled_cycles += rows.div_ceil(pes as u64);
-    }
+/// The compute side of a pruned sample at `sn` sampled activation
+/// columns, before any scaling to a real shape.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SampledCompute {
+    /// Scheduled cycles of the sample, SGCN's row frontend included.
+    pub(crate) cycles: u64,
+    /// Useful MAC slots of the sample: non-zeros × `sn`.
+    pub(crate) useful_macs: u64,
+    /// Issued MAC slots of the sample (useful + structural padding).
+    pub(crate) issued_macs: u64,
+    /// The architecture's multiplier lanes.
+    pub(crate) lanes: usize,
+}
 
-    let scale = layer.weight_scale() * layer.col_scale();
-    let cycles = (sampled_cycles as f64 * scale).ceil() as u64;
+impl SampledCompute {
+    /// Prices the plan's blocks and schedules them over `sn` columns.
+    pub(crate) fn measure(
+        model: &ArchModel,
+        plan: &BlockPlan,
+        sn: usize,
+        cfg: &HwConfig,
+        policy: SchedulePolicy,
+    ) -> Self {
+        let works = model.block_works_batch(plan);
+        let lanes = model.lanes(cfg.pe);
+        let width = cfg.lane_width();
+        let pes = lanes / width;
 
-    let useful_sampled: u64 = plan.total_nnz() as u64 * layer.sn as u64;
-    let issued_sampled: u64 = works.iter().map(|w| w.slots as u64).sum::<u64>() * layer.sn as u64;
-    let useful_macs = (useful_sampled as f64 * scale) as u64;
-    let issued_macs = (issued_sampled as f64 * scale) as u64;
-
-    let utilization = if cycles == 0 {
-        1.0
-    } else {
-        (useful_macs as f64) / (cycles as f64 * lanes as f64)
-    };
-
-    ComputeResult {
-        cycles,
-        useful_macs,
-        issued_macs,
-        utilization,
+        let mut cycles = sched::schedule_stream(&works, sn, pes, width, policy.inter, policy.intra);
+        if model.spec().row_frontend {
+            // A per-row frontend setup (SGCN's CSR row decode), amortized
+            // over the PEs: one slot-cycle per non-empty row.
+            let rows: u64 = works.iter().map(|w| w.nonempty_rows as u64).sum();
+            cycles += rows.div_ceil(pes as u64);
+        }
+        SampledCompute {
+            cycles,
+            useful_macs: plan.total_nnz() as u64 * sn as u64,
+            issued_macs: works.iter().map(|w| w.slots as u64).sum::<u64>() * sn as u64,
+            lanes,
+        }
     }
 }
 

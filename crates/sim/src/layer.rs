@@ -5,12 +5,13 @@
 //! simulator's per-block models only need the *block-statistics* of the
 //! pruned weights, which are stationary across a layer, so large layers
 //! are built at a sampled size and all extensive results (cycles, traffic,
-//! MACs, energy) are scaled back up by the exact element-count ratio. The
-//! sampled weights use the block-structured generator, which reproduces
-//! the local row/column heterogeneity of trained weights (see
+//! MACs, energy) are scaled back up by the exact element-count ratio
+//! ([`crate::pipeline::fold`]). The sampled weights use the
+//! block-structured generator, which reproduces the local row/column
+//! heterogeneity of trained weights (see
 //! `MatrixRng::block_structured_weights`).
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use tbstc_matrix::rng::MatrixRng;
 use tbstc_matrix::Matrix;
@@ -92,38 +93,23 @@ impl SampleKey {
     }
 }
 
-/// Sampled activation columns of `shape` under the limits in `cfg`.
-fn sampled_cols(shape: &LayerShape, cfg: &HwConfig) -> usize {
+/// Sampled activation columns of `shape` under the limits in `cfg`: the
+/// `sn` a pruned sample is measured at for that shape.
+pub fn sampled_cols(shape: &LayerShape, cfg: &HwConfig) -> usize {
     shape.n.min(cfg.sample_cols).max(1)
 }
 
-/// A pruned layer ready for simulation: sampled weights + pattern
-/// metadata + scale factors back to the real size.
-///
-/// The pruned sample, its TBS metadata and its [`BlockPlan`] are shared
-/// by every clone and every [`SparseLayer::with_shape`] view.
+/// A pruned layer ready for simulation: the real shape, the sampled
+/// weights and their pattern metadata.
 #[derive(Debug, Clone)]
 pub struct SparseLayer {
-    /// Layer name (from the workload).
-    pub name: String,
-    /// Real weight rows (independent dim).
-    pub m: usize,
-    /// Real weight cols (reduction dim).
-    pub k: usize,
-    /// Real activation columns.
-    pub n: usize,
+    /// The real layer (name and `m × k` weights by `n` activation
+    /// columns) the sample stands for.
+    pub shape: LayerShape,
     /// The pattern that produced the mask.
     pub pattern: PatternKind,
     /// Sampled B-column count used by compute models.
     pub sn: usize,
-    /// The sample the weights were pruned from.
-    key: SampleKey,
-    pruned: Arc<Pruned>,
-}
-
-/// The shape-free part of a pruned layer.
-#[derive(Debug)]
-struct Pruned {
     /// Sampled, pruned weights (`sm × sk`).
     sampled: Matrix,
     /// TBS metadata when `pattern == Tbs` (needed for DDC and the codec).
@@ -142,7 +128,6 @@ struct Pruned {
 #[derive(Debug, Clone)]
 pub struct LayerWeights {
     shape: LayerShape,
-    key: SampleKey,
     dense: Matrix,
     sn: usize,
 }
@@ -171,14 +156,8 @@ impl LayerWeights {
         LayerWeights {
             shape: shape.clone(),
             dense: rng.block_structured_weights(key.rows, key.cols, key.block),
-            key,
             sn: sampled_cols(shape, cfg),
         }
-    }
-
-    /// The layer shape the weights were sampled for.
-    pub fn shape(&self) -> &LayerShape {
-        &self.shape
     }
 
     /// Prunes the weights with `pattern` at `target` sparsity (as keyed by
@@ -240,18 +219,12 @@ impl LayerWeights {
 
     fn layer(&self, pattern: PatternKind, sampled: Matrix, tbs: Option<TbsPattern>) -> SparseLayer {
         SparseLayer {
-            name: self.shape.name.clone(),
-            m: self.shape.m,
-            k: self.shape.k,
-            n: self.shape.n,
+            shape: self.shape.clone(),
             pattern,
             sn: self.sn,
-            key: self.key.clone(),
-            pruned: Arc::new(Pruned {
-                sampled,
-                tbs,
-                plan: OnceLock::new(),
-            }),
+            sampled,
+            tbs,
+            plan: OnceLock::new(),
         }
     }
 }
@@ -300,46 +273,18 @@ impl<'w> LayerPruner<'w> {
 impl SparseLayer {
     /// The sampled pruned weight matrix.
     pub fn sampled(&self) -> &Matrix {
-        &self.pruned.sampled
+        &self.sampled
     }
 
     /// TBS metadata (present only for the TBS pattern).
     pub fn tbs(&self) -> Option<&TbsPattern> {
-        self.pruned.tbs.as_ref()
+        self.tbs.as_ref()
     }
 
     /// The layer's [`BlockPlan`], built from the pruned sample and its TBS
-    /// metadata on first use and shared by every clone and view.
+    /// metadata on first use.
     pub fn plan(&self) -> &BlockPlan {
-        self.pruned.plan.get_or_init(|| BlockPlan::build(self))
-    }
-
-    /// This pruned layer under another shape of the same [`SampleKey`]
-    /// (a layer that another model shares): the real sizes `m`, `k`, `n`
-    /// and the sampled columns `sn` come from `shape`, while the pruned
-    /// sample and its plan are shared, not pruned again.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shape` under `cfg` samples another key.
-    pub fn with_shape(&self, shape: &LayerShape, cfg: &HwConfig) -> SparseLayer {
-        let key = SampleKey::blocked(shape, self.key.seed, cfg, self.key.block);
-        assert!(
-            key == self.key,
-            "`{}` samples {key:?}, not {:?}",
-            shape.name,
-            self.key
-        );
-        SparseLayer {
-            name: shape.name.clone(),
-            m: shape.m,
-            k: shape.k,
-            n: shape.n,
-            pattern: self.pattern,
-            sn: sampled_cols(shape, cfg),
-            key,
-            pruned: Arc::clone(&self.pruned),
-        }
+        self.plan.get_or_init(|| BlockPlan::build(self))
     }
 
     /// Sampled rows.
@@ -352,31 +297,9 @@ impl SparseLayer {
         self.sampled().cols()
     }
 
-    /// Factor scaling sampled weight-extensive quantities (block walks,
-    /// A-traffic) to the real layer.
-    pub fn weight_scale(&self) -> f64 {
-        (self.m as f64 * self.k as f64) / (self.sm() as f64 * self.sk() as f64)
-    }
-
-    /// Factor scaling sampled activation-extensive quantities to the real
-    /// layer.
-    pub fn col_scale(&self) -> f64 {
-        self.n as f64 / self.sn as f64
-    }
-
     /// The sparsity the projection actually achieved on the sample.
     pub fn actual_sparsity(&self) -> f64 {
         self.sampled().sparsity()
-    }
-
-    /// Real (scaled) non-zero weight count.
-    pub fn real_nnz(&self) -> f64 {
-        self.sampled().count_nonzeros() as f64 * self.weight_scale()
-    }
-
-    /// Real useful MACs: one per non-zero weight per activation column.
-    pub fn real_useful_macs(&self) -> f64 {
-        self.real_nnz() * self.n as f64
     }
 }
 
@@ -416,8 +339,8 @@ mod tests {
         let l = build(&shape(), PatternKind::Tbs, 0.5, 1);
         assert_eq!(l.sm(), 128);
         assert_eq!(l.sk(), 128);
-        assert_eq!(l.m, 768);
-        assert!((l.weight_scale() - 36.0).abs() < 1e-9); // (768/128)²
+        assert_eq!(l.sn, 64);
+        assert_eq!((l.shape.m, l.shape.k, l.shape.n), (768, 768, 128));
     }
 
     #[test]
@@ -431,8 +354,10 @@ mod tests {
             prunable: true,
         };
         let l = build(&small, PatternKind::Unstructured, 0.5, 2);
-        assert_eq!(l.weight_scale(), 1.0);
-        assert_eq!(l.col_scale(), 1.0);
+        assert_eq!((l.sm(), l.sk(), l.sn), (64, 64, 32));
+        // The whole layer is simulated: its useful MACs are exact.
+        let res = crate::simulate_layer(crate::Arch::RmStc, &l, &HwConfig::paper_default());
+        assert_eq!(res.useful_macs, l.sampled().count_nonzeros() as u64 * 32);
     }
 
     #[test]
@@ -488,11 +413,7 @@ mod tests {
             l.sampled().as_slice().iter().map(|x| x.to_bits()).collect()
         };
         assert_eq!(got.pattern, want.pattern, "{what}");
-        assert_eq!(
-            (got.m, got.k, got.n, got.sn),
-            (want.m, want.k, want.n, want.sn),
-            "{what}"
-        );
+        assert_eq!((&got.shape, got.sn), (&want.shape, want.sn), "{what}");
         assert_eq!(bits(got), bits(want), "{what}");
         assert_eq!(got.tbs(), want.tbs(), "{what}");
     }
@@ -590,13 +511,6 @@ mod tests {
                     repeats: 1,
                     prunable: true,
                 },
-                key: SampleKey {
-                    seed,
-                    name: "replay".into(),
-                    rows,
-                    cols,
-                    block: 8,
-                },
                 dense,
                 sn: 4,
             };
@@ -622,16 +536,9 @@ mod tests {
     }
 
     #[test]
-    fn owned_plan_matches_a_fresh_build_and_views_share_it() {
+    fn owned_plan_matches_a_fresh_build() {
         let cfg = HwConfig::paper_default();
         let bert = shape();
-        // OPT's attn.q samples the same weights as BERT's, at another size.
-        let opt = LayerShape {
-            m: 4096,
-            k: 4096,
-            n: 16,
-            ..bert.clone()
-        };
         let sims = PatternKind::ALL
             .map(|kind| LayerSim::new(&bert).pattern(kind))
             .into_iter()
@@ -642,31 +549,6 @@ mod tests {
             let what = format!("{sim:?}");
             let layer = sim.sparsity(0.75).seed(9).build(&cfg);
             assert_eq!(layer.plan(), &BlockPlan::build(&layer), "{what}");
-            let view = layer.with_shape(&opt, &cfg);
-            assert!(std::ptr::eq(view.plan(), layer.plan()), "{what}");
-            assert_eq!(view.plan(), &BlockPlan::build(&view), "{what}");
-            assert_eq!(
-                (view.m, view.k, view.n, view.sn),
-                (4096, 4096, 16, 16),
-                "{what}"
-            );
-            assert_eq!(view.weight_scale(), 1024.0, "{what}");
-            assert_eq!(view.sampled(), layer.sampled(), "{what}");
-        }
-    }
-
-    #[test]
-    fn with_shape_panics_on_another_sample() {
-        let cfg = HwConfig::paper_default();
-        let layer = build(&shape(), PatternKind::Tbs, 0.5, 1);
-        let renamed = LayerShape {
-            name: "other".into(),
-            ..shape()
-        };
-        let smaller = LayerShape { m: 64, ..shape() };
-        for other in [renamed, smaller] {
-            let view = std::panic::catch_unwind(|| layer.with_shape(&other, &cfg));
-            assert!(view.is_err(), "{other:?}");
         }
     }
 
@@ -674,7 +556,8 @@ mod tests {
     fn useful_macs_scale() {
         let l = build(&shape(), PatternKind::Unstructured, 0.5, 8);
         let expect = 768.0 * 768.0 * 0.5 * 128.0;
-        let got = l.real_useful_macs();
+        let res = crate::simulate_layer(crate::Arch::RmStc, &l, &HwConfig::paper_default());
+        let got = res.useful_macs as f64;
         assert!((got / expect - 1.0).abs() < 0.05, "{got} vs {expect}");
     }
 }

@@ -23,11 +23,13 @@
 //! code that runs a user-submitted spec.
 //!
 //! The flow: describe a single-layer simulation with [`builder::LayerSim`]
-//! (shape + architecture + sparsity + seed; large layers are sampled and
-//! results scaled — see [`layer::SparseLayer::weight_scale`]), then
-//! [`builder::LayerSim::run`] (or [`pipeline::simulate_layer`] on a
+//! (shape + architecture + sparsity + seed; large layers are sampled),
+//! then [`builder::LayerSim::run`] (or [`pipeline::simulate_layer`] on a
 //! pre-built [`layer::SparseLayer`]) produces a [`result::LayerResult`]
-//! with cycles, a phase breakdown, utilizations and energy.
+//! with cycles, a phase breakdown, utilizations and energy. A simulation
+//! is two stages: [`pipeline::SampledCost::measure`] costs the pruned
+//! sample, and [`pipeline::fold`] scales that cost to the real layer
+//! shape, so layers that share a sample share one measurement.
 //!
 //! # Examples
 //!
@@ -63,10 +65,10 @@ pub use arch::{Arch, ArchId, ParseArchError};
 pub use archs::{ArchModel, REGISTRY};
 pub use builder::LayerSim;
 pub use config::HwConfig;
-pub use layer::{LayerPruner, LayerWeights, PruneKey, SampleKey, SparseLayer};
+pub use layer::{sampled_cols, LayerPruner, LayerWeights, PruneKey, SampleKey, SparseLayer};
 pub use pipeline::{
-    simulate_layer, simulate_layer_on, simulate_layer_with, simulate_model, simulate_model_on,
-    SimOptions,
+    fold, simulate_layer, simulate_layer_on, simulate_layer_with, simulate_model,
+    simulate_model_on, SampledCost, SimOptions,
 };
 pub use plan::BlockPlan;
 pub use result::{CycleBreakdown, LayerResult, ModelResult};

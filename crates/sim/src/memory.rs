@@ -11,16 +11,18 @@
 //!
 //! Activation (B) and output (D) traffic are identical across
 //! architectures (dense streams), so format differences show up purely in
-//! the A stream — replayed through the DRAM model and scaled to the real
-//! layer size.
+//! the A stream — replayed through the DRAM model on the sample and scaled
+//! to the real layer size, with the B and D streams, by
+//! [`crate::pipeline::fold`].
 
-use tbstc_dram::{DramConfig, DramModel};
+use tbstc_dram::{DramConfig, DramModel, DramResult};
 use tbstc_formats::csr;
 
 use crate::arch::Arch;
 use crate::archs::{codec_trace, ArchModel, WeightTrace};
 use crate::config::HwConfig;
 use crate::layer::SparseLayer;
+use crate::pipeline::Scale;
 use crate::plan::{BlockPlan, BLOCK};
 use crate::spec::{CodecSpec, DenseInfoPolicy};
 
@@ -64,10 +66,6 @@ impl MemoryResult {
     }
 }
 
-/// Efficiency of a perfectly sequential dense stream (pipeline gaps,
-/// refresh).
-const STREAM_EFFICIENCY: f64 = 0.95;
-
 /// Simulates the memory side of a layer on a registry architecture, on
 /// the layer's own [`SparseLayer::plan`].
 pub fn simulate_memory(
@@ -80,7 +78,8 @@ pub fn simulate_memory(
 }
 
 /// Simulates the memory side against any [`ArchModel`] — registry builtin
-/// or user-submitted spec — using a pre-built [`BlockPlan`].
+/// or user-submitted spec — using a pre-built [`BlockPlan`]: the memory
+/// half of [`crate::SampledCost::measure`] and [`crate::fold`].
 pub fn simulate_memory_on(
     model: &ArchModel,
     layer: &SparseLayer,
@@ -88,56 +87,54 @@ pub fn simulate_memory_on(
     cfg: &HwConfig,
     fmt: FormatOverride,
 ) -> MemoryResult {
-    let dram_cfg = match model.spec().bandwidth_gbps {
-        Some(gbps) => DramConfig {
-            bytes_per_cycle: gbps,
-            ..cfg.dram
-        },
-        None => cfg.dram,
-    };
+    Scale::of(layer).memory(&SampledMemory::measure(model, layer, plan, cfg, fmt), cfg)
+}
 
-    // --- Weight stream: replay the sampled trace, scale up. ---
-    let trace = a_trace(model, layer, plan, fmt);
-    let mut dram = DramModel::new(dram_cfg);
-    let a_res = dram.replay(trace.requests.iter().copied());
-    let ws = layer.weight_scale();
-    let a_cycles = (a_res.cycles as f64 * ws).ceil() as u64;
-    let a_energy = a_res.energy_pj * ws;
-    let a_bytes = a_res.useful_bytes as f64 * ws;
-    // Bandwidth utilization counts only *information* bytes: format
-    // padding (SDC) and burst waste (CSR) both show up as lost
-    // utilization — the paper's challenge-2 metric.
-    let info_sampled = info_bytes(model, layer, plan, fmt);
-    let a_util = if a_res.cycles == 0 {
-        1.0
-    } else {
-        (info_sampled / (a_res.cycles as f64 * dram_cfg.bytes_per_cycle)).min(1.0)
-    };
+/// The weight stream of a pruned sample replayed through the DRAM model,
+/// before any scaling to a real shape.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SampledMemory {
+    /// The architecture's DRAM: the platform's, at its own bandwidth if
+    /// the spec sets one.
+    pub(crate) dram: DramConfig,
+    /// The replay of the sampled weight trace.
+    pub(crate) a: DramResult,
+    /// Useful-over-peak bandwidth utilization of the weight stream.
+    pub(crate) a_bandwidth_utilization: f64,
+}
 
-    // --- Activation and output streams: dense sequential. ---
-    // B is reused across the weight row-strips; when it exceeds the
-    // on-chip buffer (half of which is reserved for weight/output
-    // double-buffering) it must be re-streamed once per additional pass,
-    // up to once per 8-row weight strip.
-    let b_once = layer.k as f64 * layer.n as f64 * 2.0;
-    let buffer_budget = (cfg.buffer_kib as f64) * 1024.0 * 0.5;
-    let max_passes = (layer.m as f64 / 8.0).ceil().max(1.0);
-    let passes = (b_once / buffer_budget).ceil().clamp(1.0, max_passes);
-    let b_bytes = b_once * passes;
-    let d_bytes = layer.m as f64 * layer.n as f64 * 2.0;
-    let bd_bytes = b_bytes + d_bytes;
-    let bd_cycles = (bd_bytes / (dram_cfg.bytes_per_cycle * STREAM_EFFICIENCY)).ceil() as u64;
-    let bd_energy = bd_bytes * dram_cfg.read_energy_pj_per_byte
-        + (bd_bytes / dram_cfg.row_bytes as f64) * dram_cfg.act_energy_pj
-        + bd_cycles as f64 * dram_cfg.background_pj_per_cycle;
-
-    MemoryResult {
-        a_bytes,
-        b_bytes,
-        d_bytes,
-        cycles: a_cycles + bd_cycles,
-        energy_pj: a_energy + bd_energy,
-        a_bandwidth_utilization: a_util,
+impl SampledMemory {
+    /// Replays the sample's weight trace in the format `fmt` selects.
+    pub(crate) fn measure(
+        model: &ArchModel,
+        layer: &SparseLayer,
+        plan: &BlockPlan,
+        cfg: &HwConfig,
+        fmt: FormatOverride,
+    ) -> Self {
+        let dram = match model.spec().bandwidth_gbps {
+            Some(gbps) => DramConfig {
+                bytes_per_cycle: gbps,
+                ..cfg.dram
+            },
+            None => cfg.dram,
+        };
+        let trace = a_trace(model, layer, plan, fmt);
+        let a = DramModel::new(dram).replay(trace.requests.iter().copied());
+        // Bandwidth utilization counts only *information* bytes: format
+        // padding (SDC) and burst waste (CSR) both show up as lost
+        // utilization — the paper's challenge-2 metric.
+        let info_sampled = info_bytes(model, layer, plan, fmt);
+        let a_bandwidth_utilization = if a.cycles == 0 {
+            1.0
+        } else {
+            (info_sampled / (a.cycles as f64 * dram.bytes_per_cycle)).min(1.0)
+        };
+        SampledMemory {
+            dram,
+            a,
+            a_bandwidth_utilization,
+        }
     }
 }
 

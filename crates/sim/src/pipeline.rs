@@ -5,18 +5,22 @@
 //! `max(compute, memory)`; codec conversion runs at the weight-fetch rate
 //! and is hidden underneath, except for the pipeline fill and any
 //! throughput shortfall, which are exposed.
+//!
+//! A simulation runs in two stages: [`SampledCost::measure`] costs the
+//! layer's pruned sample, and [`fold`] scales that cost to the real
+//! layer shape and runs the pipeline on it.
 
 use tbstc_energy::edp::EnergyBreakdown;
 use tbstc_formats::{CodecStats, CodecUnit};
-use tbstc_models::Model;
+use tbstc_models::{LayerShape, Model};
 use tbstc_sparsity::SparsityDim;
 
-use crate::arch::Arch;
+use crate::arch::{Arch, ArchId};
 use crate::archs::ArchModel;
-use crate::compute::{simulate_compute_on, SchedulePolicy};
+use crate::compute::{ComputeResult, SampledCompute, SchedulePolicy};
 use crate::config::HwConfig;
 use crate::layer::{LayerWeights, PruneKey, SparseLayer};
-use crate::memory::{simulate_memory_on, FormatOverride};
+use crate::memory::{FormatOverride, MemoryResult, SampledMemory};
 use crate::result::{CycleBreakdown, LayerResult, ModelResult};
 
 /// Elements the codec ingests per cycle: it is provisioned at twice the
@@ -26,6 +30,9 @@ use crate::result::{CycleBreakdown, LayerResult, ModelResult};
 const CODEC_ELEMS_PER_CYCLE: u64 = 64;
 /// Pipeline-fill latency of the codec at each layer start, cycles.
 const CODEC_FILL_CYCLES: u64 = 8;
+/// Efficiency of a perfectly sequential dense stream (pipeline gaps,
+/// refresh).
+const STREAM_EFFICIENCY: f64 = 0.95;
 
 /// Simulation knobs for [`simulate_layer_on`].
 ///
@@ -78,28 +85,89 @@ pub fn simulate_layer_with(
 }
 
 /// Simulates one layer against any [`ArchModel`] — a registry builtin or
-/// a user-submitted spec; the builtin shorthands all funnel here. The
-/// compute and memory models read the layer's own plan
-/// ([`SparseLayer::plan`]), which is built once per pruned layer however
-/// many architectures, shapes and options simulate it.
+/// a user-submitted spec; the builtin shorthands all funnel here. It
+/// measures the layer's pruned sample ([`SampledCost::measure`], on the
+/// layer's own [`SparseLayer::plan`]) and folds in the layer's shape
+/// ([`fold`]).
 pub fn simulate_layer_on(
     model: &ArchModel,
     layer: &SparseLayer,
     cfg: &HwConfig,
     opts: &SimOptions,
 ) -> LayerResult {
-    cfg.validate();
-    let plan = layer.plan();
-    let policy = opts.policy.unwrap_or_else(|| model.native_schedule());
-    let fmt = opts.format;
-    let mut comp = simulate_compute_on(model, layer, plan, cfg, policy);
-    if fmt == FormatOverride::Int8 {
+    fold(
+        &SampledCost::measure(model, layer, layer.sn, cfg, opts),
+        &layer.shape,
+        cfg,
+    )
+}
+
+/// Everything one architecture costs on one pruned sample at `sn` sampled
+/// activation columns, before the real shape enters: the plan's block
+/// pricing and schedule, the weight stream's DRAM replay, the codec's
+/// independent-block work and the datapath's power.
+///
+/// Every layer whose shape samples the same weights with the same `sn`
+/// folds one measurement ([`fold`]), so a sweep measures a pruned sample
+/// once per architecture, whatever the number of models sharing it.
+#[derive(Debug, Clone)]
+pub struct SampledCost {
+    arch: ArchId,
+    /// Sampled weight rows and columns.
+    sample: (usize, usize),
+    sn: usize,
+    compute: SampledCompute,
+    /// Int8 weights: each lane runs two MACs per cycle.
+    int8: bool,
+    memory: SampledMemory,
+    /// Conversion cycles of the sample's independent-dimension blocks.
+    codec_cycles: u64,
+    datapath_power_mw: f64,
+    mac_energy_scale: f64,
+}
+
+impl SampledCost {
+    /// Measures `model` on the pruned sample of `layer` at `sn` sampled
+    /// activation columns (the layer's own `sn` for its own shape, or
+    /// [`crate::sampled_cols`] of another shape with the same
+    /// [`crate::SampleKey`]). The layer's real shape is not read.
+    pub fn measure(
+        model: &ArchModel,
+        layer: &SparseLayer,
+        sn: usize,
+        cfg: &HwConfig,
+        opts: &SimOptions,
+    ) -> Self {
+        cfg.validate();
+        let plan = layer.plan();
+        let policy = opts.policy.unwrap_or_else(|| model.native_schedule());
+        SampledCost {
+            arch: model.id(),
+            sample: (layer.sm(), layer.sk()),
+            sn,
+            compute: SampledCompute::measure(model, plan, sn, cfg, policy),
+            int8: opts.format == FormatOverride::Int8,
+            memory: SampledMemory::measure(model, layer, plan, cfg, opts.format),
+            codec_cycles: codec_cycles(model, layer, opts.format),
+            datapath_power_mw: model.datapath(cfg.pe).total_power_mw(),
+            mac_energy_scale: model.spec().mac_energy_multiplier,
+        }
+    }
+}
+
+/// Scales a sampled cost to a real layer `shape` and runs the layer
+/// pipeline on it: cycles, breakdown, utilizations, traffic and energy.
+/// `cfg` is the platform the cost was measured on.
+pub fn fold(cost: &SampledCost, shape: &LayerShape, cfg: &HwConfig) -> LayerResult {
+    let scale = Scale::new(shape, cost.sample, cost.sn);
+    let mut comp = scale.compute(&cost.compute);
+    if cost.int8 {
         // Each FP16 multiplier lane executes two int8 MACs per cycle, so
         // int8 weights double compute throughput (Fig. 15(b) "Q+S").
         comp.cycles = comp.cycles.div_ceil(2);
     }
-    let mem = simulate_memory_on(model, layer, plan, cfg, fmt);
-    let codec_total = codec_cycles(model, layer, fmt);
+    let mem = scale.memory(&cost.memory, cfg);
+    let codec_total = scale.weight(cost.codec_cycles);
 
     let bottleneck = comp.cycles.max(mem.cycles);
     let codec_exposed = if codec_total == 0 {
@@ -120,15 +188,15 @@ pub fn simulate_layer_on(
         macs: comp.issued_macs,
         buffer_bytes: mem.total_bytes() as u64,
         cycles,
-        datapath_power_mw: model.datapath(cfg.pe).total_power_mw(),
+        datapath_power_mw: cost.datapath_power_mw,
         active_fraction: comp.utilization,
         dram_energy_pj: mem.energy_pj,
-        mac_energy_scale: model.spec().mac_energy_multiplier,
+        mac_energy_scale: cost.mac_energy_scale,
     };
 
     LayerResult {
-        name: layer.name.clone(),
-        arch: model.id(),
+        name: shape.name.clone(),
+        arch: cost.arch.clone(),
         cycles,
         breakdown,
         useful_macs: comp.useful_macs,
@@ -136,6 +204,93 @@ pub fn simulate_layer_on(
         bandwidth_utilization: mem.a_bandwidth_utilization,
         traffic_bytes: mem.total_bytes(),
         energy_pj: energy.total_pj(),
+    }
+}
+
+/// How a sample's quantities scale to a real layer shape — the one place
+/// that knows. Weight-extensive quantities (block walks, the weight
+/// stream, codec work) scale by the element-count ratio
+/// `(m·k) / (sm·sk)`, activation-extensive ones by `n / sn` on top, and
+/// the dense activation and output streams follow `m`, `k` and `n`
+/// directly.
+pub(crate) struct Scale<'s> {
+    shape: &'s LayerShape,
+    weight: f64,
+    col: f64,
+}
+
+impl<'s> Scale<'s> {
+    fn new(shape: &'s LayerShape, (sm, sk): (usize, usize), sn: usize) -> Self {
+        Scale {
+            shape,
+            weight: (shape.m as f64 * shape.k as f64) / (sm as f64 * sk as f64),
+            col: shape.n as f64 / sn as f64,
+        }
+    }
+
+    /// The scale from `layer`'s sample to its own shape.
+    pub(crate) fn of(layer: &'s SparseLayer) -> Self {
+        Self::new(&layer.shape, (layer.sm(), layer.sk()), layer.sn)
+    }
+
+    /// Sampled weight-extensive cycles, scaled up.
+    fn weight(&self, sampled: u64) -> u64 {
+        (sampled as f64 * self.weight).ceil() as u64
+    }
+
+    pub(crate) fn compute(&self, c: &SampledCompute) -> ComputeResult {
+        let scale = self.weight * self.col;
+        let cycles = (c.cycles as f64 * scale).ceil() as u64;
+        let useful_macs = (c.useful_macs as f64 * scale) as u64;
+        let issued_macs = (c.issued_macs as f64 * scale) as u64;
+        let utilization = if cycles == 0 {
+            1.0
+        } else {
+            (useful_macs as f64) / (cycles as f64 * c.lanes as f64)
+        };
+        ComputeResult {
+            cycles,
+            useful_macs,
+            issued_macs,
+            utilization,
+        }
+    }
+
+    pub(crate) fn memory(&self, mem: &SampledMemory, cfg: &HwConfig) -> MemoryResult {
+        let dram = &mem.dram;
+        let a_cycles = self.weight(mem.a.cycles);
+        let a_energy = mem.a.energy_pj * self.weight;
+        let a_bytes = mem.a.useful_bytes as f64 * self.weight;
+
+        // B is reused across the weight row-strips; when it exceeds the
+        // on-chip buffer (half of which is reserved for weight/output
+        // double-buffering) it must be re-streamed once per additional
+        // pass, up to once per 8-row weight strip.
+        let (m, k, n) = (
+            self.shape.m as f64,
+            self.shape.k as f64,
+            self.shape.n as f64,
+        );
+        let b_once = k * n * 2.0;
+        let buffer_budget = (cfg.buffer_kib as f64) * 1024.0 * 0.5;
+        let max_passes = (m / 8.0).ceil().max(1.0);
+        let passes = (b_once / buffer_budget).ceil().clamp(1.0, max_passes);
+        let b_bytes = b_once * passes;
+        let d_bytes = m * n * 2.0;
+        let bd_bytes = b_bytes + d_bytes;
+        let bd_cycles = (bd_bytes / (dram.bytes_per_cycle * STREAM_EFFICIENCY)).ceil() as u64;
+        let bd_energy = bd_bytes * dram.read_energy_pj_per_byte
+            + (bd_bytes / dram.row_bytes as f64) * dram.act_energy_pj
+            + bd_cycles as f64 * dram.background_pj_per_cycle;
+
+        MemoryResult {
+            a_bytes,
+            b_bytes,
+            d_bytes,
+            cycles: a_cycles + bd_cycles,
+            energy_pj: a_energy + bd_energy,
+            a_bandwidth_utilization: mem.a_bandwidth_utilization,
+        }
     }
 }
 
@@ -182,9 +337,9 @@ pub fn simulate_model_on(
     ModelResult::from_layers(arch_model.id(), model, layers)
 }
 
-/// Conversion cycles the codec needs for the layer's weight stream
-/// (scaled to real size). Only DDC-consuming architectures convert, and
-/// only independent-dimension blocks need it (Fig. 9(a) vs 9(b)).
+/// Conversion cycles the codec needs for the sample's weight stream. Only
+/// DDC-consuming architectures convert, and only independent-dimension
+/// blocks need it (Fig. 9(a) vs 9(b)).
 fn codec_cycles(model: &ArchModel, layer: &SparseLayer, fmt: FormatOverride) -> u64 {
     if !model.spec().consumes_ddc || !matches!(fmt, FormatOverride::Native | FormatOverride::Int8) {
         return 0;
@@ -200,8 +355,7 @@ fn codec_cycles(model: &ArchModel, layer: &SparseLayer, fmt: FormatOverride) -> 
             indep_elems += mask.block_view(r0, c0, m, m).count_kept() as u64;
         }
     }
-    let sampled = indep_elems.div_ceil(CODEC_ELEMS_PER_CYCLE);
-    (sampled as f64 * layer.weight_scale()).ceil() as u64
+    indep_elems.div_ceil(CODEC_ELEMS_PER_CYCLE)
 }
 
 /// Detailed codec statistics for one layer's sampled blocks (used by the
