@@ -84,9 +84,40 @@ fn bench_simulate(c: &mut Criterion) {
     });
 }
 
+/// One sample's prunes as a paper-grid task walks them: every distinct
+/// key of the eight archs at 50 / 75 / 87.5 % (14 of them), in (target,
+/// pattern) order, through one pruner.
+fn bench_layer_pruner(c: &mut Criterion) {
+    use tbstc::sim::{LayerPruner, LayerWeights, PruneKey};
+
+    let cfg = HwConfig::paper_default();
+    let shape = tbstc::models::bert_base(128).layers[0].clone();
+    let weights = LayerWeights::sample(&shape, 1, &cfg);
+    let mut keys: Vec<PruneKey> = [0.5, 0.75, 0.875]
+        .into_iter()
+        .flat_map(|t| Arch::ALL.map(|arch| PruneKey::new(arch.native_pattern(), true, t)))
+        .collect();
+    keys.sort_by(|a, b| {
+        a.target
+            .total_cmp(&b.target)
+            .then(a.pattern.cmp(&b.pattern))
+    });
+    keys.dedup();
+    assert_eq!(keys.len(), 14, "a paper task prunes 14 keys");
+    c.bench_function("layer_pruner_paper_walk_128x128", |b| {
+        b.iter(|| {
+            let mut pruner = LayerPruner::new(black_box(&weights));
+            for &key in &keys {
+                black_box(pruner.prune(key));
+            }
+        })
+    });
+}
+
 criterion_group!(
     name = kernels;
     config = Criterion::default().sample_size(20);
-    targets = bench_sparsify, bench_formats, bench_codec, bench_dram, bench_gemm, bench_simulate
+    targets = bench_sparsify, bench_formats, bench_codec, bench_dram, bench_gemm, bench_simulate,
+        bench_layer_pruner
 );
 criterion_main!(kernels);

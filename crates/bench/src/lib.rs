@@ -34,15 +34,6 @@ pub fn paper_vs_measured(claim: &str, paper: f64, measured: f64) {
     );
 }
 
-/// Formats a slice of `(label, value)` pairs as one aligned row.
-pub fn print_row(label: &str, values: &[f64], width: usize, precision: usize) {
-    print!("  {label:<16}");
-    for v in values {
-        print!("{v:>width$.precision$}");
-    }
-    println!();
-}
-
 /// Geometric mean re-export for the harnesses.
 pub use tbstc::experiments::geomean;
 

@@ -132,11 +132,6 @@ impl DramResult {
         }
         self.row_hits as f64 / total as f64
     }
-
-    /// Energy in millijoules.
-    pub fn energy_mj(&self) -> f64 {
-        self.energy_pj * 1e-9
-    }
 }
 
 /// The replayable DRAM channel model.

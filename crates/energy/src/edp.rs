@@ -61,11 +61,6 @@ impl EnergyBreakdown {
     pub fn total_pj(&self) -> f64 {
         self.compute_pj() + self.buffer_pj() + self.datapath_pj() + self.dram_energy_pj
     }
-
-    /// Total energy in millijoules.
-    pub fn total_mj(&self) -> f64 {
-        self.total_pj() * 1e-9
-    }
 }
 
 /// A `(delay, energy)` point with EDP helpers — one run of one

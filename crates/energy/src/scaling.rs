@@ -93,13 +93,6 @@ pub fn energy_factor(from: Node, to: Node) -> f64 {
     to.energy_per_op() / from.energy_per_op()
 }
 
-/// Multiplier converting power at equal clock frequency.
-///
-/// At a fixed frequency, power scales like energy per op.
-pub fn power_factor(from: Node, to: Node) -> f64 {
-    energy_factor(from, to)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

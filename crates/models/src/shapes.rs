@@ -102,11 +102,6 @@ impl Model {
             .map(|l| l.weight_elems() * l.repeats as u64)
             .sum()
     }
-
-    /// Layers eligible for pruning.
-    pub fn prunable_layers(&self) -> impl Iterator<Item = &LayerShape> {
-        self.layers.iter().filter(|l| l.prunable)
-    }
 }
 
 /// ResNet-50 lowered to GEMMs at `input` × `input` resolution (224 for

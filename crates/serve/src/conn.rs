@@ -180,18 +180,25 @@ impl RequestParser {
     }
 
     /// Cap checks that apply while the head terminator has not arrived.
+    /// Each fails only once no later bytes can bring the head within its
+    /// cap, so a request split across reads meets the caps it meets in
+    /// one read.
     fn check_caps_without_head(&self) -> Parsed {
+        // A request line within its cap ends in a CRLF starting at most
+        // MAX_REQUEST_LINE_BYTES in.
+        let line_span = MAX_REQUEST_LINE_BYTES + 2;
         let line_done = self
             .buf
-            .get(..MAX_REQUEST_LINE_BYTES.min(self.buf.len()))
+            .get(..line_span.min(self.buf.len()))
             .is_some_and(|head| head.windows(2).any(|w| w == b"\r\n"));
-        if !line_done && self.buf.len() > MAX_REQUEST_LINE_BYTES {
+        if !line_done && self.buf.len() >= line_span {
             return Parsed::Bad {
                 status: 431,
                 message: format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"),
             };
         }
-        if self.buf.len() > MAX_HEAD_BYTES {
+        // The terminator may still start in the last three bytes.
+        if self.buf.len() > MAX_HEAD_BYTES + 3 {
             return Parsed::Bad {
                 status: 431,
                 message: format!("request head exceeds {MAX_HEAD_BYTES} bytes"),
@@ -552,6 +559,142 @@ mod tests {
             }
         }
         out
+    }
+
+    /// What a parse step tells the connection: a request (with what it
+    /// routes on), a rejection status, or that it needs more bytes.
+    #[derive(Debug, PartialEq)]
+    enum Outcome {
+        Request {
+            method: String,
+            path: String,
+            headers: Vec<(String, String)>,
+            body: Vec<u8>,
+            keep_alive: bool,
+        },
+        Bad(u16),
+        NeedMore,
+    }
+
+    /// Feeds `input` in the pieces cut at `splits` (ascending offsets),
+    /// pulling every request each piece completes, as a connection does;
+    /// the outcomes up to the first rejection, then the parser's last
+    /// word.
+    fn outcomes(input: &[u8], splits: &[usize]) -> Vec<Outcome> {
+        let mut parser = RequestParser::new();
+        let mut out = Vec::new();
+        let mut from = 0;
+        for &to in splits.iter().chain([&input.len()]) {
+            parser.feed(&input[from..to]);
+            from = to;
+            loop {
+                match parser.next_request() {
+                    Parsed::NeedMore => break,
+                    Parsed::Bad { status, .. } => {
+                        out.push(Outcome::Bad(status));
+                        return out;
+                    }
+                    Parsed::Request {
+                        request,
+                        keep_alive,
+                    } => out.push(Outcome::Request {
+                        method: request.method,
+                        path: request.path,
+                        headers: request.headers,
+                        body: request.body,
+                        keep_alive,
+                    }),
+                }
+            }
+        }
+        out.push(Outcome::NeedMore);
+        out
+    }
+
+    /// A request whose request line is `line_len` bytes long and whose
+    /// head (terminator excluded) is at least `head_len` bytes long.
+    fn request_at_caps(line_len: usize, head_len: usize) -> Vec<u8> {
+        let mut raw = b"GET /".to_vec();
+        raw.resize(line_len.saturating_sub(9).max(5), b'a');
+        raw.extend_from_slice(b" HTTP/1.1");
+        let mut pad = 0;
+        while raw.len() < head_len {
+            let header = format!("\r\nX-Pad-{pad}: ");
+            raw.extend_from_slice(header.as_bytes());
+            let fill = head_len.saturating_sub(raw.len()).min(1000);
+            raw.resize(raw.len() + fill, b'p');
+            pad += 1;
+        }
+        raw.extend_from_slice(b"\r\n\r\n");
+        raw
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn split_reads_parse_like_one_read(
+            kind in 0usize..4,
+            pick in 0usize..10_000,
+            bytes in proptest::collection::vec(0u8..=255, 0..160),
+            splits in proptest::collection::vec((0usize..3, 0usize..20_000), 0..8),
+        ) {
+            // Arbitrary bytes; bytes over an HTTP alphabet; valid
+            // pipelined requests with arbitrary bytes appended; and
+            // requests whose request line or head sits within a few bytes
+            // of its cap. Cut anywhere, with cuts drawn near both caps, a
+            // stream parses to what it parses to in one read, never
+            // panics, and is rejected only with 400, 413 or 431.
+            const ALPHABET: &[u8] = b"\r\n\r\n: GET POST /v1 HTTP/1.1 Content-Length: 3\r\nConnection: close";
+            const VALID: [&str; 4] = [
+                "GET /healthz HTTP/1.1\r\n\r\n",
+                "POST /v1/jobs HTTP/1.1\r\nContent-Length: 5\r\nHost: x\r\n\r\nhello",
+                "GET /metrics HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+                "POST /v1/jobs HTTP/1.1\r\nConnection: close\r\nContent-Length: 0\r\n\r\n",
+            ];
+            let input: Vec<u8> = match kind {
+                0 => bytes,
+                1 => bytes.iter().map(|&b| ALPHABET[usize::from(b) % ALPHABET.len()]).collect(),
+                2 => {
+                    let mut raw = Vec::new();
+                    for i in 0..=pick % 3 {
+                        raw.extend_from_slice(VALID[(pick / 3 + i) % VALID.len()].as_bytes());
+                    }
+                    raw.extend_from_slice(&bytes);
+                    raw
+                }
+                _ => {
+                    let delta = pick % 7;
+                    let mut raw = if pick / 7 % 2 == 0 {
+                        request_at_caps(MAX_REQUEST_LINE_BYTES + delta - 3, 0)
+                    } else {
+                        request_at_caps(16, MAX_HEAD_BYTES + delta - 3)
+                    };
+                    raw.extend_from_slice(&bytes);
+                    raw
+                }
+            };
+            let mut cuts: Vec<usize> = splits
+                .iter()
+                .map(|&(near, off)| match near {
+                    0 => off,
+                    1 => MAX_REQUEST_LINE_BYTES - 4 + off % 9,
+                    _ => MAX_HEAD_BYTES - 4 + off % 9,
+                })
+                .map(|cut| cut % (input.len() + 1))
+                .collect();
+            cuts.sort_unstable();
+            cuts.dedup();
+            let whole = outcomes(&input, &[]);
+            proptest::prop_assert_eq!(&outcomes(&input, &cuts), &whole, "cuts {:?}", cuts);
+            if input.len() <= 512 {
+                let every: Vec<usize> = (1..input.len()).collect();
+                proptest::prop_assert_eq!(&outcomes(&input, &every), &whole, "byte by byte");
+            }
+            if let Some(Outcome::Bad(status)) = whole.last() {
+                proptest::prop_assert!([400, 413, 431].contains(status), "{}", status);
+            }
+        }
     }
 
     #[test]

@@ -88,11 +88,6 @@ impl LayerSim {
         self
     }
 
-    /// The architecture this simulation targets.
-    pub fn target_arch(&self) -> Arch {
-        self.arch
-    }
-
     /// The pattern the layer will be pruned with.
     pub fn effective_pattern(&self) -> PatternKind {
         self.pattern.unwrap_or_else(|| self.arch.native_pattern())

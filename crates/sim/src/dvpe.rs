@@ -377,4 +377,52 @@ mod tests {
         assert!(out.is_empty());
         assert_eq!(trace.issues, 0);
     }
+
+    proptest::proptest! {
+        #[test]
+        fn issue_counts_match_the_analytical_intra_block_model(
+            seed in 0u64..1000,
+            width in 1usize..=8,
+            empty_pct in 0usize..100,
+        ) {
+            // A random 8 × 8 independent-dimension block with at most
+            // `width` elements per computation row, its elements in a
+            // random order: the balanced packer issues what
+            // `intra_block_cycles` charges under `Balanced`, and the naive
+            // one what it charges under `Naive`.
+            use crate::sched::{intra_block_cycles, BlockWork, IntraBlockPolicy};
+            let mut rng = MatrixRng::seed_from(seed);
+            let mut ops = Vec::new();
+            let mut nonempty_rows = 0;
+            for row in 0..8 {
+                let count = if rng.index(100) < empty_pct { 0 } else { 1 + rng.index(width) };
+                nonempty_rows += usize::from(count > 0);
+                ops.extend((0..count).map(|_| LaneOp {
+                    a: rng.standard_normal(),
+                    b: rng.standard_normal(),
+                    row,
+                }));
+            }
+            for i in (1..ops.len()).rev() {
+                ops.swap(i, rng.index(i + 1));
+            }
+            let work = BlockWork {
+                slots: ops.len(),
+                nonempty_rows,
+                independent_dim: true,
+            };
+            let balanced = pack_issues(ops.clone(), width);
+            let naive = pack_issues_naive(ops, width);
+            proptest::prop_assert_eq!(
+                balanced.len() as u64,
+                intra_block_cycles(&work, IntraBlockPolicy::Balanced, width),
+                "{:?}", work
+            );
+            proptest::prop_assert_eq!(
+                naive.len() as u64,
+                intra_block_cycles(&work, IntraBlockPolicy::Naive, width),
+                "{:?}", work
+            );
+        }
+    }
 }

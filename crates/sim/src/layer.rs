@@ -233,12 +233,13 @@ impl LayerWeights {
 /// equal to the previous one returns the previous layer, and every prune
 /// projects from one [`Scores`] value of the sample, which keeps the
 /// global top-k at the last target (unstructured, RS-V and TBS start from
-/// it) and the tile ranks (4:8, RS-V, RS-H and TBS read them). Fed keys
-/// sorted by (target, pattern), it prunes each distinct key once and
-/// takes each target's top-k once.
+/// it), the tile ranks (4:8, RS-V, RS-H and TBS read them) and the row
+/// and block masses (RS-V and TBS weigh their rows and blocks by them).
+/// Fed keys sorted by (target, pattern), it prunes each distinct key once
+/// and takes each target's top-k once.
 ///
-/// It holds at most one top-k, one tile-rank map and one pruned layer;
-/// nothing outlives it. Any order of keys gives the same layers as
+/// It holds at most one top-k, one tile-rank map, one set of masses and
+/// one pruned layer; nothing outlives it. Any order of keys gives the same layers as
 /// [`LayerWeights::prune`].
 #[derive(Debug)]
 pub struct LayerPruner<'w> {

@@ -17,7 +17,8 @@
 //!
 //! Each pattern projects from a [`Scores`] value, which holds what the
 //! projections of one score matrix share: its absolute values, the global
-//! top-k at a target and the tile-rank map (see [`scores`]).
+//! top-k at a target, the tile-rank map and the row and block importance
+//! masses (see [`scores`]).
 //!
 //! Supporting analyses:
 //!

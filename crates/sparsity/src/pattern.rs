@@ -183,11 +183,7 @@ impl Pattern for TileNm {
     fn project_scores(&self, scores: &mut Scores, target: f64) -> Mask {
         let n = self.n.min(self.n_for(target));
         let (abs, ranks) = scores.ranks(self.m, false);
-        let mut mask = Mask::none(abs.rows(), abs.cols());
-        for r in 0..abs.rows() {
-            keep_row_tiles(abs, ranks, r, self.m, n, &mut mask);
-        }
-        mask
+        keep_every_tile(abs, ranks, self.m, n)
     }
 }
 
@@ -234,7 +230,7 @@ impl Pattern for RowWiseVegeta {
     }
 
     fn project_scores(&self, scores: &mut Scores, target: f64) -> Mask {
-        let (abs, top_k, ranks) = scores.ranked_top_k(target, self.m, false);
+        let (abs, top_k, ranks, masses) = scores.ranked_top_k(target, self.m, false);
         let (rows, cols) = abs.shape();
         // Per-row N (as an index into the candidates) matching the row's
         // unstructured density, then adjusted towards the target kept
@@ -245,18 +241,13 @@ impl Pattern for RowWiseVegeta {
                 nearest(&self.candidates, density, self.m)
             })
             .collect();
-        let row_mass = || {
-            (0..rows)
-                .map(|r| abs.row(r).iter().map(|&x| f64::from(x)).sum())
-                .collect()
-        };
         let tiles_per_row = cols.div_ceil(self.m);
         adjust_to_target(
             &mut row_cand,
             &self.candidates,
             tiles_per_row,
             top_k.keep_total,
-            row_mass,
+            || masses.rows(abs),
         );
 
         let mut mask = Mask::none(rows, cols);
@@ -382,7 +373,13 @@ impl Pattern for RowWiseHighlight {
             })
             .expect("configs non-empty");
         let (abs, ranks) = scores.ranks(self.m, false);
-        self.keep_ranked_tiles(abs, ranks, tiles_kept, n)
+        if tiles_kept < self.group {
+            self.keep_ranked_tiles(abs, ranks, tiles_kept, n)
+        } else {
+            // Keeping every tile of each group (as at the paper's
+            // targets) keeps them whatever their masses.
+            keep_every_tile(abs, ranks, self.m, n)
+        }
     }
 }
 
@@ -400,8 +397,19 @@ impl Pattern for Tbs {
     }
 }
 
+/// The top `n` of `|scores|` in every `m`-wide tile of every row, read
+/// from the tile `ranks` of `scores` at `m`.
+fn keep_every_tile(scores: &Matrix, ranks: &TileRanks, m: usize, n: usize) -> Mask {
+    let mut mask = Mask::none(scores.rows(), scores.cols());
+    for r in 0..scores.rows() {
+        keep_row_tiles(scores, ranks, r, m, n, &mut mask);
+    }
+    mask
+}
+
 /// Keeps the top `n` of `|scores|` in every `m`-wide tile of row `r`
-/// (the last tile may be narrower), read from the row's tile `ranks`.
+/// (the last tile may be narrower), read from the row's tile `ranks`:
+/// in one pass over the row when every tile is ranked.
 fn keep_row_tiles(
     scores: &Matrix,
     ranks: &TileRanks,
@@ -411,12 +419,18 @@ fn keep_row_tiles(
     mask: &mut Mask,
 ) {
     let out = mask.row_mut(r);
-    for ((tile, ranks), out) in scores
-        .row(r)
-        .chunks(m)
-        .zip(ranks.row(r).chunks(m))
-        .zip(out.chunks_mut(m))
-    {
+    if ranks.any_unranked() {
+        keep_tiles(scores.row(r), ranks.row(r), m, n, out);
+    } else {
+        // A ranked tile keeps `{i : rank_i < n}`, so one pass keeps them all.
+        select::keep_ranked(ranks.row(r), n, out);
+    }
+}
+
+/// Marks the top `n` of every `m`-wide tile of `row` (absolute scores) in
+/// `out` (all `false` on entry), one tile at a time from their `ranks`.
+fn keep_tiles(row: &[f32], ranks: &[u8], m: usize, n: usize, out: &mut [bool]) {
+    for ((tile, ranks), out) in row.chunks(m).zip(ranks.chunks(m)).zip(out.chunks_mut(m)) {
         select::keep_tile(tile, ranks, n, out);
     }
 }
@@ -455,12 +469,12 @@ pub(crate) fn nearest(candidates: &[usize], density: f64, m: usize) -> usize {
 /// closer the unit with the most (when increasing) or least (when
 /// decreasing) importance mass, the first such unit on a tie. `mass`
 /// gives every unit's mass, and is called only when the count is off.
-pub(crate) fn adjust_to_target(
+pub(crate) fn adjust_to_target<'m>(
     chosen: &mut [usize],
     candidates: &[usize],
     lanes: usize,
     keep_total: usize,
-    mass: impl FnOnce() -> Vec<f64>,
+    mass: impl FnOnce() -> &'m [f64],
 ) {
     let kept_of = |i: usize| (candidates[i] * lanes) as i64;
     let mut total: i64 = chosen.iter().map(|&i| kept_of(i)).sum();
@@ -701,6 +715,18 @@ mod tests {
         mask
     }
 
+    /// A `rows × cols` matrix of ties, both zeros and negatives (and NaN
+    /// when `nan`) mixed with Gaussian draws.
+    fn special_weights(seed: u64, rows: usize, cols: usize, nan: bool) -> Matrix {
+        const ALPHABET: [f32; 7] = [0.0, -0.0, 1.0, -1.0, 0.25, -4.0, f32::NAN];
+        let mut rng = MatrixRng::seed_from(seed);
+        let pick = if nan { 7 } else { 6 };
+        Matrix::from_fn(rows, cols, |_, _| match rng.index(pick + 2) {
+            i if i < pick => ALPHABET[i],
+            _ => rng.standard_normal(),
+        })
+    }
+
     /// The per-tile comparator sort TS and RS-V used for `n` per tile.
     fn tile_oracle(scores: &Matrix, m: usize, row_cand: impl Fn(usize) -> usize) -> Mask {
         let abs = scores.map(f32::abs);
@@ -733,13 +759,7 @@ mod tests {
         ) {
             // Ties, both zeros and negatives (plus NaN in a quarter of the
             // cases) over ragged shapes.
-            const ALPHABET: [f32; 7] = [0.0, -0.0, 1.0, -1.0, 0.25, -4.0, f32::NAN];
-            let mut rng = MatrixRng::seed_from(seed);
-            let pick = if nan == 0 { 7 } else { 6 };
-            let w = Matrix::from_fn(rows, cols, |_, _| match rng.index(pick + 2) {
-                i if i < pick => ALPHABET[i],
-                _ => rng.standard_normal(),
-            });
+            let w = special_weights(seed, rows, cols, nan == 0);
             for n in 0..=8 {
                 proptest::prop_assert_eq!(
                     TileNm::new(n, 8).project(&w, 0.0),
@@ -770,14 +790,8 @@ mod tests {
             // shapes, against the per-tile comparator sorts; NaN tiles
             // (a quarter of the cases) only up to width 16, where the
             // comparator sort cannot panic.
-            const ALPHABET: [f32; 7] = [0.0, -0.0, 1.0, -1.0, 0.25, -4.0, f32::NAN];
             let m = [4, 8, 16, 32][width];
-            let mut rng = MatrixRng::seed_from(seed);
-            let pick = if nan == 0 && m <= 16 { 7 } else { 6 };
-            let w = Matrix::from_fn(rows, cols, |_, _| match rng.index(pick + 2) {
-                i if i < pick => ALPHABET[i],
-                _ => rng.standard_normal(),
-            });
+            let w = special_weights(seed, rows, cols, nan == 0 && m <= 16);
             for n in [0, 1, m / 2, m - 1, m] {
                 proptest::prop_assert_eq!(
                     TileNm::new(n, m).project(&w, 0.0),
@@ -798,18 +812,102 @@ mod tests {
         }
 
         #[test]
+        fn whole_row_keeps_match_per_tile_keeps(
+            seed in 0u64..1000,
+            rows in 1usize..24,
+            cols in 1usize..72,
+            width in 0usize..4,
+            target_pct in 0u32..=100,
+            nan in 0usize..4,
+        ) {
+            // TS at every N and RS-V at a random target, at tile widths 4,
+            // 8, 16 and 32 over ragged shapes with ties, ±0 and (in a
+            // quarter of the cases) NaN: a whole-row keep marks what the
+            // tile-by-tile `keep_tile` path marks.
+            let m = [4, 8, 16, 32][width];
+            let w = special_weights(seed, rows, cols, nan == 0);
+            let mut scores = Scores::new(&w);
+            let (abs, ranks) = scores.ranks(m, false);
+            let per_tile = |row_n: &dyn Fn(usize) -> usize| {
+                let mut mask = Mask::none(rows, cols);
+                for r in 0..rows {
+                    keep_tiles(abs.row(r), ranks.row(r), m, row_n(r), mask.row_mut(r));
+                }
+                mask
+            };
+            for n in 0..=m {
+                let whole = keep_every_tile(abs, ranks, m, n);
+                let want = per_tile(&|_| n);
+                proptest::prop_assert_eq!(&whole, &want, "m={} n={}", m, n);
+                let ts = TileNm::new(n, m).project(&w, 0.0);
+                proptest::prop_assert_eq!(&ts, &want, "TS m={} n={}", m, n);
+            }
+            // RS-V keeps one N per row: the count its first tile keeps.
+            let mut ladder = vec![0, 1];
+            while ladder[ladder.len() - 1] < m {
+                ladder.push(2 * ladder[ladder.len() - 1]);
+            }
+            let target = f64::from(target_pct) / 100.0;
+            let mask = RowWiseVegeta::new(m, ladder).project(&w, target);
+            let row_n: Vec<usize> = (0..rows)
+                .map(|r| mask.row(r)[..m.min(cols)].iter().filter(|&&k| k).count())
+                .collect();
+            let want = per_tile(&|r| row_n[r]);
+            proptest::prop_assert_eq!(&mask, &want, "RS-V m={} at {}", m, target);
+        }
+
+        #[test]
+        fn highlight_keeping_every_tile_matches_ranked_tiles(
+            seed in 0u64..1000,
+            rows in 1usize..24,
+            cols in 1usize..72,
+            width in 0usize..4,
+            group in 2usize..4,
+            nan in 0usize..4,
+        ) {
+            // RS-H asked for the density N/M of every candidate N picks
+            // `tiles_kept == group` and keeps the top N of every tile; so
+            // do the per-group mass sorts, with a short last group (ragged
+            // widths, groups of 3) and NaN masses (a quarter of the cases).
+            let m = [4, 8, 16, 32][width];
+            let w = special_weights(seed, rows, cols, nan == 0);
+            let mut candidates = vec![1];
+            while candidates[candidates.len() - 1] < m {
+                candidates.push(2 * candidates[candidates.len() - 1]);
+            }
+            let hl = RowWiseHighlight {
+                m,
+                group,
+                candidates: candidates.clone(),
+            };
+            let mut scores = Scores::new(&w);
+            for n in candidates {
+                let target = 1.0 - n as f64 / m as f64;
+                let got = hl.project_scores(&mut scores, target);
+                let (abs, ranks) = scores.ranks(m, false);
+                proptest::prop_assert_eq!(
+                    got,
+                    hl.keep_ranked_tiles(abs, ranks, group, n),
+                    "m={} group={} n={}", m, group, n
+                );
+            }
+        }
+
+        #[test]
         fn scores_reuse_matches_fresh_scores(
             seed in 0u64..1000,
             rows in 1usize..40,
             cols in 1usize..40,
             input in 0usize..3,
+            weighted in 0usize..2,
             requests in proptest::collection::vec((0usize..6, 0usize..6, 0usize..4), 1..16),
         ) {
             // One `Scores` fed a random sequence of (pattern, target, tile
             // or block size) requests, with repeats and out-of-order
             // targets and sizes, projects what a fresh one per request
             // does: on block-structured weights, and on ties, ±0 and ±inf
-            // with and without NaN.
+            // with and without NaN. Half the sequences mix only RS-V and
+            // TBS, which share the held row and block masses.
             const ALPHABET: [f32; 9] = [
                 0.0, -0.0, 1.0, -1.0, 0.25, -4.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN,
             ];
@@ -824,6 +922,7 @@ mod tests {
             };
             let mut shared = Scores::new(&w);
             for (p, t, size) in requests {
+                let p = if weighted == 1 { [3, 5][p % 2] } else { p };
                 let target = [0.0, 0.3, 0.5, 0.75, 0.95, 1.0][t];
                 let m = [4, 8, 16, 32][size];
                 let config = TbsConfig::with_block_size(m);

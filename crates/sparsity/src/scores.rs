@@ -5,26 +5,30 @@
 //! the target sparsity (step 1, which US, RS-V and TBS start from), and
 //! each score's rank within its `M`-wide row tile and `M`-tall column tile
 //! (TS, RS-V and RS-H keep `{i : rank_i < N}` of each row tile, and TBS
-//! step 3 of both). A [`Scores`] value holds them and computes each on
-//! first use. Every pattern has one projection from it
+//! step 3 of both), and the importance masses that RS-V and TBS weigh
+//! their rows and blocks by when they move the kept count to the target.
+//! A [`Scores`] value holds them and computes each on first use. Every
+//! pattern has one projection from it
 //! ([`Pattern::project_scores`](crate::Pattern::project_scores),
 //! [`TbsPattern::from_scores`](crate::TbsPattern::from_scores)), so a
 //! caller that projects one matrix onto several patterns shares that work
 //! by passing each the same value, in any order.
 
+use tbstc_matrix::tile::blocks_along;
 use tbstc_matrix::Matrix;
 
 use crate::mask::Mask;
 use crate::select::TileRanks;
 
 /// The absolute values of a score matrix, with the global top-k at the
-/// last target asked for and the tile-rank map at the last tile size
+/// last target asked for, the tile-rank map at the last tile size asked
+/// for, and the row masses and the block masses at the last block size
 /// asked for.
 ///
 /// A projection at another target recomputes the top-k, and one at
-/// another tile size re-ranks the map in place, so the value holds at
-/// most one of each. What a projection returns never depends on what the
-/// value held before it.
+/// another tile size re-ranks the map in place and re-sums the block
+/// masses, so the value holds at most one of each. What a projection
+/// returns never depends on what the value held before it.
 ///
 /// # Examples
 ///
@@ -46,6 +50,7 @@ pub struct Scores {
     abs: Matrix,
     top_k: Option<GlobalTopK>,
     ranks: TileRanks,
+    masses: Masses,
 }
 
 /// The global top-k at a target sparsity: step 1 of Algorithm 1.
@@ -68,6 +73,7 @@ impl Scores {
             abs: scores.map(f32::abs),
             top_k: None,
             ranks: TileRanks::default(),
+            masses: Masses::default(),
         }
     }
 
@@ -88,17 +94,62 @@ impl Scores {
         (&self.abs, &self.ranks)
     }
 
-    /// [`Scores::top_k`] and [`Scores::ranks`] at once, for the
-    /// projections that read both (RS-V, TBS).
+    /// [`Scores::top_k`] and [`Scores::ranks`] at once, with the masses,
+    /// for the projections that read all three (RS-V, TBS).
     pub(crate) fn ranked_top_k(
         &mut self,
         target: f64,
         m: usize,
         columns: bool,
-    ) -> (&Matrix, &GlobalTopK, &TileRanks) {
+    ) -> (&Matrix, &GlobalTopK, &TileRanks, &mut Masses) {
         let top_k = top_k_at(&mut self.top_k, &self.abs, target);
         self.ranks.rank(&self.abs, m, columns);
-        (&self.abs, top_k, &self.ranks)
+        (&self.abs, top_k, &self.ranks, &mut self.masses)
+    }
+}
+
+/// The importance masses of a score matrix's rows and of its `m × m`
+/// blocks: what RS-V and TBS weigh a row or block by when they step its
+/// `N` towards the target kept count. They depend only on the scores (and
+/// the block size), never on a target, so each is summed once, when a
+/// projection first needs it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Masses {
+    rows: Option<Vec<f64>>,
+    /// The block size and its masses.
+    blocks: Option<(usize, Vec<f64>)>,
+}
+
+impl Masses {
+    /// The L1 mass of each row of `abs` (the absolute scores, the same
+    /// matrix on every call).
+    pub(crate) fn rows(&mut self, abs: &Matrix) -> &[f64] {
+        self.rows.get_or_insert_with(|| {
+            (0..abs.rows())
+                .map(|r| abs.row(r).iter().map(|&x| f64::from(x)).sum())
+                .collect()
+        })
+    }
+
+    /// The L1 mass of each `m × m` block of `abs` (the absolute scores,
+    /// the same matrix on every call) in row-major block order, the last
+    /// block of a row or column cut at the matrix edge. Masses at another
+    /// block size are re-summed.
+    pub(crate) fn blocks(&mut self, abs: &Matrix, m: usize) -> &[f64] {
+        if self.blocks.as_ref().is_some_and(|(at, _)| *at != m) {
+            self.blocks = None;
+        }
+        let (_, masses) = self.blocks.get_or_insert_with(|| {
+            let grid_cols = blocks_along(abs.cols(), m);
+            let masses = (0..blocks_along(abs.rows(), m) * grid_cols)
+                .map(|b| {
+                    let (r0, c0) = (b / grid_cols * m, b % grid_cols * m);
+                    abs.block_view(r0, c0, m, m).l1_norm()
+                })
+                .collect();
+            (m, masses)
+        });
+        masses
     }
 }
 

@@ -181,7 +181,7 @@ impl TbsPattern {
         config.validate();
         let m = config.m;
         // Step 1: unstructured pruning at the target sparsity.
-        let (abs_scores, top_k, ranks) = scores.ranked_top_k(target, m, true);
+        let (abs_scores, top_k, ranks, masses) = scores.ranked_top_k(target, m, true);
         let unstructured = &top_k.mask;
         let (rows, cols) = (abs_scores.rows(), abs_scores.cols());
 
@@ -207,22 +207,14 @@ impl TbsPattern {
                 chosen.push(nearest(&config.n_candidates, density, m));
             }
         }
-        // A block's importance mass is the L1 norm of its scores.
-        let block_mass = || {
-            (0..grid_rows * grid_cols)
-                .map(|b| {
-                    let (r0, c0) = (b / grid_cols * m, b % grid_cols * m);
-                    abs_scores.block_view(r0, c0, m, m).l1_norm()
-                })
-                .collect()
-        };
-        // Each block keeps N per lane × M lanes.
+        // Each block keeps N per lane × M lanes, and weighs in with the
+        // L1 norm of its scores.
         adjust_to_target(
             &mut chosen,
             &config.n_candidates,
             m,
             top_k.keep_total,
-            block_mass,
+            || masses.blocks(abs_scores, m),
         );
 
         // Step 3: per block, build both directional candidate sets and keep
