@@ -26,6 +26,7 @@ use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
 use tbstc::Error;
+use tbstc_serve::http::ClientResponse;
 use tbstc_serve::{poll_fds, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
 
 /// Knobs for one load-generation run.
@@ -175,8 +176,9 @@ pub fn spec_for_rank(rank: usize) -> String {
     )
 }
 
-/// Incremental client-side response parser: status line + headers +
-/// `Content-Length` body, keep-alive framing.
+/// Incremental client-side response framing: finds each head, reads it
+/// with [`ClientResponse::from_head`] and skips its `Content-Length`
+/// body (keep-alive).
 #[derive(Debug, Default)]
 struct RespParser {
     buf: Vec<u8>,
@@ -209,27 +211,11 @@ impl RespParser {
             return None;
         };
         let head_end = from + rel;
-        let head = String::from_utf8_lossy(self.buf.get(..head_end)?).to_string();
-        let mut lines = head.split("\r\n");
-        let status = lines
-            .next()
-            .and_then(|l| l.split_whitespace().nth(1))
-            .and_then(|s| s.parse::<u16>().ok())
+        let head = ClientResponse::from_head(&String::from_utf8_lossy(self.buf.get(..head_end)?));
+        let content_length = head
+            .header("content-length")
+            .and_then(|v| v.parse().ok())
             .unwrap_or(0);
-        let mut content_length = 0usize;
-        let mut cache_hit = false;
-        for line in lines {
-            let Some((name, value)) = line.split_once(':') else {
-                continue;
-            };
-            let name = name.trim().to_ascii_lowercase();
-            let value = value.trim();
-            if name == "content-length" {
-                content_length = value.parse().unwrap_or(0);
-            } else if name == "x-cache" {
-                cache_hit = value == "hit";
-            }
-        }
         let total = head_end + 4 + content_length;
         if self.buf.len() < total {
             self.scanned = head_end; // re-find the terminator cheaply
@@ -237,7 +223,10 @@ impl RespParser {
         }
         self.buf.drain(..total);
         self.scanned = 0;
-        Some(RespSummary { status, cache_hit })
+        Some(RespSummary {
+            status: head.status,
+            cache_hit: head.header("x-cache") == Some("hit"),
+        })
     }
 }
 

@@ -557,13 +557,8 @@ impl JobSpec {
                     ("schema", Json::str(SCHEMA)),
                 ])
             }
-            JobSpec::Sweep(s) => {
-                let jobs = Sweep::new()
-                    .archs(s.archs.iter().copied())
-                    .models(s.models.iter().copied())
-                    .sparsities(s.sparsities.iter().copied())
-                    .seeds(s.seeds.iter().copied())
-                    .jobs();
+            JobSpec::Sweep(_) => {
+                let jobs = self.grid_jobs();
                 let report = engine.run_models(&jobs);
                 let results = jobs
                     .iter()

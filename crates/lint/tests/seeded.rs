@@ -20,13 +20,13 @@ struct Seed {
 }
 
 const SEEDS: &[Seed] = &[
-    // The cancel-set check writes a log line while holding the lock.
+    // Pulling a queued key writes a log line while holding the lock.
     Seed {
         rule: "lock-discipline",
         path: "crates/serve/src/jobs.rs",
         edits: &[(
-            "        self.cancels\n            .lock()\n            .unwrap_or_else(PoisonError::into_inner)\n            .contains(key)",
-            "        let cancels = self.cancels.lock().unwrap_or_else(PoisonError::into_inner);\n        std::io::stderr().flush().ok();\n        cancels.contains(key)",
+            "        let before = q.len();",
+            "        std::io::stderr().flush().ok();\n        let before = q.len();",
         )],
     },
     // `BlockPlan::build` grows its per-row counts without reserving.
@@ -56,20 +56,20 @@ const SEEDS: &[Seed] = &[
             "if let Err(e) = std::fs::write(\n                    state.store.dir().join(\"jobs\").join(format!(\"{key}.cancel\")),\n                    b\"cancel\\n\",\n                ) {",
         )],
     },
-    // `submit` clears the cancel mark under the queue lock while
-    // `request_cancel` dequeues under the cancel lock: queue -> cancels
-    // -> queue.
+    // The memo-hit total reads the engine table while holding the
+    // preload table, and the memo dump takes the preload table while
+    // holding the engine table: preload -> engines -> preload.
     Seed {
         rule: "lock-order",
-        path: "crates/serve/src/jobs.rs",
+        path: "crates/serve/src/server.rs",
         edits: &[
             (
-                "        q.push_back(key.to_string());\n        drop(q);",
-                "        q.push_back(key.to_string());\n        self.clear_cancel(key);\n        drop(q);",
+                "        let engines = self.engines_recovered();\n        engines.values().fold(",
+                "        let preload = self.preload.lock().unwrap_or_else(PoisonError::into_inner);\n        let engines = self.engines_recovered();\n        drop(preload);\n        engines.values().fold(",
             ),
             (
-                "        self.cancels\n            .lock()\n            .unwrap_or_else(PoisonError::into_inner)\n            .insert(key.to_string());",
-                "        let mut cancels = self.cancels.lock().unwrap_or_else(PoisonError::into_inner);\n        cancels.insert(key.to_string());\n        self.remove(key);",
+                "        let engines = self.engines_recovered();\n        let mut out = Vec::with_capacity(64);",
+                "        let engines = self.engines.lock().unwrap_or_else(PoisonError::into_inner);\n        let mut out = Vec::with_capacity(64);",
             ),
         ],
     },

@@ -158,6 +158,31 @@ pub struct ClientResponse {
 }
 
 impl ClientResponse {
+    /// Parses a response head (the bytes before the blank line) into a
+    /// response with an empty body: a status line without a numeric code
+    /// reads as status 0, header names are lowercased, and lines without
+    /// a `:` are skipped. The workspace's one response-head parser:
+    /// [`request`] and `tbstc_bench::loadgen` both read through it.
+    pub fn from_head(head: &str) -> ClientResponse {
+        let mut lines = head.split("\r\n");
+        let status = lines
+            .next()
+            .and_then(|l| l.split_whitespace().nth(1))
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0);
+        let headers = lines
+            .filter_map(|l| {
+                l.split_once(':')
+                    .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
+            })
+            .collect();
+        ClientResponse {
+            status,
+            headers,
+            body: String::new(),
+        }
+    }
+
     /// First header value with the given (lowercase) name.
     pub fn header(&self, name: &str) -> Option<&str> {
         self.headers
@@ -203,29 +228,13 @@ pub fn request(
         split_head(&raw).ok_or_else(|| Error::Http("response has no head".into()))?;
     let head =
         std::str::from_utf8(head).map_err(|_| Error::Http("non-utf8 response head".into()))?;
-    let mut lines = head.split("\r\n");
-    let status_line = lines
-        .next()
-        .ok_or_else(|| Error::Http("empty response".into()))?;
-    let status = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| Error::Http(format!("bad status line `{status_line}`")))?;
-    let headers = lines
-        .filter(|l| !l.is_empty())
-        .filter_map(|l| {
-            l.split_once(':')
-                .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
-        })
-        .collect();
-    let body = String::from_utf8(rest.to_vec())
+    let mut response = ClientResponse::from_head(head);
+    if response.status == 0 {
+        return Err(Error::Http(format!("bad status line in `{head}`")));
+    }
+    response.body = String::from_utf8(rest.to_vec())
         .map_err(|_| Error::Http("non-utf8 response body".into()))?;
-    Ok(ClientResponse {
-        status,
-        headers,
-        body,
-    })
+    Ok(response)
 }
 
 #[cfg(test)]

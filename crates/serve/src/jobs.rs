@@ -5,27 +5,26 @@
 //! [`tbstc::jobstate::JobStatus`] in the store); a controller thread
 //! drains the queue one job at a time, executing each sweep in
 //! checkpointed chunks. The queue itself is deliberately dumb — ordered
-//! keys plus a cancel set — because all durable state (status documents,
-//! checkpoints, cross-process claims) lives in the store; this type only
-//! coordinates threads inside one process.
+//! keys only — because all durable state (status documents, cancel
+//! marks, checkpoints, cross-process claims) lives in the store; this
+//! type only coordinates threads inside one process.
 //!
-//! Cancellation has two faces: [`DurableQueue::request_cancel`] marks a
-//! key in memory (checked between chunks by the executor in this
-//! process), while the store-level cancel marker file reaches executors
-//! in *other* processes sharing the store.
+//! A job's cancel mark is the store's `jobs/<key>.cancel` marker
+//! ([`crate::store::ResultStore::request_cancel`]) and nothing else: the
+//! executor checks it between chunks, whichever process sharing the
+//! store took the `DELETE`. A still-queued key is simply pulled out with
+//! [`DurableQueue::remove`].
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
-/// FIFO of durable job keys plus the in-memory cancel set (see module
-/// docs).
+/// FIFO of durable job keys (see module docs).
 #[derive(Debug, Default)]
 pub struct DurableQueue {
     queue: Mutex<VecDeque<String>>,
     wake: Condvar,
-    cancels: Mutex<BTreeSet<String>>,
     closed: AtomicBool,
 }
 
@@ -79,32 +78,6 @@ impl DurableQueue {
         let before = q.len();
         q.retain(|k| k != key);
         q.len() != before
-    }
-
-    /// Marks `key` cancelled in this process; the executor checks
-    /// between chunks via [`DurableQueue::cancel_requested`].
-    pub fn request_cancel(&self, key: &str) {
-        self.cancels
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(key.to_string());
-    }
-
-    /// Whether an in-memory cancel is pending for `key`.
-    pub fn cancel_requested(&self, key: &str) -> bool {
-        self.cancels
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .contains(key)
-    }
-
-    /// Clears the in-memory cancel mark (after honoring it, or when the
-    /// job is re-submitted).
-    pub fn clear_cancel(&self, key: &str) {
-        self.cancels
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(key);
     }
 
     /// Closes the queue: `submit` becomes a no-op and blocked `next`
@@ -171,15 +144,5 @@ mod tests {
     fn should_stop_interrupts_an_idle_wait() {
         let q = DurableQueue::new();
         assert_eq!(q.next(&|| true), None);
-    }
-
-    #[test]
-    fn cancel_marks_roundtrip() {
-        let q = DurableQueue::new();
-        assert!(!q.cancel_requested("k"));
-        q.request_cancel("k");
-        assert!(q.cancel_requested("k"));
-        q.clear_cancel("k");
-        assert!(!q.cancel_requested("k"));
     }
 }

@@ -18,11 +18,16 @@
 //!   unbounded memory growth; in-flight jobs are never dropped.
 //! * **Persistent, content-addressed results** — the response body for a
 //!   job is stored under a hash of its canonicalized spec
-//!   ([`store::ResultStore`], sharded by key prefix on disk), with a
-//!   bounded sharded in-memory hot tier above it ([`lru::ShardedLru`]);
+//!   ([`store::ResultStore`], sharded by key prefix on disk, every
+//!   whole-file write atomic and synced), with a bounded in-memory hot
+//!   tier above it ([`lru::ShardedLru`], one lock);
 //!   resubmitting the identical job — even across a server restart —
 //!   returns byte-identical bytes with `X-Cache: hit`. The engine's
 //!   memo cache persists through the same store (`memo.jsonl`).
+//! * **Durable jobs** — long sweeps run in checkpointed chunks
+//!   ([`jobs::DurableQueue`]); their status documents and cancel
+//!   markers live only in the store, so every process sharing it sees
+//!   the same state.
 //! * **Observability** — `GET /metrics` renders Prometheus text
 //!   ([`metrics::Metrics`]): request/job counters, cache hits and misses
 //!   by tier (`mem`/`disk`/`memo`), coalescing counters, queue depth,
@@ -36,8 +41,8 @@
 //! [`signal`]).
 //!
 //! See `DESIGN.md` §8 for the job-spec schema, cache-key derivation, and
-//! backpressure policy, and §12 for the event loop, coalescing, and
-//! cache-shard layout; the `tbstc-cli` crate wires this up as the
+//! backpressure policy, §12 for the event loop, coalescing, and cache
+//! tiers, and §14 for durable jobs; the `tbstc-cli` crate wires this up as the
 //! `serve`, `submit`, and `loadgen` subcommands.
 
 #![warn(missing_docs)]

@@ -8,10 +8,12 @@
 //!    pipelining included); malformed specs get 400 *without* closing
 //!    the connection,
 //! 2. derive the content-addressed cache key and probe the caches —
-//!    first the sharded in-memory hot tier ([`crate::lru`],
+//!    first the in-memory hot tier ([`crate::lru`],
 //!    `X-Cache-Tier: mem`), then the sharded on-disk store
-//!    (`X-Cache-Tier: disk`); a hit is answered immediately with
-//!    `X-Cache: hit` and the *exact bytes* of the original response,
+//!    (`X-Cache-Tier: disk`, promoted into the hot tier) — one
+//!    `probe_cache` for every path that answers from the caches; a hit
+//!    is answered immediately with `X-Cache: hit` and the *exact bytes*
+//!    of the original response,
 //! 3. otherwise hand the spec to the coalescing dispatcher
 //!    ([`crate::coalesce`]): an identical in-flight spec shares its
 //!    execution (single-flight); a dispatcher at capacity (or a server
@@ -582,24 +584,17 @@ fn route(state: &Arc<State>, dispatcher: &Dispatcher, request: &Request, token: 
 /// result yet answers its durable status document — 202 while it can
 /// still make progress, 200 once terminal.
 fn lookup_cached(state: &State, key: &str) -> Response {
-    if let Some(body) = state.hot.get(key) {
-        state.metrics.mem_hits.fetch_add(1, Ordering::Relaxed);
-        return Response::new(200)
-            .header("X-Cache", "hit")
-            .header("X-Cache-Tier", "mem")
-            .header("X-Job-Key", key.to_string())
-            .json(body);
-    }
-    match probe_disk(|| state.store.get(key), || state.store.get_job_status(key)) {
-        DiskProbe::Result(body) => {
-            state.metrics.disk_hits.fetch_add(1, Ordering::Relaxed);
-            state.hot.put(key, &body);
-            Response::new(200)
-                .header("X-Cache", "hit")
-                .header("X-Cache-Tier", "disk")
-                .header("X-Job-Key", key.to_string())
-                .json(body)
-        }
+    let mut tier = "mem";
+    let probe = probe_disk(
+        || {
+            let (hit_tier, body) = probe_cache(state, key)?;
+            tier = hit_tier;
+            Some(body)
+        },
+        || state.store.get_job_status(key),
+    );
+    match probe {
+        DiskProbe::Result(body) => hit_response(key, (tier, body)),
         DiskProbe::Status(status) => {
             let code = if status.state.is_terminal() { 200 } else { 202 };
             Response::new(code)
@@ -608,6 +603,30 @@ fn lookup_cached(state: &State, key: &str) -> Response {
         }
         DiskProbe::Missing => Response::new(404).json(error_body("no cached result for this key")),
     }
+}
+
+/// Probes the hot tier, then the disk store, promoting a disk hit into
+/// the hot tier and counting the hit by tier. Returns the answering
+/// tier (`mem` or `disk`) and the stored body.
+fn probe_cache(state: &State, key: &str) -> Option<(&'static str, String)> {
+    if let Some(body) = state.hot.get(key) {
+        state.metrics.mem_hits.fetch_add(1, Ordering::Relaxed);
+        return Some(("mem", body));
+    }
+    let body = state.store.get(key)?;
+    state.metrics.disk_hits.fetch_add(1, Ordering::Relaxed);
+    state.hot.put(key, &body);
+    Some(("disk", body))
+}
+
+/// The `200` answer for a [`probe_cache`] hit: the stored bytes with
+/// `X-Cache: hit` and the tier that answered.
+fn hit_response(key: &str, (tier, body): (&'static str, String)) -> Response {
+    Response::new(200)
+        .header("X-Cache", "hit")
+        .header("X-Cache-Tier", tier)
+        .header("X-Job-Key", key.to_string())
+        .json(body)
 }
 
 /// What the disk tier holds for a job key.
@@ -674,9 +693,7 @@ fn handle_cancel(state: &Arc<State>, key: &str) -> Response {
                     .json(format!("{}\n", cancelled.to_json()))
             } else {
                 // Running here, or owned by another process sharing the
-                // store: mark in memory (fast path for our executor) and
-                // on disk (reaches everyone).
-                state.durable.request_cancel(key);
+                // store: the marker reaches whichever executor holds it.
                 if let Err(e) = state.store.request_cancel(key) {
                     return Response::new(500).json(error_body(&e.to_string()));
                 }
@@ -747,38 +764,14 @@ fn handle_job(
     };
     let key = spec.cache_key();
 
-    // Tier 0: the sharded in-memory hot tier — no disk I/O at all.
-    if let Some(cached) = state.hot.get(&key) {
-        state.metrics.mem_hits.fetch_add(1, Ordering::Relaxed);
+    // Tiers 0–1: the in-memory hot tier, then the on-disk response
+    // cache — byte-identical across restarts.
+    if let Some(hit) = probe_cache(state, &key) {
         state.metrics.jobs_ok.fetch_add(1, Ordering::Relaxed);
         state
             .metrics
             .observe_latency(started.elapsed().as_secs_f64());
-        return Action::Reply(
-            Response::new(200)
-                .header("X-Cache", "hit")
-                .header("X-Cache-Tier", "mem")
-                .header("X-Job-Key", key)
-                .json(cached),
-        );
-    }
-
-    // Tier 1: the on-disk response cache — byte-identical across
-    // restarts; promote hits into the hot tier.
-    if let Some(cached) = state.store.get(&key) {
-        state.metrics.disk_hits.fetch_add(1, Ordering::Relaxed);
-        state.metrics.jobs_ok.fetch_add(1, Ordering::Relaxed);
-        state.hot.put(&key, &cached);
-        state
-            .metrics
-            .observe_latency(started.elapsed().as_secs_f64());
-        return Action::Reply(
-            Response::new(200)
-                .header("X-Cache", "hit")
-                .header("X-Cache-Tier", "disk")
-                .header("X-Job-Key", key)
-                .json(cached),
-        );
+        return Action::Reply(hit_response(&key, hit));
     }
 
     // Long jobs go durable: persist a queued status, enqueue for the
@@ -823,14 +816,13 @@ fn durable_submit(state: &Arc<State>, key: &str, spec: &JobSpec) -> Response {
         Some(existing) if !existing.state.is_terminal() => existing,
         _ => {
             // Fresh submission, or a re-run of a cancelled/failed job:
-            // reset to queued and drop any stale cancel marks.
+            // reset to queued and drop any stale cancel marker.
             let queued = JobStatus::queued(spec);
             if let Err(e) = state.store.put_job_status(&queued) {
                 state.metrics.jobs_failed.fetch_add(1, Ordering::Relaxed);
                 return Response::new(500).json(error_body(&e.to_string()));
             }
             state.store.clear_cancel(key);
-            state.durable.clear_cancel(key);
             queued
         }
     };
@@ -865,7 +857,7 @@ fn execute_durable(state: &Arc<State>, key: &str) {
     if status.state.is_terminal() {
         return;
     }
-    if state.durable.cancel_requested(key) || state.store.cancel_requested(key) {
+    if state.store.cancel_requested(key) {
         finish_cancel(state, key, &status);
         return;
     }
@@ -944,7 +936,7 @@ fn execute_durable(state: &Arc<State>, key: &str) {
             if state.cfg.chunk_hold_ms > 0 {
                 thread::sleep(Duration::from_millis(state.cfg.chunk_hold_ms));
             }
-            if state.durable.cancel_requested(key) || state.store.cancel_requested(key) {
+            if state.store.cancel_requested(key) {
                 cancelled = true;
                 return ChunkControl::Stop;
             }
@@ -999,7 +991,7 @@ fn execute_durable(state: &Arc<State>, key: &str) {
     drop(claim);
 }
 
-/// Marks a durable job cancelled and clears both cancel marks. The cancel
+/// Marks a durable job cancelled and clears its cancel marker. The cancel
 /// is counted first, so a client that sees the `cancelled` status also
 /// scrapes it in `tbstc_jobs_cancelled_total`.
 fn finish_cancel(state: &Arc<State>, key: &str, status: &JobStatus) {
@@ -1009,7 +1001,6 @@ fn finish_cancel(state: &Arc<State>, key: &str, status: &JobStatus) {
         eprintln!("tbstc-serve: warning: cannot persist cancel of {key}: {e}");
     }
     state.store.clear_cancel(key);
-    state.durable.clear_cancel(key);
 }
 
 /// Persists a freshly computed body into both cache tiers and counts the
@@ -1042,14 +1033,8 @@ impl Executor for EngineExecutor {
             Err(e) => return Response::new(500).json(error_body(&e.to_string())),
         };
         // Whoever held the lock may have computed this exact spec.
-        if let Some(cached) = state.store.get(&job.key) {
-            state.metrics.disk_hits.fetch_add(1, Ordering::Relaxed);
-            state.hot.put(&job.key, &cached);
-            return Response::new(200)
-                .header("X-Cache", "hit")
-                .header("X-Cache-Tier", "disk")
-                .header("X-Job-Key", job.key.clone())
-                .json(cached);
+        if let Some(hit) = probe_cache(state, &job.key) {
+            return hit_response(&job.key, hit);
         }
         if claim.is_none() {
             // Shutdown aborted the wait and no result landed.

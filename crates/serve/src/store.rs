@@ -186,9 +186,8 @@ impl ResultStore {
         Some(body)
     }
 
-    /// Stores `body` under `key` atomically (write to a temp file in the
-    /// same directory, then rename), so a crash mid-write can never leave
-    /// a half-entry at the final path.
+    /// Stores `body` under `key` atomically (`write_atomic`), so a
+    /// crash mid-write can never leave a half-entry at the final path.
     ///
     /// # Errors
     ///
@@ -198,28 +197,7 @@ impl ResultStore {
         let path = self
             .path_for(key)
             .ok_or_else(|| Error::InvalidSpec(format!("malformed cache key `{key}`")))?;
-        let shard_dir = path.parent().unwrap_or(&self.dir);
-        fs::create_dir_all(shard_dir).map_err(|e| {
-            Error::Io(format!(
-                "cannot create shard dir {}: {e}",
-                shard_dir.display()
-            ))
-        })?;
-        let tmp = shard_dir.join(format!(
-            "{key}.tmp.{}.{}",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        let write = |tmp: &Path| -> std::io::Result<()> {
-            let mut f = fs::File::create(tmp)?;
-            f.write_all(body.as_bytes())?;
-            f.sync_all()?;
-            fs::rename(tmp, &path)
-        };
-        write(&tmp).map_err(|e| {
-            let _ = fs::remove_file(&tmp);
-            Error::Io(format!("cannot persist {}: {e}", path.display()))
-        })
+        write_atomic(&path, body.as_bytes())
     }
 
     /// Path of the memo persistence file.
@@ -326,7 +304,7 @@ impl ResultStore {
     /// Persists the memo entries merged with whatever is already on disk
     /// (another process sharing the store may have appended since we
     /// loaded), deduplicated on the serialized line, sorted for a
-    /// deterministic file, written atomically like [`ResultStore::put`].
+    /// deterministic file, written atomically (`write_atomic`).
     /// The whole read-merge-write runs under the store lock so
     /// concurrent flushes cannot lose each other's entries.
     ///
@@ -353,18 +331,7 @@ impl ResultStore {
             text.push_str(line);
             text.push('\n');
         }
-        let path = self.memo_path();
-        let tmp = self.dir.join(format!(
-            "memo.tmp.{}.{}",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        fs::write(&tmp, &text)
-            .and_then(|()| fs::rename(&tmp, &path))
-            .map_err(|e| {
-                let _ = fs::remove_file(&tmp);
-                Error::Io(format!("cannot persist {}: {e}", path.display()))
-            })
+        write_atomic(&self.memo_path(), text.as_bytes())
     }
 
     /// Appends freshly computed entries to the memo file under the store
@@ -464,7 +431,7 @@ impl ResultStore {
         Self::valid_key(key).then(|| self.dir.join("jobs").join(format!("{key}.cancel")))
     }
 
-    /// Persists a job's status document atomically (temp file + rename),
+    /// Persists a job's status document atomically (`write_atomic`),
     /// so readers in other processes only ever see complete documents.
     ///
     /// # Errors
@@ -475,26 +442,7 @@ impl ResultStore {
         let path = self
             .job_status_path(&status.id)
             .ok_or_else(|| Error::InvalidSpec(format!("malformed job id `{}`", status.id)))?;
-        let jobs_dir = path.parent().unwrap_or(&self.dir);
-        fs::create_dir_all(jobs_dir).map_err(|e| {
-            Error::Io(format!(
-                "cannot create jobs dir {}: {e}",
-                jobs_dir.display()
-            ))
-        })?;
-        let tmp = jobs_dir.join(format!(
-            "{}.tmp.{}.{}",
-            status.id,
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        let body = format!("{}\n", status.to_json());
-        fs::write(&tmp, &body)
-            .and_then(|()| fs::rename(&tmp, &path))
-            .map_err(|e| {
-                let _ = fs::remove_file(&tmp);
-                Error::Io(format!("cannot persist {}: {e}", path.display()))
-            })
+        write_atomic(&path, format!("{}\n", status.to_json()).as_bytes())
     }
 
     /// Fetches the persisted status of job `key`, if any. A corrupt
@@ -547,15 +495,7 @@ impl ResultStore {
         let path = self
             .cancel_path(key)
             .ok_or_else(|| Error::InvalidSpec(format!("malformed cache key `{key}`")))?;
-        let jobs_dir = path.parent().unwrap_or(&self.dir);
-        fs::create_dir_all(jobs_dir).map_err(|e| {
-            Error::Io(format!(
-                "cannot create jobs dir {}: {e}",
-                jobs_dir.display()
-            ))
-        })?;
-        fs::write(&path, b"cancel\n")
-            .map_err(|e| Error::Io(format!("cannot persist {}: {e}", path.display())))
+        write_atomic(&path, b"cancel\n")
     }
 
     /// Whether a cancel marker is pending for job `key`.
@@ -570,6 +510,38 @@ impl ResultStore {
             let _ = fs::remove_file(path);
         }
     }
+}
+
+/// The store's one durable write: creates the parent directory, writes
+/// `bytes` to a temp file unique to this process and call beside `path`
+/// (`<stem>.tmp.<pid>.<n>`), syncs it, renames it over `path` and, on
+/// unix, syncs the directory. On any error the temp file is removed, so
+/// a failed write leaves neither a partial target nor a stray temp file.
+fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), Error> {
+    let dir = path.parent().unwrap_or(Path::new("."));
+    fs::create_dir_all(dir)
+        .map_err(|e| Error::Io(format!("cannot create dir {}: {e}", dir.display())))?;
+    let mut tmp_name = path.file_stem().unwrap_or_default().to_os_string();
+    tmp_name.push(format!(
+        ".tmp.{}.{}",
+        std::process::id(),
+        TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = dir.join(tmp_name);
+    let write = || -> std::io::Result<()> {
+        let mut f = fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+        fs::rename(&tmp, path)?;
+        // The new name survives a crash only once its directory is synced.
+        #[cfg(unix)]
+        fs::File::open(dir)?.sync_all()?;
+        Ok(())
+    };
+    write().map_err(|e| {
+        let _ = fs::remove_file(&tmp);
+        Error::Io(format!("cannot persist {}: {e}", path.display()))
+    })
 }
 
 /// The canonical serialized line of one memo entry (the dedup key for
@@ -815,6 +787,54 @@ mod tests {
         store.clear_cancel(key);
         assert!(!store.cancel_requested(key));
         assert!(store.request_cancel("../escape").is_err());
+        let _ = fs::remove_dir_all(store.dir());
+    }
+
+    /// Every `*.tmp.*` file anywhere under the store.
+    fn tmp_files(dir: &Path) -> Vec<PathBuf> {
+        let mut out = Vec::new();
+        for entry in fs::read_dir(dir).unwrap().flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                out.extend(tmp_files(&path));
+            } else if path.to_string_lossy().contains(".tmp.") {
+                out.push(path);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn writes_leave_no_temp_file_whether_they_land_or_fail() {
+        let store = tmp_store("atomic");
+        let key = "0123456789abcdef0123456789abcdef";
+        let spec = tbstc::jobspec::JobSpec::from_json(
+            r#"{"type":"simulate","arch":"tb-stc","model":{"kind":"gcn","nodes":16,"features":8},"sparsity":0.5}"#,
+        )
+        .unwrap();
+        let status = JobStatus::queued(&spec);
+        let write = |name: &str| match name {
+            "put" => store.put(key, "{}\n"),
+            "save_memo" => store.save_memo(&[sample_entry(0)]),
+            _ => store.put_job_status(&status),
+        };
+        let targets = [
+            ("put", store.path_for(key).unwrap()),
+            ("save_memo", store.memo_path()),
+            ("put_job_status", store.job_status_path(&status.id).unwrap()),
+        ];
+        for (name, target) in &targets {
+            write(name).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(target.is_file(), "{name} landed");
+            assert_eq!(tmp_files(store.dir()), Vec::<PathBuf>::new(), "{name}");
+
+            // A directory at the target makes the rename fail.
+            fs::remove_file(target).unwrap();
+            fs::create_dir(target).unwrap();
+            assert!(write(name).is_err(), "{name} must fail onto a directory");
+            assert_eq!(tmp_files(store.dir()), Vec::<PathBuf>::new(), "{name}");
+            fs::remove_dir(target).unwrap();
+        }
         let _ = fs::remove_dir_all(store.dir());
     }
 
