@@ -1,6 +1,14 @@
 //! Criterion microbenchmarks of the reproduction's hot kernels: the
 //! Algorithm-1 sparsifier, format encode/decode, the codec conversion,
-//! the DRAM replay and the reference GEMM.
+//! the DRAM replay, the reference GEMM, a sample task's prunes, the
+//! block plan and the sparsity-aware schedule replay.
+//!
+//! One run is not evidence of a change. Each figure is the vendored
+//! criterion's 20-sample median, and on a shared host that median moves
+//! more than many real changes do: three back-to-back runs of one
+//! unchanged kernel (`layer_pruner_paper_walk_128x128`) printed 698, 669
+//! and 880 µs. Show a gain with alternating runs of the two commits, and
+//! count how many of the pairs the change wins.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -114,10 +122,63 @@ fn bench_layer_pruner(c: &mut Criterion) {
     });
 }
 
+/// A 128 × 128 sample of BERT's first layer, pruned for `arch` at
+/// `sparsity`, as a paper-grid task measures it.
+fn paper_sample(arch: Arch, sparsity: f64, cfg: &HwConfig) -> SparseLayer {
+    let shape = tbstc::models::bert_base(128).layers[0].clone();
+    LayerSim::new(&shape)
+        .arch(arch)
+        .sparsity(sparsity)
+        .seed(6)
+        .build(cfg)
+}
+
+fn bench_block_plan(c: &mut Criterion) {
+    use tbstc::sim::BlockPlan;
+
+    let layer = paper_sample(Arch::TbStc, 0.75, &HwConfig::paper_default());
+    c.bench_function("block_plan_build_128x128", |b| {
+        b.iter(|| BlockPlan::build(black_box(&layer)))
+    });
+}
+
+/// `schedule_stream` on a sample's priced blocks at the sampled column
+/// count (`sn` = 64), under the arch's native policy: TB-STC's blocks
+/// vary in occupancy, HighLight's 50 % blocks all cost the same.
+fn bench_schedule_stream(c: &mut Criterion) {
+    use tbstc::sim::sched::schedule_stream;
+
+    let cfg = HwConfig::paper_default();
+    for (name, arch, sparsity) in [
+        ("schedule_stream_tbstc_75_128x128", Arch::TbStc, 0.75),
+        ("schedule_stream_highlight_50_128x128", Arch::Highlight, 0.5),
+    ] {
+        let layer = paper_sample(arch, sparsity, &cfg);
+        let model = arch.model();
+        let works = model.block_works_batch(layer.plan());
+        let width = cfg.lane_width();
+        let pes = model.lanes(cfg.pe) / width;
+        let policy = model.native_schedule();
+        let sn = cfg.sample_cols;
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                schedule_stream(
+                    black_box(&works),
+                    sn,
+                    pes,
+                    width,
+                    policy.inter,
+                    policy.intra,
+                )
+            })
+        });
+    }
+}
+
 criterion_group!(
     name = kernels;
     config = Criterion::default().sample_size(20);
     targets = bench_sparsify, bench_formats, bench_codec, bench_dram, bench_gemm, bench_simulate,
-        bench_layer_pruner
+        bench_layer_pruner, bench_block_plan, bench_schedule_stream
 );
 criterion_main!(kernels);

@@ -741,25 +741,206 @@ mod tests {
         .unwrap()
     }
 
-    #[test]
-    fn defaults_fill_in_and_canonicalize() {
-        let spec = gcn_spec();
-        match &spec {
-            JobSpec::Simulate(s) => {
-                assert_eq!(s.seed, 0);
-                assert_eq!(s.bandwidth_gbps, DEFAULT_BANDWIDTH_GBPS);
-            }
-            JobSpec::Sweep(_) => panic!("wrong variant"),
+    /// A little xorshift stream for the client-side choices below: field
+    /// order, whitespace and whether a default is spelled out.
+    struct Noise(u64);
+
+    impl Noise {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
         }
-        // Field order and explicit defaults do not change the key.
-        let explicit = JobSpec::from_json(
-            r#"{"seed":0,"bandwidth_gbps":64.0,"sparsity":0.5,
-                "model":{"features":16,"kind":"gcn","nodes":64},
-                "arch":"tb-stc","type":"simulate"}"#,
-        )
-        .unwrap();
-        assert_eq!(spec.cache_key(), explicit.cache_key());
-        assert_eq!(spec.canonical_json(), explicit.canonical_json());
+
+        fn coin(&mut self) -> bool {
+            self.below(2) == 1
+        }
+
+        /// Zero to two JSON whitespace bytes.
+        fn ws(&mut self) -> &'static str {
+            ["", "", " ", "\n", "\t", "\r\n", "  "][self.below(7)]
+        }
+
+        /// `fields` as a JSON object in a shuffled order.
+        fn object(&mut self, mut fields: Vec<(&str, String)>) -> String {
+            for i in (1..fields.len()).rev() {
+                fields.swap(i, self.below(i + 1));
+            }
+            let body: Vec<String> = fields
+                .into_iter()
+                .map(|(k, v)| {
+                    format!(
+                        "{}\"{k}\"{}:{}{v}{}",
+                        self.ws(),
+                        self.ws(),
+                        self.ws(),
+                        self.ws()
+                    )
+                })
+                .collect();
+            format!("{{{}{}}}", body.join(","), self.ws())
+        }
+
+        fn array(&mut self, items: Vec<String>) -> String {
+            let body: Vec<String> = items
+                .into_iter()
+                .map(|v| format!("{}{v}{}", self.ws(), self.ws()))
+                .collect();
+            format!("[{}{}]", body.join(","), self.ws())
+        }
+
+        /// Adds the field, except that a field holding its default
+        /// (`default`) is left out half of the time.
+        fn optional<'a>(
+            &mut self,
+            fields: &mut Vec<(&'a str, String)>,
+            key: &'a str,
+            value: String,
+            default: bool,
+        ) {
+            if !default || self.coin() {
+                fields.push((key, value));
+            }
+        }
+    }
+
+    /// `model` as a client might write it: its bare name when every
+    /// dimension is the name's default, or an object whose default
+    /// dimensions may be left out.
+    fn client_model(model: ModelSpec, noise: &mut Noise) -> String {
+        let (kind, dims): (&str, Vec<(&str, usize, usize)>) = match model {
+            ModelSpec::ResNet50 { input } => ("resnet50", vec![("input", input, 64)]),
+            ModelSpec::ResNet18 { input } => ("resnet18", vec![("input", input, 64)]),
+            ModelSpec::BertBase { tokens } => ("bert", vec![("tokens", tokens, 128)]),
+            ModelSpec::Opt6_7b { tokens } => ("opt", vec![("tokens", tokens, 128)]),
+            ModelSpec::Llama2_7b { tokens } => ("llama", vec![("tokens", tokens, 128)]),
+            ModelSpec::Gcn { nodes, features } => (
+                "gcn",
+                vec![("nodes", nodes, 1024), ("features", features, 128)],
+            ),
+        };
+        if dims.iter().all(|&(_, v, d)| v == d) && noise.coin() {
+            return format!("\"{kind}\"");
+        }
+        let mut fields = vec![("kind", format!("\"{kind}\""))];
+        for (key, value, default) in dims {
+            noise.optional(&mut fields, key, value.to_string(), value == default);
+        }
+        noise.object(fields)
+    }
+
+    /// `spec` as JSON text a client might send: fields in a shuffled
+    /// order, whitespace between tokens, and each default either spelled
+    /// out or left out.
+    fn client_json(spec: &JobSpec, noise: &mut Noise) -> String {
+        let number = |x: f64, noise: &mut Noise| match noise.coin() {
+            true => format!("{x:?}"),
+            false => format!("{x}"),
+        };
+        let mut fields = Vec::new();
+        let bandwidth = spec.bandwidth_gbps();
+        let bandwidth_text = number(bandwidth, noise);
+        noise.optional(
+            &mut fields,
+            "bandwidth_gbps",
+            bandwidth_text,
+            bandwidth == DEFAULT_BANDWIDTH_GBPS,
+        );
+        match spec {
+            JobSpec::Simulate(s) => {
+                fields.push(("type", "\"simulate\"".into()));
+                fields.push(("arch", format!("\"{}\"", s.arch.canonical_name())));
+                fields.push(("model", client_model(s.model, noise)));
+                let sparsity = number(s.sparsity, noise);
+                noise.optional(&mut fields, "sparsity", sparsity, s.sparsity == 0.75);
+                noise.optional(&mut fields, "seed", s.seed.to_string(), s.seed == 0);
+            }
+            JobSpec::Sweep(s) => {
+                fields.push(("type", "\"sweep\"".into()));
+                let archs = s
+                    .archs
+                    .iter()
+                    .map(|a| format!("\"{}\"", a.canonical_name()))
+                    .collect();
+                fields.push(("archs", noise.array(archs)));
+                let models = s.models.iter().map(|&m| client_model(m, noise)).collect();
+                fields.push(("models", noise.array(models)));
+                let sparsities = s.sparsities.iter().map(|&x| number(x, noise)).collect();
+                fields.push(("sparsities", noise.array(sparsities)));
+                let seeds = noise.array(s.seeds.iter().map(u64::to_string).collect());
+                noise.optional(&mut fields, "seeds", seeds, s.seeds == [0]);
+            }
+        }
+        noise.object(fields)
+    }
+
+    /// Model `kind` with dimension choices `a` and `b` (0 is the
+    /// default).
+    fn pick_model(kind: usize, a: usize, b: usize) -> ModelSpec {
+        let side = [64, 32, 224][a];
+        let tokens = [128, 32, 512][a];
+        match kind {
+            0 => ModelSpec::ResNet50 { input: side },
+            1 => ModelSpec::ResNet18 { input: side },
+            2 => ModelSpec::BertBase { tokens },
+            3 => ModelSpec::Opt6_7b { tokens },
+            4 => ModelSpec::Llama2_7b { tokens },
+            _ => ModelSpec::Gcn {
+                nodes: [1024, 64, 4096][a],
+                features: [128, 16, 64][b],
+            },
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn defaults_fill_in_and_canonicalize(
+            sweep in 0usize..2,
+            arch_picks in proptest::collection::vec(0usize..8, 1..4),
+            model_picks in proptest::collection::vec((0usize..6, 0usize..3, 0usize..3), 1..4),
+            sparsity_picks in proptest::collection::vec(0usize..6, 1..4),
+            seeds in proptest::collection::vec(0u64..3, 1..3),
+            bandwidth in 0usize..4,
+            noise in 1u64..u64::MAX,
+        ) {
+            let sparsities: Vec<f64> = sparsity_picks
+                .iter()
+                .map(|&i| [0.75, 0.5, 0.875, 0.0, 1.0, 0.3][i])
+                .collect();
+            let models: Vec<ModelSpec> = model_picks
+                .iter()
+                .map(|&(kind, a, b)| pick_model(kind, a, b))
+                .collect();
+            let bandwidth_gbps = [DEFAULT_BANDWIDTH_GBPS, 128.0, 25.6, 512.0][bandwidth];
+            let spec = if sweep == 1 {
+                JobSpec::Sweep(SweepSpec {
+                    archs: arch_picks.iter().map(|&i| Arch::ALL[i]).collect(),
+                    models,
+                    sparsities,
+                    seeds,
+                    bandwidth_gbps,
+                })
+            } else {
+                JobSpec::Simulate(SimulateSpec {
+                    arch: Arch::ALL[arch_picks[0]].into(),
+                    model: models[0],
+                    sparsity: sparsities[0],
+                    seed: seeds[0],
+                    bandwidth_gbps,
+                })
+            };
+            // Two renderings with different field orders, whitespace and
+            // spelled-out defaults parse to the spec and key like it.
+            let mut noise = Noise(noise);
+            for _ in 0..2 {
+                let text = client_json(&spec, &mut noise);
+                let parsed = JobSpec::from_json(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+                proptest::prop_assert_eq!(&parsed, &spec, "{}", text);
+                proptest::prop_assert_eq!(parsed.cache_key(), spec.cache_key(), "{}", text);
+                proptest::prop_assert_eq!(parsed.canonical_json(), spec.canonical_json(), "{}", text);
+            }
+        }
     }
 
     #[test]

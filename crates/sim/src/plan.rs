@@ -25,7 +25,8 @@
 //! matrix. Each pruned layer owns its plan ([`SparseLayer::plan`]), so
 //! it is built once however many simulations read it.
 
-use tbstc_sparsity::SparsityDim;
+use tbstc_matrix::Matrix;
+use tbstc_sparsity::{SparsityDim, TbsPattern};
 
 use crate::layer::SparseLayer;
 
@@ -60,29 +61,21 @@ impl BlockPlan {
     /// the packed per-block counts.
     pub fn build(layer: &SparseLayer) -> Self {
         let w = layer.sampled();
-        let (rows, cols) = w.shape();
+        let (row_nnz, matrix_row_nnz) = segment_counts(w);
+        Self::from_counts(w.shape(), row_nnz, matrix_row_nnz, layer.tbs())
+    }
+
+    /// The plan of a `rows × cols` matrix from its pass-1 counts: the
+    /// packed per-(block, block-row) counts and the per-row totals.
+    fn from_counts(
+        (rows, cols): (usize, usize),
+        row_nnz: Vec<usize>,
+        matrix_row_nnz: Vec<usize>,
+        tbs: Option<&TbsPattern>,
+    ) -> Self {
         let grid_rows = rows.div_ceil(BLOCK);
         let grid_cols = cols.div_ceil(BLOCK);
         let n_blocks = grid_rows * grid_cols;
-
-        // Pass 1: count non-zeros per (block, block-row) straight off the
-        // matrix rows. Out-of-bounds padding rows stay zero, matching the
-        // historical element walk.
-        let mut row_nnz = vec![0usize; n_blocks * BLOCK];
-        let mut matrix_row_nnz = Vec::with_capacity(rows);
-        for r in 0..rows {
-            let (br, dr) = (r / BLOCK, r % BLOCK);
-            let row = w.row(r);
-            let mut row_total = 0usize;
-            for bc in 0..grid_cols {
-                let c0 = bc * BLOCK;
-                let cmax = (c0 + BLOCK).min(cols);
-                let count = row[c0..cmax].iter().filter(|&&v| v != 0.0).count();
-                row_nnz[(br * grid_cols + bc) * BLOCK + dr] = count;
-                row_total += count;
-            }
-            matrix_row_nnz.push(row_total);
-        }
 
         // Pass 2: per-block aggregates over the packed counts.
         let mut nnz = Vec::with_capacity(n_blocks);
@@ -97,9 +90,9 @@ impl BlockPlan {
             nnz.push(block_nnz);
             nonempty_rows.push(counts.iter().filter(|&&c| c > 0).count());
             let h = BLOCK.min(rows - br * BLOCK);
-            let w_ = BLOCK.min(cols - bc * BLOCK);
+            let w = BLOCK.min(cols - bc * BLOCK);
             block_rows.push(h);
-            dense_slots.push(h * w_);
+            dense_slots.push(h * w);
             occupancy_hist[block_nnz.div_ceil(BLOCK)] += 1;
             total_nnz += block_nnz;
         }
@@ -110,7 +103,7 @@ impl BlockPlan {
         // the plan's 8-wide grid when the pattern's M ≠ 8), preserving the
         // historical lookup exactly.
         let mut independent_dim = vec![false; n_blocks];
-        if let Some(t) = layer.tbs() {
+        if let Some(t) = tbs {
             let blocks = t.blocks();
             let gc = t.mask().cols().div_ceil(t.config().m);
             for (i, flag) in independent_dim.iter_mut().enumerate() {
@@ -221,12 +214,114 @@ impl BlockPlan {
     }
 }
 
+/// Pass 1 of [`BlockPlan::build`]: the non-zeros of each (block,
+/// block-row) segment, packed in block order, and of each matrix row.
+/// Each 8-wide row segment is counted by a branch-free sum. Out-of-bounds
+/// padding rows stay zero, matching the historical element walk.
+fn segment_counts(w: &Matrix) -> (Vec<usize>, Vec<usize>) {
+    let (rows, cols) = w.shape();
+    let grid_cols = cols.div_ceil(BLOCK);
+    let mut row_nnz = vec![0usize; rows.div_ceil(BLOCK) * grid_cols * BLOCK];
+    let mut matrix_row_nnz = Vec::with_capacity(rows);
+    for r in 0..rows {
+        let (br, dr) = (r / BLOCK, r % BLOCK);
+        let mut row_total = 0usize;
+        for (bc, segment) in w.row(r).chunks(BLOCK).enumerate() {
+            // A `u32` sum vectorises better than a `usize` one; at most
+            // eight elements are counted.
+            let count = segment.iter().map(|&v| u32::from(v != 0.0)).sum::<u32>() as usize;
+            row_nnz[(br * grid_cols + bc) * BLOCK + dr] = count;
+            row_total += count;
+        }
+        matrix_row_nnz.push(row_total);
+    }
+    (row_nnz, matrix_row_nnz)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arch::Arch;
     use crate::config::HwConfig;
     use tbstc_models::LayerShape;
+
+    /// Pass 1 with a range sliced per block and `filter().count()`: the
+    /// oracle of [`segment_counts`].
+    fn segment_counts_oracle(w: &Matrix) -> (Vec<usize>, Vec<usize>) {
+        let (rows, cols) = w.shape();
+        let grid_cols = cols.div_ceil(BLOCK);
+        let mut row_nnz = vec![0usize; rows.div_ceil(BLOCK) * grid_cols * BLOCK];
+        let mut matrix_row_nnz = vec![0usize; rows];
+        for (r, total) in matrix_row_nnz.iter_mut().enumerate() {
+            let (br, dr) = (r / BLOCK, r % BLOCK);
+            let row = w.row(r);
+            let mut row_total = 0usize;
+            for bc in 0..grid_cols {
+                let c0 = bc * BLOCK;
+                let cmax = (c0 + BLOCK).min(cols);
+                let count = row[c0..cmax].iter().filter(|&&v| v != 0.0).count();
+                row_nnz[(br * grid_cols + bc) * BLOCK + dr] = count;
+                row_total += count;
+            }
+            *total = row_total;
+        }
+        (row_nnz, matrix_row_nnz)
+    }
+
+    /// Values that test `v != 0.0` at its edges: both zeros, NaN
+    /// payloads, both infinities, subnormals and ordinary values.
+    const EDGE_VALUES: [f32; 12] = [
+        0.0,
+        -0.0,
+        f32::NAN,
+        -f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::MIN_POSITIVE / 2.0,
+        -f32::MIN_POSITIVE / 4.0,
+        1e-45,
+        f32::MIN_POSITIVE,
+        1.0,
+        -3.5,
+    ];
+
+    fn assert_counts_match_oracle(w: &Matrix) {
+        let fast = segment_counts(w);
+        let oracle = segment_counts_oracle(w);
+        assert_eq!(fast, oracle, "{:?}", w.shape());
+        assert_eq!(
+            BlockPlan::from_counts(w.shape(), fast.0, fast.1, None),
+            BlockPlan::from_counts(w.shape(), oracle.0, oracle.1, None),
+        );
+    }
+
+    #[test]
+    fn branch_free_counts_match_the_filter_oracle_on_edge_values() {
+        for (rows, cols) in [(13, 21), (8, 9), (1, 1), (16, 16), (9, 8), (0, 5), (5, 0)] {
+            for offset in 0..EDGE_VALUES.len() {
+                let w = Matrix::from_fn(rows, cols, |r, c| {
+                    EDGE_VALUES[(r * cols + c + offset) % EDGE_VALUES.len()]
+                });
+                assert_counts_match_oracle(&w);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn branch_free_counts_match_the_filter_oracle(
+            rows in 1usize..=24,
+            cols in 1usize..=24,
+            picks in proptest::collection::vec(0usize..24, 576..577),
+        ) {
+            // Half of the picks are zeros, the rest any edge value.
+            let w = Matrix::from_fn(rows, cols, |r, c| match picks[r * cols + c] {
+                p if p >= EDGE_VALUES.len() => 0.0,
+                p => EDGE_VALUES[p],
+            });
+            assert_counts_match_oracle(&w);
+        }
+    }
 
     fn layer(m: usize, k: usize, target: f64) -> SparseLayer {
         let shape = LayerShape {
