@@ -19,6 +19,8 @@
 //! bit-identical to serial), so identical specs always produce identical
 //! response bodies — the property the serve cache relies on.
 
+use std::fmt::Write as _;
+
 use crate::archspec;
 use crate::error::Error;
 use crate::json::{fnv1a_64, Json};
@@ -454,7 +456,11 @@ impl JobSpec {
 
     /// The canonical JSON text (the byte string the cache key hashes).
     pub fn canonical_json(&self) -> String {
-        self.to_value().to_string()
+        // A builtin `simulate` spec is about 130 bytes; only inline arch
+        // documents and long sweeps grow past this.
+        let mut out = String::with_capacity(256);
+        self.to_value().write_to(&mut out);
+        out
     }
 
     /// The content-addressed cache key: 128 bits of FNV-1a over the
@@ -463,7 +469,10 @@ impl JobSpec {
         let text = self.canonical_json();
         let a = fnv1a_64(text.as_bytes(), 0xcbf2_9ce4_8422_2325);
         let b = fnv1a_64(text.as_bytes(), 0x6c62_272e_07bb_0142);
-        format!("{a:016x}{b:016x}")
+        let mut key = String::with_capacity(32);
+        // Writing into a `String` cannot fail.
+        let _ = write!(key, "{a:016x}{b:016x}");
+        key
     }
 
     /// The platform bandwidth this job simulates under.
@@ -730,6 +739,7 @@ pub fn model_result_from_value(v: &Json) -> Result<ModelResult, Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
     use tbstc_sim::HwConfig;
 
     fn gcn_spec() -> JobSpec {
@@ -939,6 +949,48 @@ mod tests {
                 proptest::prop_assert_eq!(&parsed, &spec, "{}", text);
                 proptest::prop_assert_eq!(parsed.cache_key(), spec.cache_key(), "{}", text);
                 proptest::prop_assert_eq!(parsed.canonical_json(), spec.canonical_json(), "{}", text);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Spec bodies as they come off the network: re-sent with other
+        /// whitespace, member order and equivalent escapes (`\u0041`,
+        /// `\/`), they key like the spec; cut short by a split read at
+        /// any byte, or replaced by random or mangled bytes, they are
+        /// refused (or, if still a valid spec, keyed stably), never a
+        /// panic.
+        #[test]
+        fn escaped_split_and_hostile_bodies_key_or_fail_cleanly(
+            pick in 0usize..3,
+            seed in 0u64..u64::MAX,
+            bytes in proptest::collection::vec(0u8..=255, 0..96),
+            flips in proptest::collection::vec((0usize..4096, 0u8..=255), 1..4),
+        ) {
+            let body = [
+                inline_spec_body(),
+                r#"{"type":"simulate","arch":"tb-stc","model":{"kind":"gcn","nodes":64,"features":16},"sparsity":0.75,"seed":5}"#.to_string(),
+                r#"{"type":"sweep","archs":["tc","stc","vegeta","highlight","rm-stc","tb-stc","dvpe-fan","sgcn"],"models":["bert",{"kind":"gcn","nodes":128,"features":32}],"sparsities":[0.5,0.875],"seeds":[0,3],"bandwidth_gbps":25.6}"#.to_string(),
+            ][pick].clone();
+            let spec = JobSpec::from_json(&body).unwrap();
+            let mut rng = json::tests::Rng(seed);
+            let text = json::tests::noisy_text(&Json::parse(&body).unwrap(), &mut rng);
+            let text = text.trim_end();
+            let parsed = JobSpec::from_json(text).unwrap_or_else(|e| panic!("{e}: {text:?}"));
+            proptest::prop_assert_eq!(parsed.cache_key(), spec.cache_key(), "{:?}", text);
+            for (cut, _) in text.char_indices().skip(1) {
+                let prefix = &text[..cut];
+                proptest::prop_assert!(JobSpec::from_json(prefix).is_err(), "{:?} parsed", prefix);
+            }
+            proptest::prop_assert!(JobSpec::from_json(&String::from_utf8_lossy(&bytes)).is_err());
+            let mut mangled = text.as_bytes().to_vec();
+            for &(at, b) in &flips {
+                let at = at % mangled.len();
+                mangled[at] = b;
+            }
+            if let Ok(spec) = JobSpec::from_json(&String::from_utf8_lossy(&mangled)) {
+                let again = JobSpec::from_json(&spec.canonical_json()).unwrap();
+                proptest::prop_assert_eq!(again.cache_key(), spec.cache_key());
             }
         }
     }

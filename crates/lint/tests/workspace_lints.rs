@@ -18,11 +18,13 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// The only sources that may name `unsafe_code` (to allow it): serve's
-/// poll(2), signal(2) and flock(2) shims and train's counting allocator.
+/// poll(2), signal(2) and flock(2) shims and the counting allocators of
+/// serve's hot-hit and train's steady-state allocation tests.
 const UNSAFE_ALLOWED: &[&str] = &[
     "crates/serve/src/event.rs",
     "crates/serve/src/signal.rs",
     "crates/serve/src/store.rs",
+    "crates/serve/tests/alloc_hot_hit.rs",
     "crates/train/tests/alloc_steady_state.rs",
 ];
 

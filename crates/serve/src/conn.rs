@@ -41,7 +41,7 @@ pub const WRITE_HIGH_WATER: usize = 256 * 1024;
 /// further reads pause until responses drain.
 pub const MAX_PIPELINE_DEPTH: usize = 64;
 
-/// Bytes pulled per `read` syscall.
+/// Bytes pulled per `read` syscall, into a buffer each [`Conn`] owns.
 const READ_CHUNK: usize = 16 * 1024;
 
 /// One step of the incremental parser.
@@ -329,6 +329,9 @@ struct Slot {
 #[derive(Debug)]
 pub struct Conn {
     stream: TcpStream,
+    /// Landing buffer for `read`, zeroed once per connection rather than
+    /// once per readiness event.
+    read_buf: Box<[u8]>,
     parser: RequestParser,
     pending: VecDeque<Slot>,
     next_seq: u64,
@@ -351,6 +354,7 @@ impl Conn {
         let _ = stream.set_nodelay(true);
         Ok(Self {
             stream,
+            read_buf: vec![0; READ_CHUNK].into_boxed_slice(),
             parser: RequestParser::new(),
             pending: VecDeque::with_capacity(4),
             next_seq: 0,
@@ -412,24 +416,32 @@ impl Conn {
         self.out.len().saturating_sub(self.out_pos)
     }
 
-    /// Reads until `WouldBlock`/EOF and parses every complete request
-    /// in the buffer, opening a pipeline slot per event.
+    /// Reads until a short read, `WouldBlock` or EOF, and parses every
+    /// complete request in the buffer, opening a pipeline slot per event.
+    ///
+    /// A read that returns less than a full chunk has emptied the socket
+    /// for now, so reading stops there: `poll(2)` is level-triggered and
+    /// reports bytes that arrive later (or the peer's EOF) as readable
+    /// again. A small keep-alive request thus costs one `read`, not a
+    /// second one that only returns `EAGAIN`.
     pub fn read_ready(&mut self) -> Vec<ConnEvent> {
         let mut events = Vec::with_capacity(2);
-        let mut chunk = [0u8; READ_CHUNK];
         loop {
             if !self.wants_read() {
                 break;
             }
-            match self.stream.read(&mut chunk) {
+            match self.stream.read(&mut self.read_buf) {
                 Ok(0) => {
                     self.read_closed = true;
                     break;
                 }
                 Ok(n) => {
                     self.last_activity = Instant::now();
-                    self.parser.feed(chunk.get(..n).unwrap_or_default());
+                    self.parser.feed(self.read_buf.get(..n).unwrap_or_default());
                     self.drain_parser(&mut events);
+                    if n < self.read_buf.len() {
+                        break;
+                    }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -898,6 +910,35 @@ mod tests {
         assert!(conn.is_done());
         let got = read_available(&mut client);
         assert!(got.contains("Connection: close"), "got: {got}");
+    }
+
+    #[test]
+    fn body_longer_than_a_read_chunk_arrives_whole() {
+        // Full-chunk reads keep reading; only a short read ends the
+        // readiness event, and the rest of the body is picked up on the
+        // next one.
+        let (server, mut client) = loopback_pair();
+        let mut conn = Conn::new(server).expect("conn");
+        let body = "x".repeat(3 * READ_CHUNK + 17);
+        let raw = format!(
+            "POST /v1/jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}GET /b HTTP/1.1\r\n\r\n",
+            body.len()
+        );
+        let writer = std::thread::spawn(move || {
+            use std::io::Write as _;
+            client.write_all(raw.as_bytes()).expect("write");
+            client
+        });
+        let events = wait_events(&mut conn, 2);
+        let _client = writer.join().expect("writer");
+        let ConnEvent::Request { request, .. } = &events[0] else {
+            panic!("expected request");
+        };
+        assert_eq!(request.body, body.as_bytes());
+        let ConnEvent::Request { request, .. } = &events[1] else {
+            panic!("expected request");
+        };
+        assert_eq!(request.path, "/b");
     }
 
     fn loopback_pair() -> (TcpStream, TcpStream) {

@@ -108,17 +108,30 @@ impl Response {
     /// stream).
     pub fn serialize(&self, keep_alive: bool) -> Vec<u8> {
         let reason = reason_phrase(self.status);
-        let mut head = String::with_capacity(128 + self.headers.len() * 32);
-        head.push_str(&format!("HTTP/1.1 {} {}\r\n", self.status, reason));
+        // Status line and the two trailing headers take fewer than 96
+        // bytes besides the reason phrase.
+        let head_len = 96
+            + reason.len()
+            + self
+                .headers
+                .iter()
+                .map(|(name, value)| name.len() + value.len() + 4)
+                .sum::<usize>();
+        let mut out = Vec::with_capacity(head_len + self.body.len());
+        // Writing into a `Vec` cannot fail.
+        let _ = write!(out, "HTTP/1.1 {} {reason}\r\n", self.status);
         for (name, value) in &self.headers {
-            head.push_str(&format!("{name}: {value}\r\n"));
+            out.extend_from_slice(name.as_bytes());
+            out.extend_from_slice(b": ");
+            out.extend_from_slice(value.as_bytes());
+            out.extend_from_slice(b"\r\n");
         }
-        head.push_str(&format!(
+        let _ = write!(
+            out,
             "Content-Length: {}\r\nConnection: {}\r\n\r\n",
             self.body.len(),
             if keep_alive { "keep-alive" } else { "close" }
-        ));
-        let mut out = head.into_bytes();
+        );
         out.extend_from_slice(&self.body);
         out
     }
